@@ -1,4 +1,7 @@
 EXAMPLES = src/cy_smoother/data/examples
+PYTHON ?= python3
+# The package is run from the source tree; no install is needed.
+CLI = PYTHONPATH=src $(PYTHON) -m cy_smoother.cli
 
 .PHONY: test acceptance golden
 
@@ -10,16 +13,16 @@ acceptance:
 
 # Replay every bundled computation through the CLI.
 golden:
-	cy-smoother smooth $(EXAMPLES)/quick.json
-	cy-smoother smooth $(EXAMPLES)/pair1_a.json
-	cy-smoother smooth $(EXAMPLES)/pair1_b.json
-	cy-smoother move-top $(EXAMPLES)/pair1_a.json --from 2
-	cy-smoother smooth $(EXAMPLES)/triple_mu.json
-	cy-smoother smooth $(EXAMPLES)/triple_nu.json
-	cy-smoother invariants cubic --file $(EXAMPLES)/mu_tensor.json
-	cy-smoother invariants cubic --file $(EXAMPLES)/nu_tensor.json
-	cy-smoother invariants rr --rho3 2 --rhoc2 44 --n 8
-	cy-smoother fano search --rank-one
-	cy-smoother fano cy --v1 X22 --v2 MM-12.3-15
-	cy-smoother fano cy --v1 X2 --v2 dP1
-	cy-smoother fano groups
+	$(CLI) smooth $(EXAMPLES)/quick.json
+	$(CLI) smooth $(EXAMPLES)/pair1_a.json
+	$(CLI) smooth $(EXAMPLES)/pair1_b.json
+	$(CLI) move-top $(EXAMPLES)/pair1_a.json --from 2
+	$(CLI) smooth $(EXAMPLES)/triple_mu.json
+	$(CLI) smooth $(EXAMPLES)/triple_nu.json
+	$(CLI) invariants cubic --file $(EXAMPLES)/mu_tensor.json
+	$(CLI) invariants cubic --file $(EXAMPLES)/nu_tensor.json
+	$(CLI) invariants rr --rho3 2 --rhoc2 44 --n 8
+	$(CLI) fano search --rank-one
+	$(CLI) fano cy --v1 X22 --v2 MM-12.3-15
+	$(CLI) fano cy --v1 X2 --v2 dP1
+	$(CLI) fano groups

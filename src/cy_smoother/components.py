@@ -89,8 +89,6 @@ class BlownComponent:
     degrees: tuple[int, ...]
     genera: tuple[int, ...]
     mutual: tuple[tuple[int, ...], ...]
-    h2_labels: tuple[str, ...]
-    h4_labels: tuple[str, ...]
     triple: tuple[tuple[tuple[int, ...], ...], ...]
     c2_covector: tuple[int, ...]
     D_class: PicardVector
@@ -133,6 +131,11 @@ def build_component(base: BaseThreefold, D: K3Model, centers) -> BlownComponent:
     h = D.polarization
 
     degrees = tuple(intersect(D, h, c) for c in centers_t)
+    for i, d in enumerate(degrees):
+        if d <= 0:
+            raise ComponentError(
+                "center %d has degree h.c = %d; a curve needs h.c > 0" % (i + 1, d)
+            )
     genera = tuple(curve_genus(D, c) for c in centers_t)
     mutual = tuple(
         tuple(intersect(D, ci, cj) for cj in centers_t) for ci in centers_t
@@ -182,9 +185,6 @@ def build_component(base: BaseThreefold, D: K3Model, centers) -> BlownComponent:
         pairing[i][i] = -1
     d_deg = tuple([r] + [1] * s)
 
-    labels2 = ("H",) + tuple("e%d" % (i + 1) for i in range(s))
-    labels4 = ("g",) + tuple("M%d" % (i + 1) for i in range(s))
-
     return BlownComponent(
         base=base,
         k3=D,
@@ -192,8 +192,6 @@ def build_component(base: BaseThreefold, D: K3Model, centers) -> BlownComponent:
         degrees=degrees,
         genera=genera,
         mutual=mutual,
-        h2_labels=labels2,
-        h4_labels=labels4,
         triple=tuple(tuple(tuple(row) for row in plane) for plane in T),
         c2_covector=tuple(c2),
         D_class=D_class,

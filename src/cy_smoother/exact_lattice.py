@@ -4,8 +4,8 @@ Everything here works with Python's arbitrary-precision integers; no
 floating point is ever involved.  The module provides Smith and Hermite
 normal forms with unimodular transforms, saturated kernels in a canonical
 basis, quotients of Z^n by a relation lattice (with torsion invariants,
-projection and section maps), lattice intersections, and unimodularity
-tests for pairing Gram matrices.
+projection and section maps), lattice intersections and fiber products,
+and unimodularity tests for pairing Gram matrices.
 
 Canonical forms matter: kernels and quotient sections are normalized so
 that repeated runs (and golden tests) see byte-identical output.
@@ -19,10 +19,6 @@ from typing import Iterable, Sequence
 
 class RankMismatchError(ValueError):
     """A pairing Gram matrix relates lattices of different ranks."""
-
-
-class InconsistentSystemError(ValueError):
-    """An exact linear system has no integer solution."""
 
 
 class IntMatrix:
@@ -465,6 +461,28 @@ def intersect_column_lattices(A: IntMatrix, B: IntMatrix) -> IntMatrix:
     # drop dependent generators and canonicalize
     H = hermite_row_form(L.transpose())
     return H.transpose()
+
+
+def fiber_product(A: IntMatrix, B: IntMatrix):
+    """Canonical basis of {(x, y) : A x = B y}, stacked as columns (x | y).
+
+    Returns (diag, vert1, vert2), each a list of sign-normalized stacked
+    vectors: diag pairs the canonical preimages of the canonical basis of
+    (image A) n (image B); vert1 and vert2 are the kernels of A and of B,
+    padded with zeros on the other side.
+    """
+    diag = [
+        sign_normalize_column(solve_exact(A, u) + solve_exact(B, u))
+        for u in intersect_column_lattices(A, B).to_columns()
+    ]
+    zeros_a, zeros_b = (0,) * A.cols, (0,) * B.cols
+    vert1 = [
+        sign_normalize_column(tuple(k) + zeros_b) for k in kernel_basis(A).to_columns()
+    ]
+    vert2 = [
+        sign_normalize_column(zeros_a + tuple(k)) for k in kernel_basis(B).to_columns()
+    ]
+    return diag, vert1, vert2
 
 
 # ---------------------------------------------------------------------------

@@ -65,13 +65,6 @@ class CubicTensor:
     def value(self, i: int, j: int, k: int) -> int:
         return self.entries.get(_canonical_key((i, j, k), self.rank), 0)
 
-    def dense(self) -> list[list[list[int]]]:
-        n = self.rank
-        return [
-            [[self.value(i + 1, j + 1, k + 1) for k in range(n)] for j in range(n)]
-            for i in range(n)
-        ]
-
     def scaled(self, factor: int) -> "CubicTensor":
         return CubicTensor(self.rank, {k: factor * v for k, v in self.entries.items()})
 

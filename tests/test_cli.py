@@ -60,6 +60,25 @@ class TestSmooth:
         rep = json.loads(out)
         assert rep["hypotheses_ok"] is False
 
+    @pytest.mark.parametrize(
+        "y1, y2", [([[-1]], [[9]]), ([], [[8], [0], [0], [0]])], ids=["minus-h", "zero-classes"]
+    )
+    def test_nonpositive_degree_center_exit_2(self, capsys, tmp_path, y1, y2):
+        doc = tmp_path / "degree.json"
+        doc.write_text(
+            json.dumps(
+                {
+                    "k3": {"gram": [[4]], "classes": ["h"], "polarization": [1]},
+                    "Y1": {"base": "P3", "centers": y1},
+                    "Y2": {"base": "P3", "centers": y2},
+                }
+            )
+        )
+        code, out, err = run(capsys, "smooth", str(doc))
+        assert code == 2
+        assert out == ""
+        assert "h.c" in err
+
     def test_json_is_byte_identical(self, capsys):
         _, out1, _ = run(capsys, "smooth", str(EXAMPLES / "quick.json"))
         _, out2, _ = run(capsys, "smooth", str(EXAMPLES / "quick.json"))

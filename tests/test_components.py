@@ -115,10 +115,10 @@ class TestComponentErrors:
             build_component(P3, quartic, [(1, 2)])
 
     def test_rejects_negative_mutual_intersection(self):
-        D = K3Model(IntMatrix.from_rows([[4, 0], [0, -2]]), ("h", "e"), (1, 0))
-        rational = (0, 1)  # square -2, genus 0
-        other = (1, 1)     # square 2; meets the first in -2
-        with pytest.raises(ComponentError):
+        D = K3Model(IntMatrix.from_rows([[4, 1], [1, -2]]), ("h", "d"), (1, 0))
+        rational = (0, 1)  # square -2, degree 1
+        other = (1, 2)     # square 0, degree 6; meets the first in -3
+        with pytest.raises(ComponentError, match="meet negatively"):
             build_component(P3, D, [rational, other])
 
     def test_dimension_checked_in_products(self, quartic):

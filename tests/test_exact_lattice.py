@@ -6,6 +6,8 @@ from cy_smoother.exact_lattice import (
     FgAbelianGroup,
     IntMatrix,
     RankMismatchError,
+    canonical_basis_columns,
+    fiber_product,
     hermite_row_form,
     intersect_column_lattices,
     kernel_basis,
@@ -214,3 +216,29 @@ class TestSolveAndHermite:
                 u = L.column(j)
                 assert solve_exact(A, u) is not None
                 assert solve_exact(B, u) is not None
+
+
+class TestFiberProduct:
+    def test_degree_rows(self):
+        diag, vert1, vert2 = fiber_product(
+            IntMatrix.from_rows([[4]]), IntMatrix.from_rows([[4, 1]])
+        )
+        assert (diag, vert1, vert2) == ([(1, 0, 4)], [], [(0, 1, -4)])
+
+    def test_random_against_stacked_kernel(self, rng):
+        # Oracle: {(x, y) : A x = B y} is the kernel of (A | -B).
+        for _ in range(60):
+            n = rng.randint(1, 3)
+            A = random_matrix(rng, n, rng.randint(1, 3), bound=4)
+            B = random_matrix(rng, n, rng.randint(1, 3), bound=4)
+            diag, vert1, vert2 = fiber_product(A, B)
+            vecs = diag + vert1 + vert2
+            for v in vecs:
+                assert A.mul_vector(v[: A.cols]) == B.mul_vector(v[A.cols :])
+            assert all(not any(v[A.cols :]) for v in vert1)
+            assert all(not any(v[: A.cols]) for v in vert2)
+            oracle = kernel_basis(A.hstack(-B))
+            assert len(vecs) == oracle.cols
+            if vecs:
+                got = canonical_basis_columns(IntMatrix.from_columns(vecs))
+                assert got == canonical_basis_columns(oracle)

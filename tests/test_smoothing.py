@@ -2,8 +2,9 @@ import dataclasses
 
 import pytest
 
+from cy_smoother.catalog import find_family, load_catalog
 from cy_smoother.components import P3, build_component, c2_pair, triple_product
-from cy_smoother.exact_lattice import IntMatrix
+from cy_smoother.exact_lattice import IntMatrix, solve_exact
 from cy_smoother.smoothing import (
     InternalInconsistencyError,
     ModelError,
@@ -50,6 +51,26 @@ class TestHypotheses:
         bad = NormalCrossingModel(bad_y1, quick_model.y2)
         s = statuses(check_smoothability(bad))
         assert s["omega_trivial"] == "fail"
+
+    @pytest.mark.parametrize(
+        "ids, n", [(("X6", "X6"), 2), (("Q", "X6"), 2), (("X6", "dP3"), 2), (("Q", "dP3"), 1)]
+    )
+    def test_kahler_candidate_scale(self, ids, n):
+        # The candidate pair is positive at n = 1 only when both indices are >= 2.
+        catalog = load_catalog()
+        sextic = K3Model(IntMatrix.from_rows([[6]]), ("h",), (1,))
+        b1, b2 = (find_family(catalog, i).as_base() for i in ids)
+        model = NormalCrossingModel(
+            build_component(b1, sextic, []),
+            build_component(b2, sextic, [(b1.index + b2.index,)]),
+        )
+        verdicts = check_smoothability(model)
+        assert all(v.ok for v in verdicts)
+        kahler = {v.key: v for v in verdicts}["kahler_matching"]
+        assert kahler.status == "pass"
+        assert kahler.note == (
+            "sufficient-condition check only; candidate ample pair positive at n = %d" % n
+        )
 
     def test_mismatched_k3(self, quartic):
         other = K3Model(IntMatrix.from_rows([[8]]), ("h",), (1,))
@@ -220,6 +241,30 @@ class TestMoveTop:
     def test_empty_source_errors(self, quick_model):
         with pytest.raises(ModelError):
             move_top_center(quick_model, 1)
+
+    def test_swap_changes_basis_not_forms(self, quartic):
+        """Swapping Y1 and Y2 preserves the cubic and c2 up to a basis change.
+
+        The swapped generators, mirrored back to (Y1 | Y2) stacking, are
+        integral combinations of the original generators and (D, -D); the
+        transition matrix M carries one cubic and c2 onto the other.
+        """
+        model = make_model(quartic, [(5,)], [(2,), (1,)])
+        swapped = NormalCrossingModel(model.y2, model.y1)
+        rep, rep_s = analyze(model), analyze(swapped)
+        assert rep.cubic_tensor != rep_s.cubic_tensor  # the lifted bases differ
+        rg2 = compute_rg2(model)
+        span = IntMatrix.from_columns(list(rg2.generators) + [rg2.degenerate])
+        cols = []
+        for on_y2, on_y1 in rep_s.picard_generators:
+            coords = solve_exact(span, on_y1 + on_y2)
+            assert coords is not None
+            cols.append(coords[:-1])
+        M = IntMatrix.from_columns(cols).to_rows()
+        assert rep.cubic_tensor.change_basis(M) == rep_s.cubic_tensor
+        assert tuple(
+            sum(M[i][j] * c for i, c in enumerate(rep.c2_covector)) for j in range(len(cols))
+        ) == rep_s.c2_covector
 
     def test_preserves_hodge_and_consur(self, pair1_a):
         for idx in (1, 2):
