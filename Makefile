@@ -3,13 +3,17 @@ PYTHON ?= python3
 # The package is run from the source tree; no install is needed.
 CLI = PYTHONPATH=src $(PYTHON) -m cy_smoother.cli
 
-.PHONY: test acceptance golden
+.PHONY: test acceptance bench-selftest golden
 
 test:
-	pytest -q
+	$(PYTHON) -m pytest -q
 
 acceptance:
-	pytest tests/test_acceptance.py -v -s
+	$(PYTHON) -m pytest tests/test_acceptance.py -v -s
+
+# Self-tests of the benchmark harness (not part of `test`).
+bench-selftest:
+	$(PYTHON) -m pytest bench -q
 
 # Replay every bundled computation through the CLI.
 golden:

@@ -1,11 +1,13 @@
 """Exact integer linear algebra over finitely generated abelian groups.
 
 Everything here works with Python's arbitrary-precision integers; no
-floating point is ever involved.  The module provides Smith and Hermite
-normal forms with unimodular transforms, saturated kernels in a canonical
-basis, quotients of Z^n by a relation lattice (with torsion invariants,
-projection and section maps), lattice intersections and fiber products,
-and unimodularity tests for pairing Gram matrices.
+floating point is ever involved.  Row-style Hermite normal form (HNF) with
+a unimodular transform is the one elimination behind saturated kernels in a
+canonical basis, ranks, canonical solving, lattice intersections and fiber
+products, and the unimodularity test for pairing Gram matrices.  Smith
+normal form (SNF) is used only where torsion matters: quotients of Z^n by a
+relation lattice (torsion invariants, projection and section maps), and the
+public ``smith_normal_form``/``snf_diagonal``.
 
 Canonical forms matter: kernels and quotient sections are normalized so
 that repeated runs (and golden tests) see byte-identical output.
@@ -196,32 +198,29 @@ def smith_normal_form(M: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     divisibility chain d_i | d_{i+1}.  Total function; deterministic pivot
     choice (smallest absolute value, then lowest position).
     """
-    U, S, V, _, _ = _snf_with_inverses(M, want_inverses=False)
+    U, S, V, _ = _snf(M)
     return U, S, V
 
 
-def _snf_with_inverses(M: IntMatrix, want_inverses: bool = True):
+def _snf(M: IntMatrix):
+    """Smith normal form (U, S, V) plus U^-1, whose columns lift quotient generators."""
     n, m = M.rows, M.cols
     A = M.to_rows()
     U = IntMatrix.identity(n).to_rows()
     V = IntMatrix.identity(m).to_rows()
-    Uinv = IntMatrix.identity(n).to_rows() if want_inverses else None
-    Vinv = IntMatrix.identity(m).to_rows() if want_inverses else None
+    Uinv = IntMatrix.identity(n).to_rows()
 
     def swap_rows(i, j):
         A[i], A[j] = A[j], A[i]
         U[i], U[j] = U[j], U[i]
-        if Uinv is not None:
-            for r in Uinv:
-                r[i], r[j] = r[j], r[i]
+        for r in Uinv:
+            r[i], r[j] = r[j], r[i]
 
     def swap_cols(i, j):
         for r in A:
             r[i], r[j] = r[j], r[i]
         for r in V:
             r[i], r[j] = r[j], r[i]
-        if Vinv is not None:
-            Vinv[i], Vinv[j] = Vinv[j], Vinv[i]
 
     def add_row(src, dst, q):
         # row dst += q * row src
@@ -231,25 +230,20 @@ def _snf_with_inverses(M: IntMatrix, want_inverses: bool = True):
         Us, Ud = U[src], U[dst]
         for k in range(n):
             Ud[k] += q * Us[k]
-        if Uinv is not None:
-            for r in Uinv:
-                r[src] -= q * r[dst]
+        for r in Uinv:
+            r[src] -= q * r[dst]
 
     def add_col(src, dst, q):
         for r in A:
             r[dst] += q * r[src]
         for r in V:
             r[dst] += q * r[src]
-        if Vinv is not None:
-            for k in range(m):
-                Vinv[src][k] -= q * Vinv[dst][k]
 
     def negate_row(i):
         A[i] = [-e for e in A[i]]
         U[i] = [-e for e in U[i]]
-        if Uinv is not None:
-            for r in Uinv:
-                r[i] = -r[i]
+        for r in Uinv:
+            r[i] = -r[i]
 
     size = min(n, m)
     for t in range(size):
@@ -302,8 +296,7 @@ def _snf_with_inverses(M: IntMatrix, want_inverses: bool = True):
         IntMatrix.from_rows(U, cols=n),
         IntMatrix.from_rows(A, cols=m),
         IntMatrix.from_rows(V, cols=m),
-        IntMatrix.from_rows(Uinv, cols=n) if want_inverses else None,
-        IntMatrix.from_rows(Vinv, cols=m) if want_inverses else None,
+        IntMatrix.from_rows(Uinv, cols=n),
     )
 
 
@@ -316,10 +309,6 @@ def snf_diagonal(M: IntMatrix) -> tuple[int, ...]:
         if d:
             out.append(d)
     return tuple(out)
-
-
-def rank(M: IntMatrix) -> int:
-    return len(snf_diagonal(M))
 
 
 # ---------------------------------------------------------------------------
@@ -380,6 +369,10 @@ def hermite_row_form(M: IntMatrix, with_transform: bool = False):
     return H
 
 
+def rank(M: IntMatrix) -> int:
+    return hermite_row_form(M).rows
+
+
 def _reverse_columns(M: IntMatrix) -> IntMatrix:
     return IntMatrix.from_rows([list(M.row(i))[::-1] for i in range(M.rows)], cols=M.cols)
 
@@ -400,10 +393,9 @@ def canonical_basis_columns(columns: IntMatrix) -> IntMatrix:
 
 def kernel_basis(M: IntMatrix) -> IntMatrix:
     """Canonical basis (as columns) of the saturated kernel {x : Mx = 0}."""
-    _, S, V = smith_normal_form(M)
-    r = len([1 for t in range(min(S.rows, S.cols)) if S[t, t]])
-    cols = [V.column(j) for j in range(r, M.cols)]
-    K = IntMatrix.from_columns(cols, rows=M.cols)
+    # H = T M^t with T unimodular: the rows of T past H's span the kernel
+    H, T = hermite_row_form(M.transpose(), with_transform=True)
+    K = IntMatrix.from_columns(T.to_rows()[H.rows :], rows=M.cols)
     if K.cols == 0:
         return K
     return canonical_basis_columns(K)
@@ -505,7 +497,7 @@ def quotient(
         raise ValueError(
             "relations have %d rows, ambient rank is %d" % (relations.rows, ambient_rank)
         )
-    U, S, _, Uinv, _ = _snf_with_inverses(relations, want_inverses=True)
+    U, S, _, Uinv = _snf(relations)
     diag = [S[t, t] for t in range(min(S.rows, S.cols)) if S[t, t]]
     t = len(diag)
     torsion = tuple(d for d in diag if d >= 2)
@@ -515,25 +507,23 @@ def quotient(
     )
     section_cols = [list(Uinv.column(j)) for j in range(t, ambient_rank)]
     # canonical representatives: reduce modulo the relation lattice
-    if relations.cols:
-        rel_basis = hermite_row_form(relations.transpose()).to_rows()
-        for c in section_cols:
-            for h in rel_basis:
-                p = next((i for i, e in enumerate(h) if e), None)
-                if p is None:
-                    continue
-                q = c[p] // h[p]
-                if q:
-                    for i in range(ambient_rank):
-                        c[i] -= q * h[i]
+    rel_basis = hermite_row_form(relations.transpose()).to_rows()
+    for c in section_cols:
+        for h in rel_basis:
+            p = next(i for i, e in enumerate(h) if e)  # HNF rows are nonzero
+            q = c[p] // h[p]
+            if q:
+                for i in range(ambient_rank):
+                    c[i] -= q * h[i]
     section = IntMatrix.from_columns(section_cols, rows=ambient_rank)
     return FgAbelianGroup(free, torsion), projection, section
 
 
 def pairing_is_unimodular(G: IntMatrix) -> bool:
-    """True iff the pairing Gram matrix G is unimodular (all SNF invariants 1).
+    """True iff the pairing Gram matrix G is unimodular (|det G| = 1).
 
-    A 0x0 pairing is vacuously unimodular.  Non-square input signals that
+    A square integer matrix is unimodular iff its row-HNF is the identity;
+    a 0x0 pairing is vacuously unimodular.  Non-square input signals that
     the two paired lattices have different ranks, which can only come from
     a degenerate-subgroup computation bug upstream.
     """
@@ -542,10 +532,7 @@ def pairing_is_unimodular(G: IntMatrix) -> bool:
             "pairing Gram is %dx%d; the paired lattices have different ranks"
             % (G.rows, G.cols)
         )
-    if G.rows == 0:
-        return True
-    diag = snf_diagonal(G)
-    return len(diag) == G.rows and all(d == 1 for d in diag)
+    return hermite_row_form(G) == IntMatrix.identity(G.rows)
 
 
 def sign_normalize_column(col: Sequence[int]) -> tuple[int, ...]:

@@ -118,14 +118,11 @@ def _choose_drop(basis, w_coords, n_diag):
 def _quotient_by(basis, relations: IntMatrix, n_diag: int, rows: int):
     """Generators of span(basis) modulo relations given in basis coordinates.
 
-    Returns (group, generators, dropped index).  With no relation every
-    element is kept (index None); with one relation that has a unit
-    coordinate the element chosen by _choose_drop is removed.  Otherwise
-    the generic quotient's section is mapped back to the ambient lattice
-    (index -1).
+    Returns (group, generators, dropped index).  With one relation that has
+    a unit coordinate the element chosen by _choose_drop is removed.
+    Otherwise the generic quotient's section is mapped back to the ambient
+    lattice (index -1).
     """
-    if relations.cols == 0:
-        return FgAbelianGroup(len(basis)), tuple(basis), None
     if relations.cols == 1:
         drop = _choose_drop(basis, relations.column(0), n_diag)
         if drop is not None:
@@ -258,13 +255,10 @@ class RG4Result:
     generators: tuple[tuple[int, ...], ...]  # stacked (H^4(Y1) | H^4(Y2))
     gram: IntMatrix
     unimodular: bool
-    diagnostics: str = ""
 
 
 def _pair_g2_g4(model: NormalCrossingModel, l, u) -> int:
-    l1, l2 = _split(model, l)
-    u1 = u[: model.y1.h2_rank]
-    u2 = u[model.y1.h2_rank :]
+    (l1, l2), (u1, u2) = _split(model, l), _split(model, u)
     return comp.pair_h2_h4(model.y1, l1, u1) + comp.pair_h2_h4(model.y2, l2, u2)
 
 
@@ -276,7 +270,8 @@ def compute_rg4_and_consur(model: NormalCrossingModel, rg2: RG2Result) -> RG4Res
         IntMatrix.from_rows([y1.d_degree_h4]), IntMatrix.from_rows([y2.d_degree_h4])
     )
     scan = diag + vert1 + vert2
-    # radical of the pairing against all of G^2
+    # radical of the pairing against all of G^2; (D, -D) pairs to zero with
+    # G^4, so its rank is at least the joint restriction rank k >= 1
     Q = IntMatrix.from_rows(
         [[_pair_g2_g4(model, l, u) for u in scan] for l in rg2.g2_basis], cols=len(scan)
     )
@@ -285,7 +280,7 @@ def compute_rg4_and_consur(model: NormalCrossingModel, rg2: RG2Result) -> RG4Res
     )
     if drop != -1:
         # output order: verticals first, then what is left of the diagonal block
-        split = len(diag) - (drop is not None and drop < len(diag))
+        split = len(diag) - (drop < len(diag))
         gens = gens[split:] + gens[:split]
 
     gram = IntMatrix.from_rows(
@@ -293,12 +288,9 @@ def compute_rg4_and_consur(model: NormalCrossingModel, rg2: RG2Result) -> RG4Res
         cols=len(gens),
     )
     if gram.rows != gram.cols:
-        return RG4Result(
-            group,
-            gens,
-            gram,
-            False,
-            "rank mismatch: RG^2 has rank %d, RG^4 has rank %d" % (gram.rows, gram.cols),
+        # G^4 = (D, -D)^perp, so RG^2 and RG^4 pair nondegenerately
+        raise InternalInconsistencyError(
+            "rank mismatch: RG^2 has rank %d, RG^4 has rank %d" % (gram.rows, gram.cols)
         )
     gens, gram = _echelonize_gram(gens, gram)
     return RG4Result(group, gens, gram, pairing_is_unimodular(gram))
@@ -473,11 +465,14 @@ class SmoothingReport:
         """The report content without the lifted generator coordinates.
 
         The cubic, c2 and gram are still written in the canonical RG^2
-        generators, which depend on which component is Y1, so swapping Y1
-        and Y2 can change them.  What a swap preserves is the forms up to
-        an integral change of basis: the mirrored swapped generators are
-        combinations of the original generators and (D, -D), and their
-        transition matrix M gives cubic.change_basis(M) == swapped cubic.
+        generators, which depend on how the centers are split between Y1
+        and Y2, so swapping Y1 and Y2 or move_top_center can change them.
+        What a swap preserves is the forms up to an integral change of
+        basis: the mirrored swapped generators are combinations of the
+        original generators and (D, -D), and their transition matrix M
+        gives cubic.change_basis(M) == swapped cubic.  A move keeps the
+        Hodge numbers, the Picard rank, the consur verdict and the
+        hypothesis statuses.
         """
         return {
             "picard_rank": self.picard_rank,

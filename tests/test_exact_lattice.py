@@ -13,6 +13,7 @@ from cy_smoother.exact_lattice import (
     kernel_basis,
     pairing_is_unimodular,
     quotient,
+    rank,
     smith_normal_form,
     snf_diagonal,
     solve_exact,
@@ -84,6 +85,15 @@ class TestSmithNormalForm:
                 else:
                     assert b == 0
 
+    def test_invariants_against_sympy(self, rng):
+        sympy = pytest.importorskip("sympy")
+        from sympy.matrices.normalforms import invariant_factors
+
+        for _ in range(200):
+            M = random_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
+            oracle = invariant_factors(sympy.Matrix(M.to_rows()), domain=sympy.ZZ)
+            assert snf_diagonal(M) == tuple(abs(int(d)) for d in oracle if d)
+
 
 class TestKernelBasis:
     def test_single_relation(self):
@@ -98,17 +108,27 @@ class TestKernelBasis:
         assert kernel_basis(IntMatrix.identity(3)).cols == 0
 
     def test_randomized_saturation(self, rng):
-        for _ in range(40):
-            rows = rng.randint(1, 4)
-            cols = rng.randint(1, 5)
+        for _ in range(80):
+            rows = rng.randint(0, 4)
+            cols = rng.randint(0, 5)
             M = random_matrix(rng, rows, cols)
             K = kernel_basis(M)
             assert (M @ K).is_zero()
             if K.cols:
                 # saturated: the Smith invariants of the basis are all 1
                 assert all(d == 1 for d in snf_diagonal(K))
-            # rank bookkeeping
-            assert K.cols == cols - len(snf_diagonal(M))
+            # rank bookkeeping, against the Smith rank
+            diag = snf_diagonal(M)
+            assert rank(M) == len(diag)
+            assert K.cols == cols - len(diag)
+            # the columns of V past the Smith rank span the same saturated
+            # kernel, and a lattice has one canonical basis
+            _, _, V = smith_normal_form(M)
+            oracle = IntMatrix.from_columns(
+                [V.column(j) for j in range(len(diag), cols)], rows=cols
+            )
+            if oracle.cols:
+                assert K == canonical_basis_columns(oracle)
 
 
 class TestQuotient:
@@ -166,7 +186,18 @@ class TestPairingUnimodular:
         for _ in range(80):
             n = rng.randint(1, 5)
             M = random_matrix(rng, n, n, bound=4)
-            assert pairing_is_unimodular(M) == (abs(brute_det(M)) == 1)
+            # random products of elementary matrices: |det| = 1 but rarely
+            # triangular, so these are the inputs whose HNF must reach I
+            E = IntMatrix.identity(n)
+            for _ in range(6):
+                step = IntMatrix.identity(n).to_rows()
+                i, j = rng.randrange(n), rng.randrange(n)
+                step[i][j] = rng.randint(-3, 3) if i != j else -1
+                E = E @ IntMatrix.from_rows(step)
+            # scaling one row of E by 2 gives |det| = 2
+            E2 = IntMatrix.from_rows([[2 * e for e in E.row(0)]] + E.to_rows()[1:])
+            for G in (M, E, E2):
+                assert pairing_is_unimodular(G) == (abs(brute_det(G)) == 1)
 
 
 class TestSolveAndHermite:

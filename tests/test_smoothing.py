@@ -5,6 +5,7 @@ import pytest
 from cy_smoother.catalog import find_family, load_catalog
 from cy_smoother.components import P3, build_component, c2_pair, triple_product
 from cy_smoother.exact_lattice import IntMatrix, solve_exact
+from cy_smoother.invariant_forms import DISTINCT, forms_distinguishable
 from cy_smoother.smoothing import (
     InternalInconsistencyError,
     ModelError,
@@ -132,6 +133,14 @@ class TestRG4Consur:
         rg4 = compute_rg4_and_consur(quick_model, fake)
         assert rg4.gram.shape == (0, 0)
         assert rg4.unimodular
+
+    def test_non_square_gram_raises(self, pair1_a):
+        # rank RG^4 = rank RG^2 always, so a surplus RG^2 generator can only
+        # come from a broken upstream computation
+        rg2 = compute_rg2(pair1_a)
+        bad = dataclasses.replace(rg2, generators=rg2.generators + (rg2.degenerate,))
+        with pytest.raises(InternalInconsistencyError, match="rank mismatch"):
+            compute_rg4_and_consur(pair1_a, bad)
 
 
 class TestCubicAndC2:
@@ -265,6 +274,40 @@ class TestMoveTop:
         assert tuple(
             sum(M[i][j] * c for i, c in enumerate(rep.c2_covector)) for j in range(len(cols))
         ) == rep_s.c2_covector
+
+    def test_rank_two_sextic_keeps_invariants(self):
+        """A move keeps the Hodge data, rank, consur verdict and hypotheses.
+
+        The cubic, c2 and gram are written in the canonical generators of
+        the new configuration, so they may change (moving from Y1 does
+        here); the cubic forms must still not be told apart.
+        """
+        from cy_smoother.components import BaseThreefold
+
+        Q = BaseThreefold("Q", 1, 3, 54, 0)
+        dP3 = BaseThreefold("dP3", 1, 2, 24, 5)
+        # Pic = <f1, f2>, f1.f2 = 3, h = f1 + f2: a degree-6 K3 without (-2)-roots
+        D = K3Model(IntMatrix.from_rows([[0, 3], [3, 0]]), ("f1", "f2"), (1, 1))
+        model = NormalCrossingModel(
+            build_component(Q, D, [(2, 1), (1, 1)]),
+            build_component(dP3, D, [(1, 2), (1, 1)]),
+        )
+        rep = analyze(model)
+        assert rep.hypotheses_ok and rep.picard_rank == 3
+
+        def scalars(r):
+            return (
+                r.h11, r.h12, r.euler, r.picard_rank, r.consur_unimodular,
+                tuple(v.status for v in r.hypothesis_verdicts),
+            )
+
+        payloads = []
+        for idx in (1, 2):
+            moved = analyze(move_top_center(model, idx))
+            assert scalars(moved) == scalars(rep)
+            assert forms_distinguishable(rep.cubic_tensor, moved.cubic_tensor).verdict != DISTINCT
+            payloads.append(moved.invariant_payload())
+        assert payloads[0] != rep.invariant_payload()
 
     def test_preserves_hodge_and_consur(self, pair1_a):
         for idx in (1, 2):
