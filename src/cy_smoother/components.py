@@ -2,9 +2,9 @@
 
 A component is a rank-one Fano base blown up successively along an
 ordered list of curves lying on the anticanonical K3.  Only the
-cohomological shadow is built: the triple-product tensor on H^2, the
-second-Chern-class covector, the restriction map to the K3 lattice, the
-H^2 x H^4 pairing, and the degrees against the gluing surface.
+cohomological shadow is built: the data of the triple product on H^2,
+the second-Chern-class covector, the restriction map to the K3 lattice,
+the H^2 x H^4 pairing, and the degrees against the gluing surface.
 
 Basis conventions.  H^2 has basis (H, e_1 ... e_s) where H pulls back the
 primitive ample class of the base and e_i is the pullback to the final
@@ -22,7 +22,8 @@ center and m_ij = c_i.c_j, the nonzero products are
 
 with every other mixed product zero.  These rules are calibrated against
 the full set of worked blow-up tables and conserve -K.c2 = 24 at every
-stage.
+stage.  ``triple_product`` evaluates them directly; only the e_i^3 values
+are stored, and no triple-product tensor is built.
 """
 
 from __future__ import annotations
@@ -90,10 +91,9 @@ class BlownComponent:
     degrees: tuple[int, ...]
     genera: tuple[int, ...]
     mutual: tuple[tuple[int, ...], ...]
-    triple: tuple[tuple[tuple[int, ...], ...], ...]
+    e_cubed: tuple[int, ...]
     c2_covector: tuple[int, ...]
     D_class: PicardVector
-    canonical_class: PicardVector
     restriction: IntMatrix
     d_degree_h4: tuple[int, ...]
 
@@ -116,6 +116,12 @@ def build_component(base: BaseThreefold, D: K3Model, centers) -> BlownComponent:
         raise FullLatticeModeError(
             "base %r has b2 = %d; full lattice mode needs b2 = 1 "
             "(use the fano_catalog closed forms instead)" % (base.name, base.b2)
+        )
+    # D in |r H|, so h.h = H^2.D = r H^3 = delta
+    if D.degree != base.index * base.H_cubed:
+        raise ComponentError(
+            "K3 degree h.h = %d does not match base %r (r H^3 = %d)"
+            % (D.degree, base.name, base.index * base.H_cubed)
         )
     coords = []
     for c in centers:
@@ -148,23 +154,10 @@ def build_component(base: BaseThreefold, D: K3Model, centers) -> BlownComponent:
                     "centers %d and %d meet negatively (m = %d)" % (i + 1, j + 1, mutual[i][j])
                 )
 
-    n = 1 + s
-    T = [[[0] * n for _ in range(n)] for _ in range(n)]
-
-    def put(i, j, k, val):
-        for a, b, c in ((i, j, k), (i, k, j), (j, i, k), (j, k, i), (k, i, j), (k, j, i)):
-            T[a][b][c] = val
-
-    put(0, 0, 0, base.H_cubed)
-    for i in range(1, n):
-        ci = i - 1
-        put(0, i, i, -degrees[ci])
-        e3 = -r * degrees[ci] + sum(mutual[k][ci] for k in range(ci)) + 2 - 2 * genera[ci]
-        put(i, i, i, e3)
-        for j in range(1, i):
-            cj = j - 1
-            put(j, i, i, -mutual[cj][ci])
-            # e_j^2 e_i (j earlier) and fully mixed products vanish; already zero
+    e_cubed = tuple(
+        -r * degrees[i] + sum(mutual[k][i] for k in range(i)) + 2 - 2 * genera[i]
+        for i in range(s)
+    )
 
     c2 = [24 // r + sum(degrees)]
     for i in range(s):
@@ -175,8 +168,6 @@ def build_component(base: BaseThreefold, D: K3Model, centers) -> BlownComponent:
         )
 
     D_class = tuple([r] + [-1] * s)
-    canonical = tuple(-x for x in D_class)
-
     d_deg = tuple([r] + [1] * s)
 
     return BlownComponent(
@@ -186,10 +177,9 @@ def build_component(base: BaseThreefold, D: K3Model, centers) -> BlownComponent:
         degrees=degrees,
         genera=genera,
         mutual=mutual,
-        triple=tuple(tuple(tuple(row) for row in plane) for plane in T),
+        e_cubed=e_cubed,
         c2_covector=tuple(c2),
         D_class=D_class,
-        canonical_class=canonical,
         restriction=restriction,
         d_degree_h4=d_deg,
     )
@@ -205,23 +195,24 @@ def _check_vec(Y: BlownComponent, a, what: str) -> tuple[int, ...]:
 
 
 def triple_product(Y: BlownComponent, a, b, c) -> int:
-    """Cup product a.b.c on the component."""
+    """Cup product a.b.c on the component, from the blow-up rules.
+
+    H^3 a0 b0 c0 - sum_i d_i (a0 b_i c_i + a_i b0 c_i + a_i b_i c0)
+    + sum_i e_i^3 a_i b_i c_i - sum_{i<j} m_ij (a_i b_j c_j + a_j b_i c_j + a_j b_j c_i)
+    """
     a = _check_vec(Y, a, "first vector")
     b = _check_vec(Y, b, "second vector")
     c = _check_vec(Y, c, "third vector")
-    total = 0
-    T = Y.triple
-    for i, ai in enumerate(a):
-        if not ai:
+    a0, b0, c0 = a[0], b[0], c[0]
+    total = Y.base.H_cubed * a0 * b0 * c0
+    for j in range(1, len(a)):
+        bc, ac, ab = b[j] * c[j], a[j] * c[j], a[j] * b[j]
+        if not (bc or ac or ab):
             continue
-        Ti = T[i]
-        for j, bj in enumerate(b):
-            if not bj:
-                continue
-            Tij = Ti[j]
-            for k, ck in enumerate(c):
-                if ck:
-                    total += ai * bj * ck * Tij[k]
+        total += Y.e_cubed[j - 1] * a[j] * bc - Y.degrees[j - 1] * (a0 * bc + b0 * ac + c0 * ab)
+        for i, m in enumerate(Y.mutual[j - 1][: j - 1], start=1):
+            if m:
+                total -= m * (a[i] * bc + b[i] * ac + c[i] * ab)
     return total
 
 

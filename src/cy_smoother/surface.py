@@ -24,8 +24,8 @@ class K3Model:
     """Picard lattice of a polarized K3 surface.
 
     gram is the intersection form on the declared generators (symmetric,
-    even diagonal); polarization is the coordinate vector of the ample
-    class h, with h.h = 2n-2 > 0.
+    even diagonal, hyperbolic); polarization is the coordinate vector of
+    the ample class h, with h.h = 2n-2 > 0.
     """
 
     gram: IntMatrix
@@ -50,6 +50,17 @@ class K3Model:
         h2 = intersect(self, self.polarization, self.polarization)
         if h2 <= 0 or h2 % 2 != 0:
             raise SurfaceError("polarization must have positive even square, got %d" % h2)
+        # Hodge index: h^perp is negative definite.  x -> h.h x - (x.h) h maps
+        # the coordinate vectors other than p (h_p != 0) onto a basis of
+        # h^perp and scales the form by h.h, giving h.h x.y - (x.h)(y.h).
+        hx = g.mul_vector(self.polarization)
+        p = next(i for i, x in enumerate(self.polarization) if x)
+        rest, rows = [i for i in range(n) if i != p], g.to_rows()
+        if not _negative_definite([[h2 * rows[i][j] - hx[i] * hx[j] for j in rest] for i in rest]):
+            raise SurfaceError(
+                "Gram matrix is not hyperbolic; a K3 Picard lattice has signature (1, %d)"
+                % (n - 1)
+            )
 
     @property
     def rank(self) -> int:
@@ -74,6 +85,27 @@ class CurveClass:
 
     def __post_init__(self):
         object.__setattr__(self, "coords", tuple(int(c) for c in self.coords))
+
+
+def _negative_definite(rows) -> bool:
+    """Sylvester's criterion: the k-th leading minor has sign (-1)^k.
+
+    Fraction-free (Bareiss) elimination leaves the k-th leading minor as
+    the k-th pivot, in exact integers.  The trailing block of a symmetric
+    matrix stays symmetric, so only its upper triangle is updated.
+    """
+    m = [list(r) for r in rows]
+    prev, sign = 1, -1
+    for k, top in enumerate(m):
+        piv = top[k]
+        if sign * piv <= 0:
+            return False
+        for i in range(k + 1, len(m)):
+            a, row = top[i], m[i]
+            for j in range(i, len(m)):
+                row[j] = (row[j] * piv - a * top[j]) // prev
+        prev, sign = piv, -sign
+    return True
 
 
 def intersect(D: K3Model, a, b) -> int:

@@ -181,5 +181,4 @@ def test_every_rank_one_base_has_chi_one(catalog):
         # a matching K3: h^2 = delta
         D = K3Model(IntMatrix.from_rows([[fam.delta]]), ("h",), (1,))
         y = build_component(base, D, [])
-        minus_k = tuple(-x for x in y.canonical_class)
-        assert c2_pair(y, minus_k) == 24
+        assert c2_pair(y, y.D_class) == 24

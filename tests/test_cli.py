@@ -79,6 +79,33 @@ class TestSmooth:
         assert out == ""
         assert "h.c" in err
 
+    @pytest.mark.parametrize(
+        "k3, y1, y2, match",
+        [
+            ({"gram": [[2]], "classes": ["h"], "polarization": [1]}, [], [[8]], "K3 degree"),
+            (
+                {"gram": [[4, 0], [0, 2]], "classes": ["h", "x"], "polarization": [1, 0]},
+                [[4, 1]], [[4, -1]], "not hyperbolic",
+            ),
+            (
+                {"gram": [[4, 0], [0, 0]], "classes": ["h", "x"], "polarization": [1, 0]},
+                [[4, 1]], [[4, -1]], "not hyperbolic",
+            ),
+        ],
+        ids=["degree-2-under-P3", "positive-definite", "degenerate"],
+    )
+    def test_impossible_k3_exit_2(self, capsys, tmp_path, k3, y1, y2, match):
+        doc = tmp_path / "k3.json"
+        doc.write_text(
+            json.dumps(
+                {"k3": k3, "Y1": {"base": "P3", "centers": y1}, "Y2": {"base": "P3", "centers": y2}}
+            )
+        )
+        code, out, err = run(capsys, "smooth", str(doc))
+        assert code == 2
+        assert out == ""
+        assert match in err
+
     def test_json_is_byte_identical(self, capsys):
         _, out1, _ = run(capsys, "smooth", str(EXAMPLES / "quick.json"))
         _, out2, _ = run(capsys, "smooth", str(EXAMPLES / "quick.json"))

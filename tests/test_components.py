@@ -14,7 +14,7 @@ from cy_smoother.components import (
     triple_product,
 )
 from cy_smoother.exact_lattice import IntMatrix
-from cy_smoother.surface import K3Model
+from cy_smoother.surface import K3Model, intersect
 
 from conftest import MU_TABLE, NU_TABLE
 
@@ -70,9 +70,10 @@ class TestBuildComponent:
         assert restricted == (4 * 1 - 5 - 2,)
 
     def test_omega_triviality(self, quartic):
+        # D = r H - sum e_i, the anticanonical class of the blow-up
         for centers in ([], [(8,)], [(5,), (2,), (1,)]):
             y = build_component(P3, quartic, centers)
-            assert y.canonical_class == tuple(-x for x in y.D_class)
+            assert y.D_class == (4,) + (-1,) * len(centers)
 
     def test_projection_formula_on_pullbacks(self, quartic, rng):
         y = build_component(P3, quartic, [(5,), (2,)])
@@ -86,15 +87,40 @@ class TestBuildComponent:
     def test_minus_k_dot_c2_is_24(self, quartic):
         for centers in ([], [(8,)], [(5,), (2,), (1,)], [(3,), (5,)]):
             y = build_component(P3, quartic, centers)
-            assert c2_pair(y, tuple(-x for x in y.canonical_class)) == 24
+            assert c2_pair(y, y.D_class) == 24
 
-    def test_full_tensor_symmetry(self, quartic, rng):
+    def test_full_tensor_symmetry(self, quartic):
         y = build_component(P3, quartic, [(5,), (2,), (1,)])
         n = y.h2_rank
+        unit = [tuple(int(i == j) for j in range(n)) for i in range(n)]
         for i, j, k in itertools.product(range(n), repeat=3):
-            base = y.triple[i][j][k]
+            base = triple_product(y, unit[i], unit[j], unit[k])
             for p in itertools.permutations((i, j, k)):
-                assert y.triple[p[0]][p[1]][p[2]] == base
+                assert triple_product(y, *(unit[q] for q in p)) == base
+
+    def test_D_cup_is_restriction_pairing(self, rng):
+        """D.x.y = x|_D . y|_D, checked against the K3 Gram form alone."""
+        quartic = K3Model.quartic()
+        lines = K3Model(
+            IntMatrix.from_rows([[4, 1, 1], [1, -2, 0], [1, 0, -2]]), ("h", "l1", "l2"), (1, 0, 0)
+        )
+        sextic = K3Model(IntMatrix.from_rows([[0, 3], [3, 0]]), ("f1", "f2"), (1, 1))
+        q = BaseThreefold("Q", 1, 3, 54, 0)
+        for base, D, pool in (
+            (P3, quartic, [(1,), (2,), (3,), (5,)]),
+            (P3, lines, [(0, 1, 0), (0, 0, 1), (1, 0, 0), (2, -1, 0), (3, -1, -1)]),
+            (q, sextic, [(1, 0), (0, 1), (1, 1), (2, 1)]),
+        ):
+            for _ in range(20):
+                centers = [rng.choice(pool) for _ in range(rng.randint(0, 4))]
+                try:
+                    y = build_component(base, D, centers)
+                except ComponentError:  # two centers that meet negatively
+                    continue
+                for _ in range(5):
+                    x, z = (tuple(rng.randint(-3, 3) for _ in range(y.h2_rank)) for _ in "xz")
+                    expected = intersect(D, y.restriction.mul_vector(x), y.restriction.mul_vector(z))
+                    assert triple_product(y, y.D_class, x, z) == expected
 
     def test_h4_pairing_shape(self, quartic):
         y = build_component(P3, quartic, [(5,), (2,)])

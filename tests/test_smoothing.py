@@ -45,14 +45,6 @@ class TestHypotheses:
         assert s["d_semistability"] == "fail"
         assert s["omega_trivial"] == "pass"
 
-    def test_hand_built_omega_violation(self, quick_model):
-        bad_y1 = dataclasses.replace(
-            quick_model.y1, canonical_class=(1,) * quick_model.y1.h2_rank
-        )
-        bad = NormalCrossingModel(bad_y1, quick_model.y2)
-        s = statuses(check_smoothability(bad))
-        assert s["omega_trivial"] == "fail"
-
     @pytest.mark.parametrize(
         "ids, n", [(("X6", "X6"), 2), (("Q", "X6"), 2), (("X6", "dP3"), 2), (("Q", "dP3"), 1)]
     )
@@ -74,10 +66,10 @@ class TestHypotheses:
         )
 
     def test_mismatched_k3(self, quartic):
-        other = K3Model(IntMatrix.from_rows([[8]]), ("h",), (1,))
+        other = K3Model(IntMatrix.from_rows([[4, 1], [1, -2]]), ("h", "d"), (1, 0))
         with pytest.raises(ModelError):
             NormalCrossingModel(
-                build_component(P3, quartic, []), build_component(P3, other, [(4,)])
+                build_component(P3, quartic, []), build_component(P3, other, [(4, 0)])
             )
 
 
@@ -200,6 +192,14 @@ class TestCubicAndC2:
         bad = dataclasses.replace(rg2, generators=((1, 0, 0, 0),) + rg2.generators[1:])
         with pytest.raises(InternalInconsistencyError):
             c2_form(pair1_a, bad)
+
+    def test_lift_outside_g2_is_rejected_by_cubic(self, pair1_a):
+        # (H, 0) does not restrict to the same class from both sides, so
+        # (D, -D) cups to a nonzero value with it
+        rg2 = compute_rg2(pair1_a)
+        bad = dataclasses.replace(rg2, generators=((1, 0, 0, 0),) + rg2.generators[1:])
+        with pytest.raises(InternalInconsistencyError, match="depends on the NG\\^2 lift"):
+            cubic_form(pair1_a, bad)
 
     def test_zero_argument_kills_product(self, pair1_a):
         zero = (0, 0)

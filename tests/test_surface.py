@@ -15,7 +15,7 @@ class TestIntersect:
             intersect(quartic, (1, 0), (1,))
 
     def test_symmetric_bilinear(self, rng):
-        gram = IntMatrix.from_rows([[4, 1, 0], [1, -2, 3], [0, 3, 2]])
+        gram = IntMatrix.from_rows([[4, 1, 0], [1, -2, 1], [0, 1, -2]])
         D = K3Model(gram, ("h", "a", "b"), (1, 0, 0))
         for _ in range(50):
             u = tuple(rng.randint(-5, 5) for _ in range(3))
@@ -65,6 +65,31 @@ class TestK3Validation:
     def test_rejects_nonpositive_polarization(self):
         with pytest.raises(SurfaceError):
             K3Model(IntMatrix.from_rows([[-2]]), ("e",), (1,))
+
+    def test_hyperbolic_against_eigenvalues(self, rng):
+        np = pytest.importorskip("numpy")
+        verdicts = set()
+        for _ in range(400):
+            n = rng.randint(1, 6)
+            rows = [[0] * n for _ in range(n)]
+            for i in range(n):
+                rows[i][i] = 2 * rng.randint(-3, 3)
+                for j in range(i + 1, n):
+                    rows[i][j] = rows[j][i] = rng.randint(-3, 3)
+            h = tuple(rng.randint(-2, 2) for _ in range(n))
+            gram = IntMatrix.from_rows(rows)
+            if sum(x * y for x, y in zip(h, gram.mul_vector(h))) <= 0:
+                continue
+            eig = np.linalg.eigvalsh(np.array(rows, dtype=float))
+            hyperbolic = (eig > 1e-9).sum() == 1 and (abs(eig) <= 1e-9).sum() == 0
+            try:
+                K3Model(gram, tuple("x%d" % i for i in range(n)), h)
+                accepted = True
+            except SurfaceError:
+                accepted = False
+            assert accepted == hyperbolic, (rows, h)
+            verdicts.add(accepted)
+        assert verdicts == {True, False}
 
     def test_degree(self, quartic):
         assert quartic.degree == 4
