@@ -22,8 +22,10 @@ center and m_ij = c_i.c_j, the nonzero products are
 
 with every other mixed product zero.  These rules are calibrated against
 the full set of worked blow-up tables and conserve -K.c2 = 24 at every
-stage.  ``triple_product`` evaluates them directly; only the e_i^3 values
-are stored, and no triple-product tensor is built.
+stage.  ``cup_covector`` evaluates them as the covector a -> a.b.c of a
+pair (b, c), and ``triple_product`` dots a with it; only the e_i^3 values
+are stored, and no triple-product tensor is built.  Likewise the H^2 x
+H^4 pairing is a dot product with ``pairing_covector``.
 """
 
 from __future__ import annotations
@@ -194,26 +196,36 @@ def _check_vec(Y: BlownComponent, a, what: str) -> tuple[int, ...]:
     return a
 
 
-def triple_product(Y: BlownComponent, a, b, c) -> int:
-    """Cup product a.b.c on the component, from the blow-up rules.
+def cup_covector(Y: BlownComponent, b, c) -> tuple[int, ...]:
+    """The covector a -> a.b.c of the cup product, from the blow-up rules.
 
-    H^3 a0 b0 c0 - sum_i d_i (a0 b_i c_i + a_i b0 c_i + a_i b_i c0)
-    + sum_i e_i^3 a_i b_i c_i - sum_{i<j} m_ij (a_i b_j c_j + a_j b_i c_j + a_j b_j c_i)
+    entry 0: H^3 b0 c0 - sum_j d_j b_j c_j
+    entry j: e_j^3 b_j c_j - d_j (b0 c_j + b_j c0)
+             - sum_{i<j} m_ij (b_i c_j + b_j c_i) - sum_{k>j} m_jk b_k c_k
     """
-    a = _check_vec(Y, a, "first vector")
     b = _check_vec(Y, b, "second vector")
     c = _check_vec(Y, c, "third vector")
-    a0, b0, c0 = a[0], b[0], c[0]
-    total = Y.base.H_cubed * a0 * b0 * c0
-    for j in range(1, len(a)):
-        bc, ac, ab = b[j] * c[j], a[j] * c[j], a[j] * b[j]
-        if not (bc or ac or ab):
+    b0, c0 = b[0], c[0]
+    cov = [Y.base.H_cubed * b0 * c0] + [0] * (len(b) - 1)
+    for j in range(1, len(b)):
+        bj, cj = b[j], c[j]
+        if not (bj or cj):
             continue
-        total += Y.e_cubed[j - 1] * a[j] * bc - Y.degrees[j - 1] * (a0 * bc + b0 * ac + c0 * ab)
+        bc, d = bj * cj, Y.degrees[j - 1]
+        cov[0] -= d * bc
+        total = Y.e_cubed[j - 1] * bc - d * (b0 * cj + bj * c0)
         for i, m in enumerate(Y.mutual[j - 1][: j - 1], start=1):
             if m:
-                total -= m * (a[i] * bc + b[i] * ac + c[i] * ab)
-    return total
+                total -= m * (b[i] * cj + bj * c[i])
+                cov[i] -= m * bc
+        cov[j] += total
+    return tuple(cov)
+
+
+def triple_product(Y: BlownComponent, a, b, c) -> int:
+    """Cup product a.b.c on the component: a dotted with cup_covector(Y, b, c)."""
+    a = _check_vec(Y, a, "first vector")
+    return sum(x * y for x, y in zip(a, cup_covector(Y, b, c)))
 
 
 def c2_pair(Y: BlownComponent, a) -> int:
@@ -227,10 +239,16 @@ def euler_number(Y: BlownComponent) -> int:
     return Y.euler
 
 
+def pairing_covector(Y: BlownComponent, a) -> tuple[int, ...]:
+    """The covector u -> a.u of a in H^2 on H^4: (a0, -a1, ..., -as)."""
+    a = _check_vec(Y, a, "H^2 vector")
+    return (a[0],) + tuple(-x for x in a[1:])
+
+
 def pair_h2_h4(Y: BlownComponent, a, u) -> int:
     """Pairing of a in H^2 with u in H^4 (bases (H, e_i) and (g, M_i))."""
-    a = _check_vec(Y, a, "H^2 vector")
+    cov = pairing_covector(Y, a)
     u = tuple(int(x) for x in u)
     if len(u) != Y.h2_rank:
         raise ComponentError("H^4 vector length mismatch")
-    return a[0] * u[0] - sum(x * y for x, y in zip(a[1:], u[1:]))
+    return sum(x * y for x, y in zip(cov, u))

@@ -11,6 +11,12 @@ have b2 = 1).  Cubic tensors are {"rank": 3, "entries": {"111": 2, ...}}
 with symmetric completion applied on load; for ranks above 9 the index
 keys are comma-separated.  All emitted JSON is deterministic: sorted
 keys, fixed indentation, trailing newline.
+
+Degeneration inputs are capped so that analysis time stays bounded on
+hostile input: at most MAX_CENTERS centers per component, a K3 lattice
+of rank at most MAX_K3_RANK, and integers of absolute value at most
+MAX_ENTRY in the Gram matrix, the polarization and the centers.  Larger
+inputs are rejected with a SchemaError.
 """
 
 from __future__ import annotations
@@ -25,6 +31,11 @@ from .exact_lattice import IntMatrix
 from .invariant_forms import CubicTensor
 from .smoothing import NormalCrossingModel, SmoothingReport
 from .surface import K3Model
+
+
+MAX_CENTERS = 32
+MAX_K3_RANK = 32
+MAX_ENTRY = 1000
 
 
 class SchemaError(ValueError):
@@ -46,6 +57,8 @@ def _int_list(raw, location: str) -> list[int]:
     for i, v in enumerate(raw):
         _expect(isinstance(v, int) and not isinstance(v, bool),
                 "expected an integer", "%s[%d]" % (location, i))
+        _expect(abs(v) <= MAX_ENTRY, "|%d| exceeds the entry cap %d" % (v, MAX_ENTRY),
+                "%s[%d]" % (location, i))
         out.append(v)
     return out
 
@@ -56,6 +69,9 @@ def parse_k3(raw, location: str = "k3") -> K3Model:
         _expect(key in raw, "missing field %r" % key, location)
     gram_rows = raw["gram"]
     _expect(isinstance(gram_rows, list) and gram_rows, "gram must be a nonempty matrix",
+            location + ".gram")
+    _expect(len(gram_rows) <= MAX_K3_RANK,
+            "lattice rank %d exceeds the cap %d" % (len(gram_rows), MAX_K3_RANK),
             location + ".gram")
     rows = [_int_list(r, "%s.gram[%d]" % (location, i)) for i, r in enumerate(gram_rows)]
     n = len(rows)
@@ -86,6 +102,9 @@ def parse_component(
         raise SchemaError(str(exc), location + ".base") from exc
     centers_raw = raw.get("centers", [])
     _expect(isinstance(centers_raw, list), "centers must be a list of vectors",
+            location + ".centers")
+    _expect(len(centers_raw) <= MAX_CENTERS,
+            "%d centers exceed the cap %d" % (len(centers_raw), MAX_CENTERS),
             location + ".centers")
     centers = [
         _int_list(c, "%s.centers[%d]" % (location, i)) for i, c in enumerate(centers_raw)

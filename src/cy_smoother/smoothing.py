@@ -26,6 +26,7 @@ output stable.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 
 from . import components as comp
@@ -250,9 +251,13 @@ class RG4Result:
     unimodular: bool
 
 
-def _pair_g2_g4(model: NormalCrossingModel, l, u) -> int:
-    (l1, l2), (u1, u2) = _split(model, l), _split(model, u)
-    return comp.pair_h2_h4(model.y1, l1, u1) + comp.pair_h2_h4(model.y2, l2, u2)
+def _pairing_rows(model: NormalCrossingModel, lifts, cols: int) -> IntMatrix:
+    """Rows l -> (u -> l.u): each stacked lift signed by both components."""
+    rows = []
+    for l in lifts:
+        l1, l2 = _split(model, l)
+        rows.append(comp.pairing_covector(model.y1, l1) + comp.pairing_covector(model.y2, l2))
+    return IntMatrix.from_rows(rows, cols=cols)
 
 
 def compute_rg4_and_consur(model: NormalCrossingModel, rg2: RG2Result) -> RG4Result:
@@ -265,21 +270,17 @@ def compute_rg4_and_consur(model: NormalCrossingModel, rg2: RG2Result) -> RG4Res
     scan = diag + vert1 + vert2
     # radical of the pairing against all of G^2; (D, -D) pairs to zero with
     # G^4, so its rank is at least the joint restriction rank k >= 1
-    Q = IntMatrix.from_rows(
-        [[_pair_g2_g4(model, l, u) for u in scan] for l in rg2.g2_basis], cols=len(scan)
-    )
-    group, gens, drop = _quotient_by(
-        scan, kernel_basis(Q), len(diag), y1.h2_rank + y2.h2_rank
-    )
+    # the products check every lift's length (pairing_covector) and every
+    # H^4 vector's (the shape check of @)
+    n = y1.h2_rank + y2.h2_rank
+    Q = _pairing_rows(model, rg2.g2_basis, n) @ IntMatrix.from_columns(scan, rows=n)
+    group, gens, drop = _quotient_by(scan, kernel_basis(Q), len(diag), n)
     if drop != -1:
         # output order: verticals first, then what is left of the diagonal block
         split = len(diag) - (drop < len(diag))
         gens = gens[split:] + gens[:split]
 
-    gram = IntMatrix.from_rows(
-        [[_pair_g2_g4(model, l, u) for u in gens] for l in rg2.generators],
-        cols=len(gens),
-    )
+    gram = _pairing_rows(model, rg2.generators, n) @ IntMatrix.from_columns(gens, rows=n)
     if gram.rows != gram.cols:
         # G^4 = (D, -D)^perp, so RG^2 and RG^4 pair nondegenerately
         raise InternalInconsistencyError(
@@ -296,7 +297,9 @@ def _echelonize_gram(gens, gram: IntMatrix):
     to lower-triangular form with positive pivots; entries below pivots
     are left alone.  On a unimodular pairing this makes the matrix lower
     unitriangular, reproducing the published display for the worked
-    examples.  Rank-deficient Grams are returned untouched.
+    examples.  On a rank-deficient Gram the elimination stops at the first
+    row without a pivot, and the columns come back with the pivots found
+    so far.
     """
     n = gram.rows
     cols = [list(gram.column(j)) for j in range(gram.cols)]
@@ -333,29 +336,41 @@ def _echelonize_gram(gens, gram: IntMatrix):
 # ---------------------------------------------------------------------------
 
 
-def _triple(model: NormalCrossingModel, a, b, c) -> int:
-    """Cup product a.b.c of stacked lifts: the sum of the component products."""
-    (a1, a2), (b1, b2), (c1, c2) = _split(model, a), _split(model, b), _split(model, c)
-    return comp.triple_product(model.y1, a1, b1, c1) + comp.triple_product(model.y2, a2, b2, c2)
+def _cup_covector(model: NormalCrossingModel, x, y) -> tuple[int, ...]:
+    """a -> a.x.y on stacked lifts: the two component covectors side by side."""
+    (x1, x2), (y1, y2) = _split(model, x), _split(model, y)
+    return comp.cup_covector(model.y1, x1, y1) + comp.cup_covector(model.y2, x2, y2)
+
+
+def _dot(a, b) -> int:
+    return sum(map(operator.mul, a, b))
 
 
 def cubic_form(model: NormalCrossingModel, rg2: RG2Result) -> CubicTensor:
     """Cup-product tensor on the canonical RG^2 generators.
 
-    Products across components vanish, so each entry is one _triple.  The
-    entries do not depend on the lift: w = (D, -D) pairs to zero with all
-    of G^2, since w.x.y = x1|_D . y1|_D - x2|_D . y2|_D and x1|_D = x2|_D
+    Products across components vanish, so the covector of a pair of lifts
+    is the two component covectors side by side.  It is built once for
+    each pair x <= y among the generators and w = (D, -D), which also
+    checks every lift's length; entry (i, j, k) is g_i . cov[j, k].  The
+    entries do not depend on the lift: w pairs to zero with all of G^2,
+    since w.x.y = x1|_D . y1|_D - x2|_D . y2|_D and x1|_D = x2|_D
     (d-semistability puts w itself in G^2).  This is asserted for x, y
     among the generators and w, which by trilinearity covers every lift
     shifted by multiples of w.
     """
     gens = rg2.generators
     w = rg2.degenerate
-    for x, y in itertools.combinations_with_replacement(gens + (w,), 2):
-        if _triple(model, w, x, y):
+    vecs = gens + (w,)
+    cov = {
+        (j, k): _cup_covector(model, vecs[j], vecs[k])
+        for j, k in itertools.combinations_with_replacement(range(len(vecs)), 2)
+    }
+    for v in cov.values():
+        if _dot(w, v):
             raise InternalInconsistencyError("cubic form depends on the NG^2 lift")
     entries = {
-        (i + 1, j + 1, k + 1): _triple(model, gens[i], gens[j], gens[k])
+        (i + 1, j + 1, k + 1): _dot(gens[i], cov[j, k])
         for i, j, k in itertools.combinations_with_replacement(range(len(gens)), 3)
     }
     return CubicTensor(len(gens), entries)
@@ -368,16 +383,18 @@ def c2_form(model: NormalCrossingModel, rg2: RG2Result) -> tuple[int, ...]:
     correction term l1.D1^2 + l2.D2^2 = (l1, l2).w.w is computed and must
     vanish (it does exactly when d-semistability holds).
     """
-    w = rg2.degenerate
+    ww = _cup_covector(model, rg2.degenerate, rg2.degenerate)
     values = []
     for g in rg2.generators:
-        corr = _triple(model, g, w, w)
+        l1, l2 = _split(model, g)
+        # c2_pair checks the lift's length before the dot product with ww
+        value = comp.c2_pair(model.y1, l1) + comp.c2_pair(model.y2, l2)
+        corr = _dot(g, ww)
         if corr != 0:
             raise InternalInconsistencyError(
                 "nonzero c2 correction term %d: broken d-semistability or bad lift" % corr
             )
-        l1, l2 = _split(model, g)
-        values.append(comp.c2_pair(model.y1, l1) + comp.c2_pair(model.y2, l2))
+        values.append(value)
     return tuple(values)
 
 

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from cy_smoother.cli import main
+from cy_smoother.schemas import MAX_CENTERS, MAX_ENTRY, MAX_K3_RANK
 
 
 EXAMPLES = Path(resources.files("cy_smoother").joinpath("data/examples"))
@@ -14,6 +15,25 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def _at_caps(above: str = ""):
+    """A degeneration at every input cap (rank, centers, |entry|), or one
+    step above the cap named by ``above``.  At the caps it parses and then
+    fails d-semistability: the centers sum to (MAX_CENTERS - 1 + MAX_ENTRY) h."""
+    n = MAX_K3_RANK + (above == "rank")
+    gram = [[4 if i == j == 0 else -2 * (i == j) for j in range(n)] for i in range(n)]
+    gram[1][1] = -MAX_ENTRY - 2 * (above == "gram-entry")
+    h = [1] + [0] * (n - 1)
+    big = [MAX_ENTRY + (above == "center-entry")] + [0] * (n - 1)
+    centers = [h] * (MAX_CENTERS - 1 + (above == "centers")) + [big]
+    polarization = [MAX_ENTRY + 1] + h[1:] if above == "polarization-entry" else h
+    return {
+        "k3": {"gram": gram, "classes": ["c%d" % i for i in range(n)],
+               "polarization": polarization},
+        "Y1": {"base": "P3", "centers": centers},
+        "Y2": {"base": "P3", "centers": []},
+    }
 
 
 class TestSmooth:
@@ -101,6 +121,31 @@ class TestSmooth:
                 {"k3": k3, "Y1": {"base": "P3", "centers": y1}, "Y2": {"base": "P3", "centers": y2}}
             )
         )
+        code, out, err = run(capsys, "smooth", str(doc))
+        assert code == 2
+        assert out == ""
+        assert match in err
+
+    def test_input_at_the_caps_is_analyzed(self, capsys, tmp_path):
+        doc = tmp_path / "caps.json"
+        doc.write_text(json.dumps(_at_caps()))
+        code, _, err = run(capsys, "smooth", str(doc))
+        assert code == 3
+        assert "d_semistability" in err
+
+    @pytest.mark.parametrize(
+        "which, match",
+        [
+            ("centers", "%d centers exceed the cap" % (MAX_CENTERS + 1)),
+            ("rank", "lattice rank %d exceeds" % (MAX_K3_RANK + 1)),
+            ("gram-entry", "exceeds the entry cap"),
+            ("polarization-entry", "exceeds the entry cap"),
+            ("center-entry", "exceeds the entry cap"),
+        ],
+    )
+    def test_input_above_a_cap_exit_2(self, capsys, tmp_path, which, match):
+        doc = tmp_path / "above.json"
+        doc.write_text(json.dumps(_at_caps(which)))
         code, out, err = run(capsys, "smooth", str(doc))
         assert code == 2
         assert out == ""

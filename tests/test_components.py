@@ -9,11 +9,13 @@ from cy_smoother.components import (
     P3,
     build_component,
     c2_pair,
+    cup_covector,
     euler_number,
     pair_h2_h4,
     triple_product,
 )
 from cy_smoother.exact_lattice import IntMatrix
+from cy_smoother.smoothing import NormalCrossingModel, compute_rg2, cubic_form
 from cy_smoother.surface import K3Model, intersect
 
 from conftest import MU_TABLE, NU_TABLE
@@ -169,3 +171,90 @@ def test_mu_nu_calibration_tables(quartic):
                 y2, gens2[i], gens2[j], gens2[k]
             )
             assert got == expected, (i, j, k)
+
+
+def rules_triple(Y, a, b, c):
+    """Reference evaluator: the blow-up rules of the module docstring, term by
+    term, with e_i^3 recomputed from the centers."""
+    r, d, m, g = Y.base.index, Y.degrees, Y.mutual, Y.genera
+    total = Y.base.H_cubed * a[0] * b[0] * c[0]
+    for j in range(1, len(a)):
+        e_cubed = -r * d[j - 1] + sum(m[k - 1][j - 1] for k in range(1, j)) + 2 - 2 * g[j - 1]
+        total += e_cubed * a[j] * b[j] * c[j]
+        total -= d[j - 1] * (a[0] * b[j] * c[j] + a[j] * b[0] * c[j] + a[j] * b[j] * c[0])
+        for i in range(1, j):
+            total -= m[i - 1][j - 1] * (a[i] * b[j] * c[j] + a[j] * b[i] * c[j] + a[j] * b[j] * c[i])
+    return total
+
+
+Q = BaseThreefold("Q", 1, 3, 54, 0)
+SEXTIC = K3Model(IntMatrix.from_rows([[0, 3], [3, 0]]), ("f1", "f2"), (1, 1))
+
+
+def random_quartic_lines_model(rng):
+    """P3 | P3 on the quartic with j disjoint lines; one side also blows up
+    R = 8h - sum l_i, so the centers sum to 8h."""
+    j = rng.randint(0, 5)
+    n = j + 1
+    # h^2 = 4, h.l_i = 1, l_i^2 = -2, l_i.l_k = 0
+    gram = [[-2 * (a == b) for b in range(n)] for a in range(n)]
+    gram[0] = [4] + [1] * j
+    for a in range(1, n):
+        gram[a][0] = 1
+    D = K3Model(IntMatrix.from_rows(gram), ("h",) + tuple("l%d" % i for i in range(j)),
+                (1,) + (0,) * j)
+    sides = ([], [])
+    for i in range(j):
+        sides[rng.randint(0, 1)].append(tuple(int(k == i + 1) for k in range(n)))
+    sides[rng.randint(0, 1)].append((8,) + (-1,) * j)
+    for side in sides:
+        rng.shuffle(side)
+    return NormalCrossingModel(build_component(P3, D, sides[0]), build_component(P3, D, sides[1]))
+
+
+def random_sextic_model(rng):
+    """Q | Q on <f1, f2>: c copies of h = f1 + f2 and 6 - c fibers of each
+    pencil, on random sides and in random order, sum to 6h."""
+    c = rng.randint(0, 6)
+    centers = [(1, 1)] * c + [(1, 0)] * (6 - c) + [(0, 1)] * (6 - c)
+    rng.shuffle(centers)
+    cut = rng.randint(0, len(centers))
+    return NormalCrossingModel(
+        build_component(Q, SEXTIC, centers[:cut]), build_component(Q, SEXTIC, centers[cut:])
+    )
+
+
+class TestRulesOracle:
+    """The covector evaluation against the literal blow-up rules."""
+
+    @pytest.mark.parametrize("make", [random_quartic_lines_model, random_sextic_model])
+    def test_products_and_covectors(self, rng, make):
+        for _ in range(12):
+            model = make(rng)
+            for y in model.components:
+                n = y.h2_rank
+                unit = [tuple(int(i == k) for k in range(n)) for i in range(n)]
+                for _ in range(6):
+                    a, b, c, u = (tuple(rng.randint(-3, 3) for _ in range(n)) for _ in "abcu")
+                    assert triple_product(y, a, b, c) == rules_triple(y, a, b, c)
+                    cov = cup_covector(y, b, c)
+                    assert cov == tuple(rules_triple(y, e, b, c) for e in unit)
+                    assert cov == cup_covector(y, c, b)
+                    assert pair_h2_h4(y, a, u) == a[0] * u[0] - sum(
+                        a[i] * u[i] for i in range(1, n)
+                    )
+
+    @pytest.mark.parametrize("make", [random_quartic_lines_model, random_sextic_model])
+    def test_every_cubic_entry(self, rng, make):
+        for _ in range(12):
+            model = make(rng)
+            y1, y2 = model.components
+            n1 = y1.h2_rank
+            rg2 = compute_rg2(model)
+            gens = rg2.generators
+            halves = [(g[:n1], g[n1:]) for g in gens]
+            entries = cubic_form(model, rg2).entries
+            assert len(entries) == len(list(itertools.combinations_with_replacement(gens, 3)))
+            for (i, j, k), value in entries.items():
+                (a1, a2), (b1, b2), (c1, c2) = halves[i - 1], halves[j - 1], halves[k - 1]
+                assert value == rules_triple(y1, a1, b1, c1) + rules_triple(y2, a2, b2, c2)

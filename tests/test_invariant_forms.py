@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -69,6 +70,31 @@ class TestAronhold:
             M = random_unimodular(rng)
             S2, T2 = aronhold_ST(MU.change_basis(M))
             assert (S2, T2) == (S, T)
+
+
+    def test_reducible_cubics_have_zero_discriminant(self, rng):
+        """T^2 + 2304 S^3 vanishes on every product l*q of a linear and a
+        quadratic form, which checks the -6 calibration of S and T
+        independently of the two reference values; it is nonzero on mu."""
+        for _ in range(200):
+            lin = [rng.randint(-3, 3) for _ in range(3)]
+            quad = {ij: rng.randint(-3, 3)
+                    for ij in itertools.combinations_with_replacement(range(3), 2)}
+            coeff = {}
+            for i, a in enumerate(lin):
+                for ij, b in quad.items():
+                    key = tuple(sorted((i,) + ij))
+                    coeff[key] = coeff.get(key, 0) + a * b
+            # F = T(x, x, x) / 6: an entry is 6 x coefficient / (number of
+            # distinct permutations of its index)
+            entries = {
+                tuple(k + 1 for k in key): 6 * c // len(set(itertools.permutations(key)))
+                for key, c in coeff.items()
+            }
+            S, T = aronhold_ST(CubicTensor(3, entries))
+            assert T**2 + 2304 * S**3 == 0
+        S, T = aronhold_ST(MU)
+        assert T**2 + 2304 * S**3 != 0
 
 
 class TestCubicTensor:
