@@ -18,7 +18,6 @@ from .components import (
     P3,
     build_component,
     c2_pair,
-    euler_number,
     triple_product,
 )
 from .smoothing import (
@@ -66,7 +65,6 @@ __all__ = [
     "P3",
     "build_component",
     "c2_pair",
-    "euler_number",
     "triple_product",
     "NormalCrossingModel",
     "SmoothingReport",

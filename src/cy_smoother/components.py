@@ -234,11 +234,6 @@ def c2_pair(Y: BlownComponent, a) -> int:
     return sum(x * y for x, y in zip(a, Y.c2_covector))
 
 
-def euler_number(Y: BlownComponent) -> int:
-    """Topological Euler number: e(base) + sum (2 - 2 g_i)."""
-    return Y.euler
-
-
 def pairing_covector(Y: BlownComponent, a) -> tuple[int, ...]:
     """The covector u -> a.u of a in H^2 on H^4: (a0, -a1, ..., -as)."""
     a = _check_vec(Y, a, "H^2 vector")

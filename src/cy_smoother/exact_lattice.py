@@ -1,8 +1,9 @@
 """Exact integer linear algebra over finitely generated abelian groups.
 
 Everything here works with Python's arbitrary-precision integers; no
-floating point is ever involved.  Row-style Hermite normal form (HNF) with
-a unimodular transform is the one elimination behind saturated kernels in a
+floating point is ever involved.  One gcd row elimination, ``echelon_rows``,
+is behind the row-style Hermite normal form (HNF) and the RG^4 Gram display;
+the HNF with a unimodular transform is behind saturated kernels in a
 canonical basis, ranks, canonical solving, lattice intersections and fiber
 products, and the unimodularity test for pairing Gram matrices.  Smith
 normal form (SNF) is used only where torsion matters: quotients of Z^n by a
@@ -316,19 +317,21 @@ def snf_diagonal(M: IntMatrix) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
-def hermite_row_form(M: IntMatrix, with_transform: bool = False):
-    """Row-style Hermite normal form H (zero rows dropped).
+def echelon_rows(A: list[list[int]], C: list[list[int]]) -> list[int]:
+    """Bring the rows A to row-echelon form in place by gcd elimination.
 
-    Pivots are positive, strictly to the right as rows descend, and
-    entries above a pivot are reduced into [0, pivot).  When
-    ``with_transform`` is set, also returns a unimodular T (square, size =
-    original row count) with H equal to the nonzero rows of T*M.
+    Pivots come out positive and strictly to the right as rows descend;
+    entries above a pivot are left alone.  Every row operation (swap,
+    subtraction of a multiple, negation) is applied to the companion rows C
+    as well.  Returns the pivot columns; the rows past the last pivot are
+    zero.
     """
-    n, m = M.rows, M.cols
-    A = M.to_rows()
-    T = IntMatrix.identity(n).to_rows()
+    n = len(A)
+    pivots = []
     prow = 0
-    for col in range(m):
+    for col in range(len(A[0]) if A else 0):
+        if prow == n:
+            break
         # gcd-eliminate below prow in this column
         while True:
             piv = None
@@ -339,33 +342,49 @@ def hermite_row_form(M: IntMatrix, with_transform: bool = False):
                 break
             if piv != prow:
                 A[prow], A[piv] = A[piv], A[prow]
-                T[prow], T[piv] = T[piv], T[prow]
+                C[prow], C[piv] = C[piv], C[prow]
             done = True
             for i in range(prow + 1, n):
                 if A[i][col]:
                     q = A[i][col] // A[prow][col]
                     A[i] = [a - q * b for a, b in zip(A[i], A[prow])]
-                    T[i] = [a - q * b for a, b in zip(T[i], T[prow])]
+                    C[i] = [a - q * b for a, b in zip(C[i], C[prow])]
                     if A[i][col]:
                         done = False
             if done:
                 break
-        if prow < n and A[prow][col]:
+        if A[prow][col]:
             if A[prow][col] < 0:
                 A[prow] = [-e for e in A[prow]]
-                T[prow] = [-e for e in T[prow]]
-            d = A[prow][col]
-            for i in range(prow):
-                q = A[i][col] // d  # floor brings the entry into [0, d)
-                if q:
-                    A[i] = [a - q * b for a, b in zip(A[i], A[prow])]
-                    T[i] = [a - q * b for a, b in zip(T[i], T[prow])]
+                C[prow] = [-e for e in C[prow]]
+            pivots.append(col)
             prow += 1
-        if prow == n:
-            break
-    H = IntMatrix.from_rows(A[:prow], cols=m)
+    return pivots
+
+
+def hermite_row_form(M: IntMatrix, with_transform: bool = False):
+    """Row-style Hermite normal form H (zero rows dropped).
+
+    Pivots are positive, strictly to the right as rows descend, and
+    entries above a pivot are reduced into [0, pivot).  When
+    ``with_transform`` is set, also returns a unimodular T (square, size =
+    original row count) with H equal to the nonzero rows of T*M.
+    """
+    A = M.to_rows()
+    T = IntMatrix.identity(M.rows).to_rows()
+    # The elimination below a pivot never reads the rows above it, so the
+    # upward reduction can wait until the echelon form is complete.
+    pivots = echelon_rows(A, T)
+    for prow, col in enumerate(pivots):
+        d = A[prow][col]
+        for i in range(prow):
+            q = A[i][col] // d  # floor brings the entry into [0, d)
+            if q:
+                A[i] = [a - q * b for a, b in zip(A[i], A[prow])]
+                T[i] = [a - q * b for a, b in zip(T[i], T[prow])]
+    H = IntMatrix.from_rows(A[: len(pivots)], cols=M.cols)
     if with_transform:
-        return H, IntMatrix.from_rows(T, cols=n)
+        return H, IntMatrix.from_rows(T, cols=M.rows)
     return H
 
 
@@ -373,8 +392,21 @@ def rank(M: IntMatrix) -> int:
     return hermite_row_form(M).rows
 
 
-def _reverse_columns(M: IntMatrix) -> IntMatrix:
-    return IntMatrix.from_rows([list(M.row(i))[::-1] for i in range(M.rows)], cols=M.cols)
+def _reduce(v: Sequence[int], rows) -> tuple[list[int], list[int]]:
+    """Reduce v modulo echelon rows (nonzero, pivots strictly to the right).
+
+    For each row in turn, v's entry at that row's pivot is taken into
+    [0, pivot).  Returns the quotients, one per row, and the remainder.
+    """
+    v = list(v)
+    quotients = []
+    for h in rows:
+        p = next(i for i, e in enumerate(h) if e)
+        q = v[p] // h[p]
+        if q:
+            v = [a - q * b for a, b in zip(v, h)]
+        quotients.append(q)
+    return quotients, v
 
 
 def canonical_basis_columns(columns: IntMatrix) -> IntMatrix:
@@ -385,10 +417,12 @@ def canonical_basis_columns(columns: IntMatrix) -> IntMatrix:
     reduced-echelon shape one writes when solving the defining equations
     by hand (free coordinates carry the identity block).
     """
-    G = columns.transpose()
-    H = hermite_row_form(_reverse_columns(G))
-    rows = [list(H.row(i))[::-1] for i in range(H.rows)][::-1]
-    return IntMatrix.from_rows(rows, cols=columns.rows).transpose()
+    H = hermite_row_form(
+        IntMatrix.from_rows([c[::-1] for c in columns.to_columns()], cols=columns.rows)
+    )
+    return IntMatrix.from_columns(
+        [H.row(i)[::-1] for i in reversed(range(H.rows))], rows=columns.rows
+    )
 
 
 def kernel_basis(M: IntMatrix) -> IntMatrix:
@@ -410,31 +444,13 @@ def solve_exact(M: IntMatrix, b: Sequence[int]) -> tuple[int, ...] | None:
     """
     if len(b) != M.rows:
         raise ValueError("rhs length mismatch")
-    Ht, T = hermite_row_form(M.transpose(), with_transform=True)
-    # columns of M * T^t are the column-HNF of M (echelon by pivot row)
-    H = Ht.transpose()  # M.rows x npiv, column echelon
-    resid = list(b)
-    z = [0] * M.cols
-    for j in range(H.cols):
-        p = None
-        for i in range(M.rows):
-            if H[i, j]:
-                p = i
-                break
-        if p is None:
-            continue
-        if resid[p] % H[p, j] != 0:
-            return None
-        q = resid[p] // H[p, j]
-        z[j] = q
-        if q:
-            for i in range(M.rows):
-                resid[i] -= q * H[i, j]
-    if any(resid):
+    H, T = hermite_row_form(M.transpose(), with_transform=True)
+    # b = sum z_j H_j when solvable; a nonexact division leaves a nonzero
+    # remainder at its pivot, where the later rows are zero
+    z, rest = _reduce(b, H.to_rows())
+    if any(rest):
         return None
-    return tuple(
-        sum(T[j, i] * z[j] for j in range(T.rows)) for i in range(T.cols)
-    )
+    return tuple(sum(q * T[j, i] for j, q in enumerate(z)) for i in range(M.cols))
 
 
 def intersect_column_lattices(A: IntMatrix, B: IntMatrix) -> IntMatrix:
@@ -505,16 +521,9 @@ def quotient(
     projection = IntMatrix.from_rows(
         [list(U.row(i)) for i in range(t, ambient_rank)], cols=ambient_rank
     )
-    section_cols = [list(Uinv.column(j)) for j in range(t, ambient_rank)]
     # canonical representatives: reduce modulo the relation lattice
     rel_basis = hermite_row_form(relations.transpose()).to_rows()
-    for c in section_cols:
-        for h in rel_basis:
-            p = next(i for i, e in enumerate(h) if e)  # HNF rows are nonzero
-            q = c[p] // h[p]
-            if q:
-                for i in range(ambient_rank):
-                    c[i] -= q * h[i]
+    section_cols = [_reduce(Uinv.column(j), rel_basis)[1] for j in range(t, ambient_rank)]
     section = IntMatrix.from_columns(section_cols, rows=ambient_rank)
     return FgAbelianGroup(free, torsion), projection, section
 

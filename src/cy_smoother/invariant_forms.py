@@ -65,9 +65,6 @@ class CubicTensor:
     def value(self, i: int, j: int, k: int) -> int:
         return self.entries.get(_canonical_key((i, j, k), self.rank), 0)
 
-    def scaled(self, factor: int) -> "CubicTensor":
-        return CubicTensor(self.rank, {k: factor * v for k, v in self.entries.items()})
-
     def change_basis(self, M: Sequence[Sequence[int]]) -> "CubicTensor":
         """Tensor of the same form in the basis f_j = sum_i M[i][j] e_i."""
         n = self.rank

@@ -33,6 +33,7 @@ from . import components as comp
 from .exact_lattice import (
     IntMatrix,
     FgAbelianGroup,
+    echelon_rows,
     fiber_product,
     kernel_basis,
     pairing_is_unimodular,
@@ -245,7 +246,6 @@ def compute_rg2(model: NormalCrossingModel) -> RG2Result:
 
 @dataclass(frozen=True)
 class RG4Result:
-    group: FgAbelianGroup
     generators: tuple[tuple[int, ...], ...]  # stacked (H^4(Y1) | H^4(Y2))
     gram: IntMatrix
     unimodular: bool
@@ -261,7 +261,14 @@ def _pairing_rows(model: NormalCrossingModel, lifts, cols: int) -> IntMatrix:
 
 
 def compute_rg4_and_consur(model: NormalCrossingModel, rg2: RG2Result) -> RG4Result:
-    """RG^4 with the RG^2 x RG^4 pairing Gram and its unimodularity verdict."""
+    """RG^4 with the RG^2 x RG^4 pairing Gram and its unimodularity verdict.
+
+    On valid input the pairing is perfect: G^2 is saturated (it is a
+    kernel), G^4 = (D, -D)^perp, and the radical of the pairing of G^2
+    against G^4 is (G^2)^perp.  The stacked pairing diag(1, -1, ..., -1) of
+    H^2 against H^4 is unimodular, so RG^4 = G^4 / (G^2)^perp is the group
+    of functionals on G^2 that kill (D, -D), that is Hom(RG^2, Z).
+    """
     y1, y2 = model.components
     # Each degree row is nonzero, so G^4 has a one-element diagonal block.
     diag, vert1, vert2 = fiber_product(
@@ -274,7 +281,7 @@ def compute_rg4_and_consur(model: NormalCrossingModel, rg2: RG2Result) -> RG4Res
     # H^4 vector's (the shape check of @)
     n = y1.h2_rank + y2.h2_rank
     Q = _pairing_rows(model, rg2.g2_basis, n) @ IntMatrix.from_columns(scan, rows=n)
-    group, gens, drop = _quotient_by(scan, kernel_basis(Q), len(diag), n)
+    _, gens, drop = _quotient_by(scan, kernel_basis(Q), len(diag), n)
     if drop != -1:
         # output order: verticals first, then what is left of the diagonal block
         split = len(diag) - (drop < len(diag))
@@ -286,49 +293,14 @@ def compute_rg4_and_consur(model: NormalCrossingModel, rg2: RG2Result) -> RG4Res
         raise InternalInconsistencyError(
             "rank mismatch: RG^2 has rank %d, RG^4 has rank %d" % (gram.rows, gram.cols)
         )
-    gens, gram = _echelonize_gram(gens, gram)
-    return RG4Result(group, gens, gram, pairing_is_unimodular(gram))
-
-
-def _echelonize_gram(gens, gram: IntMatrix):
-    """Normalize RG^4 generators so the Gram is column-echelon.
-
-    Integer column operations (changes of the RG^4 basis) bring the Gram
-    to lower-triangular form with positive pivots; entries below pivots
-    are left alone.  On a unimodular pairing this makes the matrix lower
-    unitriangular, reproducing the published display for the worked
-    examples.  On a rank-deficient Gram the elimination stops at the first
-    row without a pivot, and the columns come back with the pivots found
-    so far.
-    """
-    n = gram.rows
-    cols = [list(gram.column(j)) for j in range(gram.cols)]
-    gv = [list(g) for g in gens]
-    for i in range(n):
-        while True:
-            piv = None
-            for j in range(i, len(cols)):
-                if cols[j][i] and (piv is None or abs(cols[j][i]) < abs(cols[piv][i])):
-                    piv = j
-            if piv is None:
-                return tuple(tuple(g) for g in gv), IntMatrix.from_columns(cols, rows=n)
-            if piv != i:
-                cols[i], cols[piv] = cols[piv], cols[i]
-                gv[i], gv[piv] = gv[piv], gv[i]
-            done = True
-            for j in range(i + 1, len(cols)):
-                if cols[j][i]:
-                    q = cols[j][i] // cols[i][i]
-                    cols[j] = [a - q * b for a, b in zip(cols[j], cols[i])]
-                    gv[j] = [a - q * b for a, b in zip(gv[j], gv[i])]
-                    if cols[j][i]:
-                        done = False
-            if done:
-                break
-        if cols[i][i] < 0:
-            cols[i] = [-x for x in cols[i]]
-            gv[i] = [-x for x in gv[i]]
-    return tuple(tuple(g) for g in gv), IntMatrix.from_columns(cols, rows=n)
+    # Column operations (changes of the RG^4 basis) bring the Gram to
+    # lower-triangular form with positive pivots; on a unimodular pairing it
+    # is lower unitriangular, which reproduces the published display for the
+    # worked examples.
+    cols, gv = gram.to_columns(), [list(g) for g in gens]
+    echelon_rows(cols, gv)
+    gram = IntMatrix.from_columns(cols, rows=gram.rows)
+    return RG4Result(tuple(map(tuple, gv)), gram, pairing_is_unimodular(gram))
 
 
 # ---------------------------------------------------------------------------

@@ -239,7 +239,7 @@ def test_criterion_8_property_suites(rng, quartic):
     mu = CubicTensor(3, MU_TABLE)
     S0, T0 = aronhold_ST(mu)
     for lam in (2, 3):
-        S, T = aronhold_ST(mu.scaled(lam))
+        S, T = aronhold_ST(CubicTensor(3, {k: lam * v for k, v in mu.entries.items()}))
         assert (S, T) == (lam**4 * S0, lam**6 * T0)
     for _ in range(8):
         S, T = aronhold_ST(mu.change_basis(random_unimodular(rng)))

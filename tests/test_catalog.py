@@ -13,9 +13,10 @@ from cy_smoother.catalog import (
     search_pairs,
     xi_examples,
 )
-from cy_smoother.smoothing import analyze
-
-from conftest import make_model
+from cy_smoother.components import build_component, c2_pair
+from cy_smoother.exact_lattice import IntMatrix
+from cy_smoother.smoothing import NormalCrossingModel, analyze
+from cy_smoother.surface import K3Model
 
 
 @pytest.fixture(scope="module")
@@ -145,15 +146,24 @@ class TestCyInvariants:
         assert not rank_one
         assert "assumed" in note
 
-    def test_two_path_consistency_with_engine(self, catalog, quartic):
-        # the closed form and the full lattice pipeline agree on the
-        # quick-example pair
-        p3 = find_family(catalog, "P3")
-        triple, _, _ = cy_invariants(p3, p3)
-        rep = analyze(make_model(quartic, [], [(8,)]))
-        assert rep.cubic_tensor.entries[(1, 1, 1)] == triple.rho_cubed
-        assert rep.c2_covector[0] == triple.rho_c2
-        assert rep.h12 == triple.h12
+    def test_two_path_consistency_with_engine(self, catalog):
+        # The closed form and the full lattice pipeline agree on every
+        # rank-one pair, in both orientations: V1 unblown, glued along the
+        # K3 [[delta]] to V2 blown up along (r1 + r2) h.  P3 | P3 is the
+        # quick example.
+        pairs = search_pairs(catalog, require_rank_one=True)
+        for v1, v2 in pairs + tuple(p[::-1] for p in pairs):
+            D = K3Model(IntMatrix.from_rows([[v1.delta]]), ("h",), (1,))
+            rep = analyze(NormalCrossingModel(
+                build_component(v1.as_base(), D, []),
+                build_component(v2.as_base(), D, [(v1.index + v2.index,)]),
+            ))
+            triple, rank_one, _ = cy_invariants(v1, v2)
+            assert rank_one and rep.hypotheses_ok
+            assert rep.picard_rank == 1 and rep.consur_unimodular
+            assert (rep.cubic_tensor.entries[(1, 1, 1)], rep.c2_covector[0], rep.h12) == (
+                triple.rho_cubed, triple.rho_c2, triple.h12
+            ), (v1.id, v2.id)
 
 
 class TestKnownTable:
@@ -170,10 +180,6 @@ class TestKnownTable:
 
 def test_every_rank_one_base_has_chi_one(catalog):
     """-K.c2 = 24 on every catalog base usable in full lattice mode."""
-    from cy_smoother.components import build_component, c2_pair
-    from cy_smoother.surface import K3Model
-    from cy_smoother.exact_lattice import IntMatrix
-
     for fam in catalog:
         if not fam.rank_one:
             continue

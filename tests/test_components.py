@@ -10,7 +10,6 @@ from cy_smoother.components import (
     build_component,
     c2_pair,
     cup_covector,
-    euler_number,
     pair_h2_h4,
     triple_product,
 )
@@ -58,12 +57,12 @@ class TestBuildComponent:
         assert c2_pair(y, (1,)) == 6
 
     def test_euler(self, quartic):
-        assert euler_number(build_component(P3, quartic, [])) == 4
-        assert euler_number(build_component(P3, quartic, [(8,)])) == -252
+        assert build_component(P3, quartic, []).euler == 4
+        assert build_component(P3, quartic, [(8,)]).euler == -252
         # an elliptic center contributes nothing: need c^2 = 0 on the lattice
         D = K3Model(IntMatrix.from_rows([[4, 1], [1, 0]]), ("h", "f"), (1, 0))
         y = build_component(P3, D, [(0, 1)])  # f^2 = 0, genus 1
-        assert euler_number(y) == P3.euler
+        assert y.euler == P3.euler
 
     def test_restriction_of_D_class(self, quartic):
         y = build_component(P3, quartic, [(5,), (2,)])

@@ -43,6 +43,17 @@ def random_matrix(rng, rows, cols, bound=9):
     return IntMatrix(rows, cols, [rng.randint(-bound, bound) for _ in range(rows * cols)])
 
 
+def random_unimodular(rng, n, steps=6):
+    """A product of elementary matrices: |det| = 1 but rarely triangular."""
+    E = IntMatrix.identity(n)
+    for _ in range(steps if n else 0):
+        step = IntMatrix.identity(n).to_rows()
+        i, j = rng.randrange(n), rng.randrange(n)
+        step[i][j] = rng.randint(-3, 3) if i != j else -1
+        E = E @ IntMatrix.from_rows(step)
+    return E
+
+
 class TestSmithNormalForm:
     def test_identity(self):
         I2 = IntMatrix.identity(2)
@@ -186,14 +197,8 @@ class TestPairingUnimodular:
         for _ in range(80):
             n = rng.randint(1, 5)
             M = random_matrix(rng, n, n, bound=4)
-            # random products of elementary matrices: |det| = 1 but rarely
-            # triangular, so these are the inputs whose HNF must reach I
-            E = IntMatrix.identity(n)
-            for _ in range(6):
-                step = IntMatrix.identity(n).to_rows()
-                i, j = rng.randrange(n), rng.randrange(n)
-                step[i][j] = rng.randint(-3, 3) if i != j else -1
-                E = E @ IntMatrix.from_rows(step)
+            # unimodular but rarely triangular: the inputs whose HNF must reach I
+            E = random_unimodular(rng, n)
             # scaling one row of E by 2 gives |det| = 2
             E2 = IntMatrix.from_rows([[2 * e for e in E.row(0)]] + E.to_rows()[1:])
             for G in (M, E, E2):
@@ -228,6 +233,18 @@ class TestSolveAndHermite:
             assert IntMatrix.from_rows(TM.to_rows()[: H.rows], cols=M.cols) == H
             for row in TM.to_rows()[H.rows :]:
                 assert all(e == 0 for e in row)
+
+    def test_hermite_shape_and_uniqueness(self, rng):
+        # the row-HNF depends only on the row lattice, so U M has the same one
+        for _ in range(150):
+            M = random_matrix(rng, rng.randint(0, 5), rng.randint(0, 6))
+            H = hermite_row_form(M)
+            pivots = [next(j for j, e in enumerate(row) if e) for row in H.to_rows()]
+            assert all(a < b for a, b in zip(pivots, pivots[1:]))
+            for i, p in enumerate(pivots):
+                assert H[i, p] > 0
+                assert all(0 <= H[k, p] < H[i, p] for k in range(i))
+            assert hermite_row_form(random_unimodular(rng, M.rows) @ M) == H
 
     def test_lattice_intersection(self):
         A = IntMatrix.from_rows([[1, 5]])

@@ -60,7 +60,7 @@ class TestAronhold:
     def test_scaling_laws(self):
         for lam in (2, 3):
             S, T = aronhold_ST(MU)
-            S2, T2 = aronhold_ST(MU.scaled(lam))
+            S2, T2 = aronhold_ST(CubicTensor(3, {k: lam * v for k, v in MU.entries.items()}))
             assert S2 == lam**4 * S
             assert T2 == lam**6 * T
 

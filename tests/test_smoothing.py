@@ -1,11 +1,15 @@
 import dataclasses
+import itertools
+import json
+from pathlib import Path
 
 import pytest
 
 from cy_smoother.catalog import find_family, load_catalog
-from cy_smoother.components import P3, build_component, c2_pair, triple_product
+from cy_smoother.components import P3, build_component, c2_pair, pair_h2_h4, triple_product
 from cy_smoother.exact_lattice import IntMatrix, solve_exact
 from cy_smoother.invariant_forms import DISTINCT, forms_distinguishable
+from cy_smoother.schemas import parse_tensor
 from cy_smoother.smoothing import (
     InternalInconsistencyError,
     ModelError,
@@ -24,6 +28,10 @@ from cy_smoother.smoothing import (
 from cy_smoother.surface import K3Model
 
 from conftest import MU_TABLE, NU_TABLE, make_model
+from test_components import random_quartic_lines_model, random_sextic_model
+
+RANDOM_MODELS = [random_quartic_lines_model, random_sextic_model]
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def statuses(verdicts):
@@ -126,6 +134,24 @@ class TestRG4Consur:
         assert rg4.gram.shape == (0, 0)
         assert rg4.unimodular
 
+    @pytest.mark.parametrize("make", RANDOM_MODELS)
+    def test_display_on_random_models(self, rng, make):
+        for _ in range(12):
+            model = make(rng)
+            n1 = model.y1.h2_rank
+            rg2 = compute_rg2(model)
+            rg4 = compute_rg4_and_consur(model, rg2)
+            G = rg4.gram.to_rows()
+            assert rg4.gram.shape == (rg2.rank, rg2.rank)
+            assert all(G[i][j] == int(i == j) for i in range(rg2.rank) for j in range(i, rg2.rank))
+            assert rg4.unimodular
+            # the generators went through the same column operations as the Gram
+            assert G == [
+                [pair_h2_h4(model.y1, g[:n1], u[:n1]) + pair_h2_h4(model.y2, g[n1:], u[n1:])
+                 for u in rg4.generators]
+                for g in rg2.generators
+            ]
+
     def test_non_square_gram_raises(self, pair1_a):
         # rank RG^4 = rank RG^2 always, so a surplus RG^2 generator can only
         # come from a broken upstream computation
@@ -216,6 +242,41 @@ class TestCubicAndC2:
             pair1_a.y2, l2a, l2a, l2b
         )
         assert mixed == 0
+
+
+def rr_violations(cubic, c2):
+    """Where chi(O(x)) = x^3/6 + c2.x/12 fails to be an integer on the basis.
+
+    In the binomial basis integrality is 2 T_iii + c_i = 0 mod 12 for each
+    i and T_iij = T_ijj mod 2 for i != j (Wall's parity condition).
+    """
+    n = len(c2)
+    bad = [(i,) for i in range(1, n + 1) if (2 * cubic.value(i, i, i) + c2[i - 1]) % 12]
+    return bad + [
+        (i, j) for i, j in itertools.combinations(range(1, n + 1), 2)
+        if (cubic.value(i, i, j) - cubic.value(i, j, j)) % 2
+    ]
+
+
+class TestRiemannRoch:
+    def test_golden_reports(self):
+        commands = json.loads((GOLDEN / "commands.json").read_text())
+        smooth = [c["stdout"] for c in commands if c["argv"][0] == "smooth"]
+        assert len(smooth) == 5
+        for name in smooth:
+            report = json.loads((GOLDEN / name).read_text())
+            assert rr_violations(parse_tensor(report["cubic_tensor"]), report["c2_covector"]) == []
+
+    @pytest.mark.parametrize("make", RANDOM_MODELS)
+    def test_random_models(self, rng, make):
+        for _ in range(20):
+            rep = analyze(make(rng))
+            assert rep.hypotheses_ok
+            assert rr_violations(rep.cubic_tensor, rep.c2_covector) == []
+
+    def test_oracle_flags_a_shifted_c2(self, triple_mu):
+        rep = analyze(triple_mu)
+        assert rr_violations(rep.cubic_tensor, (45,) + rep.c2_covector[1:]) == [(1,)]
 
 
 class TestHodge:
