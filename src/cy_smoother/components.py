@@ -30,6 +30,7 @@ H^4 pairing is a dot product with ``pairing_covector``.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .exact_lattice import IntMatrix
@@ -127,7 +128,7 @@ def build_component(base: BaseThreefold, D: K3Model, centers) -> BlownComponent:
         )
     coords = []
     for c in centers:
-        v = c.coords if isinstance(c, CurveClass) else tuple(int(x) for x in c)
+        v = c.coords if isinstance(c, CurveClass) else tuple(map(operator.index, c))
         if len(v) != D.rank:
             raise ComponentError(
                 "center %r does not lie in the declared Pic(D) (rank %d)" % (v, D.rank)
@@ -188,7 +189,7 @@ def build_component(base: BaseThreefold, D: K3Model, centers) -> BlownComponent:
 
 
 def _check_vec(Y: BlownComponent, a, what: str) -> tuple[int, ...]:
-    a = tuple(int(x) for x in a)
+    a = tuple(map(operator.index, a))
     if len(a) != Y.h2_rank:
         raise ComponentError(
             "%s has length %d, component H^2 rank is %d" % (what, len(a), Y.h2_rank)
@@ -243,7 +244,7 @@ def pairing_covector(Y: BlownComponent, a) -> tuple[int, ...]:
 def pair_h2_h4(Y: BlownComponent, a, u) -> int:
     """Pairing of a in H^2 with u in H^4 (bases (H, e_i) and (g, M_i))."""
     cov = pairing_covector(Y, a)
-    u = tuple(int(x) for x in u)
+    u = tuple(map(operator.index, u))
     if len(u) != Y.h2_rank:
         raise ComponentError("H^4 vector length mismatch")
     return sum(x * y for x, y in zip(cov, u))

@@ -18,14 +18,16 @@ blow-up center exists, and one such generator is dropped, preferring the
 kernel element of the smallest-degree center.  The same construction on
 the H^4 side (degree rows against D in place of the restriction maps, the
 cup-product radical in place of (D, -D)) fixes the RG^4 generators up to
-a final triangularization of the pairing Gram.  This reproduces the
-published generator tables for all worked examples and keeps golden
-output stable.
+a final triangularization of the pairing Gram.  There G^4's basis is a
+closed form of the two degree rows (r, 1, ..., 1), equal to what
+``fiber_product`` gives on them.  This reproduces the published generator
+tables for all worked examples and keeps golden output stable.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 
@@ -260,6 +262,47 @@ def _pairing_rows(model: NormalCrossingModel, lifts, cols: int) -> IntMatrix:
     return IntMatrix.from_rows(rows, cols=cols)
 
 
+def _degree_row_kernel(r: int, s: int) -> list[tuple[int, ...]]:
+    """Canonical kernel basis of the degree row (r, 1, ..., 1) with s ones.
+
+    It is (1, -r, 0, ...) followed by (1, -(r-1), 0, ..., -1 at j, ...) for
+    j = 2..s, and empty when s = 0: the sign-normalized ``kernel_basis``
+    of that row.
+    """
+    if s == 0:
+        return []
+    return [(1, -r) + (0,) * (s - 1)] + [
+        (1, 1 - r) + tuple(-(i == j) for i in range(2, s + 1)) for j in range(2, s + 1)
+    ]
+
+
+def _degree_row_preimage(r: int, s: int, L: int) -> tuple[int, ...]:
+    """``solve_exact`` of (r, 1, ..., 1) x = L: L at the first smallest |entry|."""
+    if s == 0:
+        return (L // r,)
+    x = [0] * (1 + s)
+    x[0 if r == 1 else 1] = L
+    return tuple(x)
+
+
+def _g4_basis(d1: tuple[int, ...], d2: tuple[int, ...]):
+    """``fiber_product`` of the two degree rows, in closed form.
+
+    A row (r, 1^s) has image g Z with g = 1 when s >= 1 and g = r when
+    s = 0, so the intersection of the images is lcm(g1, g2) Z and the
+    diagonal block is the single pair of preimages of lcm(g1, g2).  The
+    kernels are padded with zeros on the other side.  Returns (diag,
+    vert1, vert2) exactly as ``fiber_product`` does.
+    """
+    (r1, s1), (r2, s2) = (d1[0], len(d1) - 1), (d2[0], len(d2) - 1)
+    L = math.lcm(1 if s1 else r1, 1 if s2 else r2)
+    diag = [_degree_row_preimage(r1, s1, L) + _degree_row_preimage(r2, s2, L)]
+    zeros1, zeros2 = (0,) * len(d1), (0,) * len(d2)
+    vert1 = [k + zeros2 for k in _degree_row_kernel(r1, s1)]
+    vert2 = [zeros1 + k for k in _degree_row_kernel(r2, s2)]
+    return diag, vert1, vert2
+
+
 def compute_rg4_and_consur(model: NormalCrossingModel, rg2: RG2Result) -> RG4Result:
     """RG^4 with the RG^2 x RG^4 pairing Gram and its unimodularity verdict.
 
@@ -270,10 +313,8 @@ def compute_rg4_and_consur(model: NormalCrossingModel, rg2: RG2Result) -> RG4Res
     of functionals on G^2 that kill (D, -D), that is Hom(RG^2, Z).
     """
     y1, y2 = model.components
-    # Each degree row is nonzero, so G^4 has a one-element diagonal block.
-    diag, vert1, vert2 = fiber_product(
-        IntMatrix.from_rows([y1.d_degree_h4]), IntMatrix.from_rows([y2.d_degree_h4])
-    )
+    # G^4 = {(u1, u2) : u1.D = u2.D}, in closed form from the degree rows
+    diag, vert1, vert2 = _g4_basis(y1.d_degree_h4, y2.d_degree_h4)
     scan = diag + vert1 + vert2
     # radical of the pairing against all of G^2; (D, -D) pairs to zero with
     # G^4, so its rank is at least the joint restriction rank k >= 1
@@ -368,6 +409,24 @@ def c2_form(model: NormalCrossingModel, rg2: RG2Result) -> tuple[int, ...]:
             )
         values.append(value)
     return tuple(values)
+
+
+def _check_riemann_roch(tensor: CubicTensor, c2: tuple[int, ...]) -> None:
+    """Raise unless chi(O(x)) = x^3/6 + c2.x/12 is an integer on H^2(X, Z).
+
+    In the binomial basis this is 2 T_iii + c_i = 0 mod 12 for each i and
+    T_iij = T_ijj mod 2 for i != j (Wall's parity condition).
+    """
+    n, T = len(c2), tensor.entries  # keyed by sorted index triples
+    bad = [(i,) for i in range(1, n + 1) if (2 * T.get((i, i, i), 0) + c2[i - 1]) % 12]
+    bad += [
+        (i, j) for i, j in itertools.combinations(range(1, n + 1), 2)
+        if (T.get((i, i, j), 0) - T.get((i, j, j), 0)) % 2
+    ]
+    if bad:
+        raise InternalInconsistencyError(
+            "cubic/c2 forms fail Riemann-Roch integrality at %s" % ", ".join(map(str, bad))
+        )
 
 
 def joint_restriction_rank(model: NormalCrossingModel) -> int:
@@ -481,6 +540,7 @@ def analyze(model: NormalCrossingModel) -> SmoothingReport:
     rg4 = compute_rg4_and_consur(model, rg2)
     tensor = cubic_form(model, rg2)
     c2 = c2_form(model, rg2)
+    _check_riemann_roch(tensor, c2)
     gens = tuple(_split(model, g) for g in rg2.generators)
     return SmoothingReport(
         verdicts,

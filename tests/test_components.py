@@ -155,6 +155,18 @@ class TestComponentErrors:
         with pytest.raises(ComponentError):
             c2_pair(y, (1, 0, 0))
 
+    def test_rejects_non_integer_vectors(self, quartic):
+        y = build_component(P3, quartic, [(5,)])
+        with pytest.raises(TypeError):
+            triple_product(y, (1.9, 0), (1, 0), (1, 0))
+        with pytest.raises(TypeError):
+            pair_h2_h4(y, (1, 0), (1, "0"))
+        with pytest.raises(TypeError):
+            build_component(P3, quartic, [(5.0,)])
+        assert triple_product(y, (True, False), (1, 0), (1, 0)) == triple_product(
+            y, (1, 0), (1, 0), (1, 0)
+        )
+
 
 def test_mu_nu_calibration_tables(quartic):
     """The two full 10-entry tables, from the component calculus alone."""

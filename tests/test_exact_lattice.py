@@ -54,6 +54,55 @@ def random_unimodular(rng, n, steps=6):
     return E
 
 
+class TestIntMatrixEntries:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: IntMatrix(1, 1, [2.5]),
+            lambda: IntMatrix(1, 1, ["2"]),
+            lambda: IntMatrix.from_rows([["3", 1.9]]),
+            lambda: IntMatrix.from_columns([[1, 2.0]]),
+        ],
+    )
+    def test_rejects_non_integers(self, build):
+        with pytest.raises(TypeError):
+            build()
+
+    def test_identity_rejects_negative_size(self):
+        with pytest.raises(ValueError):
+            IntMatrix.identity(-1)
+
+    @pytest.mark.parametrize("kind", ["bool", "numpy"])
+    def test_derived_entries_are_ints(self, kind):
+        # The trusted internal construction relies on every entry being an int.
+        if kind == "bool":
+            M = IntMatrix.from_rows([[True, False, True], [False, True, True]])
+            N = IntMatrix.from_columns([[True, True, False], [False, True, True]])
+        else:
+            np = pytest.importorskip("numpy")
+            M = IntMatrix.from_rows(np.array([[2, 4, 1], [6, 8, 3]], dtype=np.int64))
+            N = IntMatrix.from_columns(np.array([[1, 2, 0], [3, 1, 5]], dtype=np.int64))
+        H, T = hermite_row_form(M.transpose(), with_transform=True)
+        _, projection, section = quotient(2, M)
+        derived = [
+            M,
+            N,
+            M @ N,
+            M.transpose(),
+            M.hstack(M),
+            -M,
+            IntMatrix.identity(2) @ M,
+            H,
+            T,
+            kernel_basis(M),
+            *smith_normal_form(M),
+            projection,
+            section,
+        ]
+        for X in derived:
+            assert all(type(e) is int for e in X.entries), X
+
+
 class TestSmithNormalForm:
     def test_identity(self):
         I2 = IntMatrix.identity(2)

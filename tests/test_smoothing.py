@@ -5,11 +5,18 @@ from pathlib import Path
 
 import pytest
 
+from cy_smoother import smoothing
 from cy_smoother.catalog import find_family, load_catalog
 from cy_smoother.components import P3, build_component, c2_pair, pair_h2_h4, triple_product
-from cy_smoother.exact_lattice import IntMatrix, solve_exact
-from cy_smoother.invariant_forms import DISTINCT, forms_distinguishable
-from cy_smoother.schemas import parse_tensor
+from cy_smoother.exact_lattice import (
+    IntMatrix,
+    fiber_product,
+    kernel_basis,
+    sign_normalize_column,
+    solve_exact,
+)
+from cy_smoother.invariant_forms import DISTINCT, CubicTensor, forms_distinguishable
+from cy_smoother.schemas import MAX_CENTERS, parse_tensor
 from cy_smoother.smoothing import (
     InternalInconsistencyError,
     ModelError,
@@ -105,6 +112,27 @@ class TestRG2:
             rg2 = compute_rg2(m)
             k = joint_restriction_rank(m)
             assert rg2.rank == m.y1.h2_rank + m.y2.h2_rank - k - 1
+
+
+INDICES = (1, 2, 3, 4, 6, 8, 12, 24)  # every Fano index r divides 24
+
+
+class TestG4ClosedForm:
+    @pytest.mark.parametrize("r", INDICES)
+    def test_kernel_against_engine(self, r):
+        for s in range(MAX_CENTERS + 1):
+            engine = kernel_basis(IntMatrix.from_rows([(r,) + (1,) * s]))
+            assert smoothing._degree_row_kernel(r, s) == [
+                sign_normalize_column(k) for k in engine.to_columns()
+            ]
+
+    @pytest.mark.parametrize("r1", INDICES)
+    def test_fiber_product_against_engine(self, r1):
+        for r2, s1, s2 in itertools.product(INDICES, range(5), range(5)):
+            d1, d2 = (r1,) + (1,) * s1, (r2,) + (1,) * s2
+            assert smoothing._g4_basis(d1, d2) == fiber_product(
+                IntMatrix.from_rows([d1]), IntMatrix.from_rows([d2])
+            ), (d1, d2)
 
 
 class TestRG4Consur:
@@ -277,6 +305,28 @@ class TestRiemannRoch:
     def test_oracle_flags_a_shifted_c2(self, triple_mu):
         rep = analyze(triple_mu)
         assert rr_violations(rep.cubic_tensor, (45,) + rep.c2_covector[1:]) == [(1,)]
+
+    def test_analyze_rejects_a_shifted_c2(self, triple_mu, monkeypatch):
+        real = smoothing.c2_form
+
+        def shifted(model, rg2):
+            c2 = real(model, rg2)
+            return (c2[0] + 1,) + c2[1:]
+
+        monkeypatch.setattr(smoothing, "c2_form", shifted)
+        with pytest.raises(InternalInconsistencyError, match=r"integrality at \(1,\)$"):
+            analyze(triple_mu)
+
+    def test_analyze_rejects_broken_parity(self, triple_mu, monkeypatch):
+        real = smoothing.cubic_form
+
+        def shifted(model, rg2):
+            T = real(model, rg2)
+            return CubicTensor(T.rank, {**T.entries, (1, 1, 2): T.value(1, 1, 2) + 1})
+
+        monkeypatch.setattr(smoothing, "cubic_form", shifted)
+        with pytest.raises(InternalInconsistencyError, match=r"integrality at \(1, 2\)$"):
+            analyze(triple_mu)
 
 
 class TestHodge:
