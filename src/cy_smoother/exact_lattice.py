@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from itertools import chain
 from typing import Iterable, Sequence
 
 
@@ -29,13 +28,10 @@ class RankMismatchError(ValueError):
 class IntMatrix:
     """Immutable integer matrix, row-major entries, exact arithmetic only.
 
-    Invariant: every entry is an ``int``.  The public constructors
-    (``IntMatrix(...)``, ``from_rows``, ``from_columns``) pass each entry
-    through ``operator.index``, so integer-like values (``bool``, numpy
-    integers) become ``int`` and floats or strings raise ``TypeError``.
-    Matrices derived from existing entries go through the trusted ``_of``,
-    which relies on the invariant and stores the entries without a
-    per-entry call.
+    Invariant: every entry is an ``int``.  The constructor passes each
+    entry through ``operator.index``, so integer-like values (``bool``,
+    numpy integers) become ``int`` and floats or strings raise
+    ``TypeError``.
     """
 
     __slots__ = ("rows", "cols", "entries")
@@ -51,15 +47,6 @@ class IntMatrix:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "entries", entries)
-
-    @classmethod
-    def _of(cls, rows: int, cols: int, entries: Iterable[int]) -> "IntMatrix":
-        """Trusted construction: the caller supplies rows*cols ints."""
-        M = object.__new__(cls)
-        object.__setattr__(M, "rows", rows)
-        object.__setattr__(M, "cols", cols)
-        object.__setattr__(M, "entries", tuple(entries))
-        return M
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("IntMatrix is immutable")
@@ -90,9 +77,7 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        if n < 0:
-            raise ValueError("negative matrix dimensions")
-        return cls._of(n, n, [1 if i == j else 0 for i in range(n) for j in range(n)])
+        return cls(n, n, [1 if i == j else 0 for i in range(n) for j in range(n)])
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
@@ -144,7 +129,7 @@ class IntMatrix:
                     for j in range(other.cols):
                         acc[j] += a * ork[j]
             out.extend(acc)
-        return IntMatrix._of(self.rows, other.cols, out)
+        return IntMatrix(self.rows, other.cols, out)
 
     def mul_vector(self, vec: Sequence[int]) -> tuple[int, ...]:
         if len(vec) != self.cols:
@@ -152,7 +137,7 @@ class IntMatrix:
         return tuple(sum(a * v for a, v in zip(self.row(i), vec)) for i in range(self.rows))
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix._of(
+        return IntMatrix(
             self.cols,
             self.rows,
             [self.entries[i * self.cols + j] for j in range(self.cols) for i in range(self.rows)],
@@ -165,10 +150,10 @@ class IntMatrix:
         for i in range(self.rows):
             ents.extend(self.row(i))
             ents.extend(other.row(i))
-        return IntMatrix._of(self.rows, self.cols + other.cols, ents)
+        return IntMatrix(self.rows, self.cols + other.cols, ents)
 
     def __neg__(self) -> "IntMatrix":
-        return IntMatrix._of(self.rows, self.cols, [-e for e in self.entries])
+        return IntMatrix(self.rows, self.cols, [-e for e in self.entries])
 
     def __eq__(self, other) -> bool:
         return (
@@ -182,11 +167,6 @@ class IntMatrix:
 
     def __repr__(self) -> str:
         return "IntMatrix(%d, %d, %r)" % (self.rows, self.cols, list(self.entries))
-
-
-def _trusted_rows(rows: Sequence[Sequence[int]], cols: int) -> IntMatrix:
-    """Matrix of equal-length rows of ints taken from existing matrices."""
-    return IntMatrix._of(len(rows), cols, chain.from_iterable(rows))
 
 
 @dataclass(frozen=True)
@@ -321,10 +301,10 @@ def _snf(M: IntMatrix):
             negate_row(t)
 
     return (
-        _trusted_rows(U, n),
-        _trusted_rows(A, m),
-        _trusted_rows(V, m),
-        _trusted_rows(Uinv, n),
+        IntMatrix.from_rows(U, cols=n),
+        IntMatrix.from_rows(A, cols=m),
+        IntMatrix.from_rows(V, cols=m),
+        IntMatrix.from_rows(Uinv, cols=n),
     )
 
 
@@ -409,9 +389,9 @@ def hermite_row_form(M: IntMatrix, with_transform: bool = False):
             if q:
                 A[i] = [a - q * b for a, b in zip(A[i], A[prow])]
                 T[i] = [a - q * b for a, b in zip(T[i], T[prow])]
-    H = _trusted_rows(A[: len(pivots)], M.cols)
+    H = IntMatrix.from_rows(A[: len(pivots)], cols=M.cols)
     if with_transform:
-        return H, _trusted_rows(T, M.rows)
+        return H, IntMatrix.from_rows(T, cols=M.rows)
     return H
 
 
@@ -445,7 +425,7 @@ def canonical_basis_columns(columns: IntMatrix) -> IntMatrix:
     by hand (free coordinates carry the identity block).
     """
     H = hermite_row_form(
-        _trusted_rows([c[::-1] for c in columns.to_columns()], columns.rows)
+        IntMatrix.from_rows([c[::-1] for c in columns.to_columns()], cols=columns.rows)
     )
     return IntMatrix.from_columns(
         [H.row(i)[::-1] for i in reversed(range(H.rows))], rows=columns.rows

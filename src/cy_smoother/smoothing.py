@@ -285,8 +285,8 @@ def _degree_row_preimage(r: int, s: int, L: int) -> tuple[int, ...]:
     return tuple(x)
 
 
-def _g4_basis(d1: tuple[int, ...], d2: tuple[int, ...]):
-    """``fiber_product`` of the two degree rows, in closed form.
+def _g4_basis(r1: int, s1: int, r2: int, s2: int):
+    """``fiber_product`` of the degree rows (r1, 1^s1) and (r2, 1^s2), in closed form.
 
     A row (r, 1^s) has image g Z with g = 1 when s >= 1 and g = r when
     s = 0, so the intersection of the images is lcm(g1, g2) Z and the
@@ -294,10 +294,9 @@ def _g4_basis(d1: tuple[int, ...], d2: tuple[int, ...]):
     kernels are padded with zeros on the other side.  Returns (diag,
     vert1, vert2) exactly as ``fiber_product`` does.
     """
-    (r1, s1), (r2, s2) = (d1[0], len(d1) - 1), (d2[0], len(d2) - 1)
     L = math.lcm(1 if s1 else r1, 1 if s2 else r2)
     diag = [_degree_row_preimage(r1, s1, L) + _degree_row_preimage(r2, s2, L)]
-    zeros1, zeros2 = (0,) * len(d1), (0,) * len(d2)
+    zeros1, zeros2 = (0,) * (1 + s1), (0,) * (1 + s2)
     vert1 = [k + zeros2 for k in _degree_row_kernel(r1, s1)]
     vert2 = [zeros1 + k for k in _degree_row_kernel(r2, s2)]
     return diag, vert1, vert2
@@ -314,7 +313,10 @@ def compute_rg4_and_consur(model: NormalCrossingModel, rg2: RG2Result) -> RG4Res
     """
     y1, y2 = model.components
     # G^4 = {(u1, u2) : u1.D = u2.D}, in closed form from the degree rows
-    diag, vert1, vert2 = _g4_basis(y1.d_degree_h4, y2.d_degree_h4)
+    # (r, 1, ..., 1) of D against (g, M_1, ..., M_s)
+    diag, vert1, vert2 = _g4_basis(
+        y1.base.index, len(y1.centers), y2.base.index, len(y2.centers)
+    )
     scan = diag + vert1 + vert2
     # radical of the pairing against all of G^2; (D, -D) pairs to zero with
     # G^4, so its rank is at least the joint restriction rank k >= 1

@@ -68,13 +68,9 @@ class TestIntMatrixEntries:
         with pytest.raises(TypeError):
             build()
 
-    def test_identity_rejects_negative_size(self):
-        with pytest.raises(ValueError):
-            IntMatrix.identity(-1)
-
     @pytest.mark.parametrize("kind", ["bool", "numpy"])
     def test_derived_entries_are_ints(self, kind):
-        # The trusted internal construction relies on every entry being an int.
+        # Integer-like inputs must not leak into matrices derived from them.
         if kind == "bool":
             M = IntMatrix.from_rows([[True, False, True], [False, True, True]])
             N = IntMatrix.from_columns([[True, True, False], [False, True, True]])

@@ -130,7 +130,7 @@ class TestG4ClosedForm:
     def test_fiber_product_against_engine(self, r1):
         for r2, s1, s2 in itertools.product(INDICES, range(5), range(5)):
             d1, d2 = (r1,) + (1,) * s1, (r2,) + (1,) * s2
-            assert smoothing._g4_basis(d1, d2) == fiber_product(
+            assert smoothing._g4_basis(r1, s1, r2, s2) == fiber_product(
                 IntMatrix.from_rows([d1]), IntMatrix.from_rows([d2])
             ), (d1, d2)
 
