@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 from .exact_lattice import IntMatrix
 # bench/test_bench.py checks that its tracer rebinds ``intersect`` here
-from .surface import CurveClass, K3Model, PicardVector, curve_genus, intersect  # noqa: F401
+from .surface import CurveClass, K3Model, PicardVector, genus_from_square, intersect  # noqa: F401
 
 
 class ComponentError(ValueError):
@@ -98,7 +98,6 @@ class BlownComponent:
     c2_covector: tuple[int, ...]
     D_class: PicardVector
     restriction: IntMatrix
-    d_degree_h4: tuple[int, ...]
 
     @property
     def h2_rank(self) -> int:
@@ -121,10 +120,11 @@ def build_component(base: BaseThreefold, D: K3Model, centers) -> BlownComponent:
             "(use the fano_catalog closed forms instead)" % (base.name, base.b2)
         )
     # D in |r H|, so h.h = H^2.D = r H^3 = delta
-    if D.degree != base.index * base.H_cubed:
+    delta = D.degree
+    if delta != base.index * base.H_cubed:
         raise ComponentError(
             "K3 degree h.h = %d does not match base %r (r H^3 = %d)"
-            % (D.degree, base.name, base.index * base.H_cubed)
+            % (delta, base.name, base.index * base.H_cubed)
         )
     coords = []
     for c in centers:
@@ -148,7 +148,7 @@ def build_component(base: BaseThreefold, D: K3Model, centers) -> BlownComponent:
             raise ComponentError(
                 "center %d has degree h.c = %d; a curve needs h.c > 0" % (i + 1, d)
             )
-    genera = tuple(curve_genus(D, c) for c in centers_t)
+    genera = tuple(genus_from_square(G[i][i]) for i in range(1, s + 1))
     mutual = tuple(tuple(row[1:]) for row in G[1:])
     for i in range(s):
         for j in range(i + 1, s):
@@ -171,7 +171,6 @@ def build_component(base: BaseThreefold, D: K3Model, centers) -> BlownComponent:
         )
 
     D_class = tuple([r] + [-1] * s)
-    d_deg = tuple([r] + [1] * s)
 
     return BlownComponent(
         base=base,
@@ -184,7 +183,6 @@ def build_component(base: BaseThreefold, D: K3Model, centers) -> BlownComponent:
         c2_covector=tuple(c2),
         D_class=D_class,
         restriction=restriction,
-        d_degree_h4=d_deg,
     )
 
 

@@ -2,10 +2,12 @@
 
 Everything here works with Python's arbitrary-precision integers; no
 floating point is ever involved.  One gcd row elimination, ``echelon_rows``,
-is behind the row-style Hermite normal form (HNF) and the RG^4 Gram display;
-the HNF with a unimodular transform is behind saturated kernels in a
-canonical basis, ranks, canonical solving, lattice intersections and fiber
-products, and the unimodularity test for pairing Gram matrices.  Smith
+is behind the row-style Hermite normal form (HNF) and the RG^4 Gram display.
+One HNF with a unimodular transform per map (``_factor``) gives its
+saturated kernel in a canonical basis, canonical solving and its image
+basis; ``fiber_product`` factors each of its two maps once.  The HNF is
+also behind ranks, lattice intersections and the unimodularity test for
+pairing Gram matrices.  Smith
 normal form (SNF) is used only where torsion matters: quotients of Z^n by a
 relation lattice (torsion invariants, projection and section maps), and the
 public ``smith_normal_form``/``snf_diagonal``.
@@ -432,14 +434,42 @@ def canonical_basis_columns(columns: IntMatrix) -> IntMatrix:
     )
 
 
-def kernel_basis(M: IntMatrix) -> IntMatrix:
-    """Canonical basis (as columns) of the saturated kernel {x : Mx = 0}."""
-    # H = T M^t with T unimodular: the rows of T past H's span the kernel
-    H, T = hermite_row_form(M.transpose(), with_transform=True)
-    K = IntMatrix.from_columns(T.to_rows()[H.rows :], rows=M.cols)
+def _factor(M: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
+    """H = T M^t with T unimodular: one factorization serves three questions.
+
+    H's rows are a basis of M's image, T's rows past ``H.rows`` span M's
+    saturated kernel, and T's first ``H.rows`` rows are preimages of H's.
+    """
+    return hermite_row_form(M.transpose(), with_transform=True)
+
+
+def _kernel(H: IntMatrix, T: IntMatrix) -> IntMatrix:
+    """Canonical kernel basis (columns) from the factorization (H, T) of M."""
+    K = IntMatrix.from_columns(T.to_rows()[H.rows :], rows=T.cols)
     if K.cols == 0:
         return K
     return canonical_basis_columns(K)
+
+
+def _preimage(
+    H_rows: list[list[int]], T: IntMatrix, b: Sequence[int]
+) -> tuple[int, ...] | None:
+    """Canonical x with M x = b from the factorization (H, T) of M, or None."""
+    # b = sum z_j H_j when solvable; a nonexact division leaves a nonzero
+    # remainder at its pivot, where the later rows are zero
+    z, rest = _reduce(b, H_rows)
+    if any(rest):
+        return None
+    x = [0] * T.cols
+    for j, q in enumerate(z):
+        if q:
+            x = [a + q * t for a, t in zip(x, T.row(j))]
+    return tuple(x)
+
+
+def kernel_basis(M: IntMatrix) -> IntMatrix:
+    """Canonical basis (as columns) of the saturated kernel {x : Mx = 0}."""
+    return _kernel(*_factor(M))
 
 
 def solve_exact(M: IntMatrix, b: Sequence[int]) -> tuple[int, ...] | None:
@@ -451,13 +481,8 @@ def solve_exact(M: IntMatrix, b: Sequence[int]) -> tuple[int, ...] | None:
     """
     if len(b) != M.rows:
         raise ValueError("rhs length mismatch")
-    H, T = hermite_row_form(M.transpose(), with_transform=True)
-    # b = sum z_j H_j when solvable; a nonexact division leaves a nonzero
-    # remainder at its pivot, where the later rows are zero
-    z, rest = _reduce(b, H.to_rows())
-    if any(rest):
-        return None
-    return tuple(sum(q * T[j, i] for j, q in enumerate(z)) for i in range(M.cols))
+    H, T = _factor(M)
+    return _preimage(H.to_rows(), T, b)
 
 
 def intersect_column_lattices(A: IntMatrix, B: IntMatrix) -> IntMatrix:
@@ -484,19 +509,19 @@ def fiber_product(A: IntMatrix, B: IntMatrix):
     Returns (diag, vert1, vert2), each a list of sign-normalized stacked
     vectors: diag pairs the canonical preimages of the canonical basis of
     (image A) n (image B); vert1 and vert2 are the kernels of A and of B,
-    padded with zeros on the other side.
+    padded with zeros on the other side.  A and B are factored once each;
+    the intersection is taken of their image bases, which span the same
+    lattices as their columns.
     """
+    (HA, TA), (HB, TB) = _factor(A), _factor(B)
+    rows_a, rows_b = HA.to_rows(), HB.to_rows()
     diag = [
-        sign_normalize_column(solve_exact(A, u) + solve_exact(B, u))
-        for u in intersect_column_lattices(A, B).to_columns()
+        sign_normalize_column(_preimage(rows_a, TA, u) + _preimage(rows_b, TB, u))
+        for u in intersect_column_lattices(HA.transpose(), HB.transpose()).to_columns()
     ]
     zeros_a, zeros_b = (0,) * A.cols, (0,) * B.cols
-    vert1 = [
-        sign_normalize_column(tuple(k) + zeros_b) for k in kernel_basis(A).to_columns()
-    ]
-    vert2 = [
-        sign_normalize_column(zeros_a + tuple(k)) for k in kernel_basis(B).to_columns()
-    ]
+    vert1 = [sign_normalize_column(tuple(k) + zeros_b) for k in _kernel(HA, TA).to_columns()]
+    vert2 = [sign_normalize_column(zeros_a + tuple(k)) for k in _kernel(HB, TB).to_columns()]
     return diag, vert1, vert2
 
 

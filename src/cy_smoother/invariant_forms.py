@@ -23,6 +23,7 @@ normalization-free outputs are the S = 0 flag and ratios of T values.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -37,7 +38,7 @@ class InvariantError(ValueError):
 
 
 def _canonical_key(idx: Sequence[int], rank: int) -> tuple[int, ...]:
-    key = tuple(sorted(int(i) for i in idx))
+    key = tuple(sorted(map(operator.index, idx)))
     if len(key) != 3 or any(i < 1 or i > rank for i in key):
         raise TensorError("bad tensor index %r for rank %d" % (tuple(idx), rank))
     return key
@@ -56,7 +57,7 @@ class CubicTensor:
         canon = {}
         for idx, v in dict(self.entries).items():
             key = _canonical_key(idx, self.rank)
-            v = int(v)
+            v = operator.index(v)
             if key in canon and canon[key] != v:
                 raise TensorError("conflicting values for symmetric entry %r" % (key,))
             canon[key] = v

@@ -53,14 +53,14 @@ def _expect(cond: bool, message: str, location: str):
 
 def _int_list(raw, location: str) -> list[int]:
     _expect(isinstance(raw, list), "expected a list of integers", location)
-    out = []
     for i, v in enumerate(raw):
-        _expect(isinstance(v, int) and not isinstance(v, bool),
-                "expected an integer", "%s[%d]" % (location, i))
-        _expect(abs(v) <= MAX_ENTRY, "|%d| exceeds the entry cap %d" % (v, MAX_ENTRY),
-                "%s[%d]" % (location, i))
-        out.append(v)
-    return out
+        # the location and message are formatted only for an entry that fails
+        if not isinstance(v, int) or isinstance(v, bool):
+            raise SchemaError("expected an integer", "%s[%d]" % (location, i))
+        if abs(v) > MAX_ENTRY:
+            raise SchemaError("|%d| exceeds the entry cap %d" % (v, MAX_ENTRY),
+                              "%s[%d]" % (location, i))
+    return list(raw)
 
 
 def parse_k3(raw, location: str = "k3") -> K3Model:

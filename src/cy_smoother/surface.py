@@ -8,6 +8,7 @@ likewise declared, not verified.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .exact_lattice import IntMatrix
@@ -36,16 +37,16 @@ class K3Model:
         g = self.gram
         if not g.is_square():
             raise SurfaceError("Gram matrix must be square")
-        n = g.rows
+        n, rows = g.rows, g.to_rows()
         if len(self.class_names) != n:
             raise SurfaceError("need one class name per lattice generator")
         if len(self.polarization) != n:
             raise SurfaceError("polarization length does not match lattice rank")
-        for i in range(n):
-            if g[i, i] % 2 != 0:
+        for i, row in enumerate(rows):
+            if row[i] % 2 != 0:
                 raise SurfaceError("K3 intersection form must be even")
             for j in range(i + 1, n):
-                if g[i, j] != g[j, i]:
+                if row[j] != rows[j][i]:
                     raise SurfaceError("Gram matrix must be symmetric")
         h2 = intersect(self, self.polarization, self.polarization)
         if h2 <= 0 or h2 % 2 != 0:
@@ -55,7 +56,7 @@ class K3Model:
         # h^perp and scales the form by h.h, giving h.h x.y - (x.h)(y.h).
         hx = g.mul_vector(self.polarization)
         p = next(i for i, x in enumerate(self.polarization) if x)
-        rest, rows = [i for i in range(n) if i != p], g.to_rows()
+        rest = [i for i in range(n) if i != p]
         if not _negative_definite([[h2 * rows[i][j] - hx[i] * hx[j] for j in rest] for i in rest]):
             raise SurfaceError(
                 "Gram matrix is not hyperbolic; a K3 Picard lattice has signature (1, %d)"
@@ -84,7 +85,7 @@ class CurveClass:
     coords: PicardVector
 
     def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(int(c) for c in self.coords))
+        object.__setattr__(self, "coords", tuple(map(operator.index, self.coords)))
 
 
 def _negative_definite(rows) -> bool:
@@ -110,8 +111,8 @@ def _negative_definite(rows) -> bool:
 
 def intersect(D: K3Model, a, b) -> int:
     """Evaluate the Gram form: a . b on Pic(D)."""
-    a = tuple(a)
-    b = tuple(b)
+    a = tuple(map(operator.index, a))
+    b = tuple(map(operator.index, b))
     if len(a) != D.gram.rows or len(b) != D.gram.rows:
         raise SurfaceError(
             "vector length mismatch: lattice rank %d, got %d and %d"
@@ -124,7 +125,11 @@ def intersect(D: K3Model, a, b) -> int:
 def curve_genus(D: K3Model, c) -> int:
     """Genus of a smooth irreducible curve on a K3: g = c.c/2 + 1."""
     coords = c.coords if isinstance(c, CurveClass) else tuple(c)
-    c2 = intersect(D, coords, coords)
+    return genus_from_square(intersect(D, coords, coords))
+
+
+def genus_from_square(c2: int) -> int:
+    """Genus c.c/2 + 1 of a curve class on a K3 with self-intersection c.c."""
     if c2 < -2 or c2 % 2 != 0:
         raise SurfaceError(
             "self-intersection %d is not that of a curve class on a K3" % c2

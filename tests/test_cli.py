@@ -126,6 +126,36 @@ class TestSmooth:
         assert out == ""
         assert match in err
 
+    @pytest.mark.parametrize(
+        "k3, y1, y2, match",
+        [
+            (
+                {"gram": [[4, 1], [1, -2]], "classes": ["h", "l"], "polarization": [1, 0]},
+                [[1, 3]],
+                [[7, -3]],
+                "Y1: self-intersection -8 is not that of a curve class on a K3",
+            ),
+            (
+                {"gram": [[4]], "classes": ["h"], "polarization": [1]},
+                [[5.0]],
+                [],
+                "Y1.centers[0][0]: expected an integer",
+            ),
+        ],
+        ids=["square-below-minus-2", "float-center"],
+    )
+    def test_bad_center_exit_2(self, capsys, tmp_path, k3, y1, y2, match):
+        doc = tmp_path / "center.json"
+        doc.write_text(
+            json.dumps(
+                {"k3": k3, "Y1": {"base": "P3", "centers": y1}, "Y2": {"base": "P3", "centers": y2}}
+            )
+        )
+        code, out, err = run(capsys, "smooth", str(doc))
+        assert code == 2
+        assert out == ""
+        assert match in err
+
     def test_input_at_the_caps_is_analyzed(self, capsys, tmp_path):
         doc = tmp_path / "caps.json"
         doc.write_text(json.dumps(_at_caps()))

@@ -128,7 +128,6 @@ class TestBuildComponent:
         assert pair_h2_h4(y, (1, 0, 0), (1, 0, 0)) == 1  # H . g
         assert pair_h2_h4(y, (0, 1, 0), (0, 1, 0)) == -1  # e1 . M1
         assert pair_h2_h4(y, (0, 1, 0), (0, 0, 1)) == 0
-        assert y.d_degree_h4 == (4, 1, 1)
 
 
 class TestComponentErrors:

@@ -14,6 +14,7 @@ from cy_smoother.exact_lattice import (
     pairing_is_unimodular,
     quotient,
     rank,
+    sign_normalize_column,
     smith_normal_form,
     snf_diagonal,
     solve_exact,
@@ -335,3 +336,41 @@ class TestFiberProduct:
             if vecs:
                 got = canonical_basis_columns(IntMatrix.from_columns(vecs))
                 assert got == canonical_basis_columns(oracle)
+
+    @staticmethod
+    def _pair(rng, n):
+        """Random A, B with n rows: some zero, some with repeated columns."""
+        def side():
+            if rng.random() < 0.1:
+                return IntMatrix.zeros(n, rng.randint(1, 6))
+            bound, cols = rng.randint(0, 9), []
+            for _ in range(rng.randint(1, 6)):
+                if cols and rng.random() < 0.3:
+                    cols.append(rng.choice(cols))
+                else:
+                    cols.append([rng.randint(-bound, bound) for _ in range(n)])
+            return IntMatrix.from_columns(cols, rows=n)
+
+        return side(), side()
+
+    def test_bit_for_bit_against_composition(self, rng):
+        # fiber_product factors each map once; its output must equal the
+        # composition of the public solve, kernel and intersection calls
+        for _ in range(600):
+            A, B = self._pair(rng, rng.randint(1, 5))
+            diag = [
+                sign_normalize_column(solve_exact(A, u) + solve_exact(B, u))
+                for u in intersect_column_lattices(A, B).to_columns()
+            ]
+            za, zb = (0,) * A.cols, (0,) * B.cols
+            vert1 = [sign_normalize_column(tuple(k) + zb) for k in kernel_basis(A).to_columns()]
+            vert2 = [sign_normalize_column(za + tuple(k)) for k in kernel_basis(B).to_columns()]
+            assert fiber_product(A, B) == (diag, vert1, vert2)
+
+    def test_intersection_depends_only_on_the_lattices(self, rng):
+        # the image basis (HNF rows) spans the same lattice as the columns
+        for _ in range(300):
+            A, B = self._pair(rng, rng.randint(1, 5))
+            image_a = hermite_row_form(A.transpose()).transpose()
+            image_b = hermite_row_form(B.transpose()).transpose()
+            assert intersect_column_lattices(image_a, image_b) == intersect_column_lattices(A, B)

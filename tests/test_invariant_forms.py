@@ -111,6 +111,17 @@ class TestCubicTensor:
         with pytest.raises(TensorError):
             CubicTensor(2, {(1, 2, 3): 1})
 
+    @pytest.mark.parametrize("value", [2.5, "7"], ids=["float", "string"])
+    def test_rejects_non_integer_entries(self, value):
+        # an entry is never truncated or parsed: 2.5 does not become 2
+        with pytest.raises(TypeError):
+            CubicTensor(1, {(1, 1, 1): value})
+
+    def test_rejects_non_integer_index(self):
+        with pytest.raises(TypeError):
+            CubicTensor(2, {(1.7, 1, 2): 1})
+        assert CubicTensor(1, {(True, 1, 1): True}).entries == {(1, 1, 1): 1}
+
 
 class TestFormsDistinguishable:
     def test_mu_nu_distinct(self):

@@ -14,6 +14,14 @@ class TestIntersect:
         with pytest.raises(SurfaceError):
             intersect(quartic, (1, 0), (1,))
 
+    def test_rejects_non_integer_vectors(self, quartic):
+        # 1.5 is not truncated to 1 (which would give 6.0)
+        with pytest.raises(TypeError):
+            intersect(quartic, (1.5,), (1,))
+        with pytest.raises(TypeError):
+            intersect(quartic, (1,), ("1",))
+        assert intersect(quartic, (True,), (1,)) == 4
+
     def test_symmetric_bilinear(self, rng):
         gram = IntMatrix.from_rows([[4, 1, 0], [1, -2, 1], [0, 1, -2]])
         D = K3Model(gram, ("h", "a", "b"), (1, 0, 0))
@@ -25,6 +33,13 @@ class TestIntersect:
             assert intersect(D, u, v) == intersect(D, v, u)
             uv = tuple(a + c * b for a, b in zip(u, v))
             assert intersect(D, uv, w) == intersect(D, u, w) + c * intersect(D, v, w)
+
+
+class TestCurveClass:
+    def test_rejects_non_integer_coords(self):
+        with pytest.raises(TypeError):
+            CurveClass((1.9, 0))
+        assert CurveClass((True, 0)).coords == (1, 0)
 
 
 class TestCurveGenus:
