@@ -3,7 +3,7 @@ PYTHON ?= python3
 # The package is run from the source tree; no install is needed.
 CLI = PYTHONPATH=src $(PYTHON) -m cy_smoother.cli
 
-.PHONY: test acceptance bench-selftest golden
+.PHONY: test acceptance bench-selftest report-hash golden
 
 test:
 	$(PYTHON) -m pytest -q
@@ -14,6 +14,10 @@ acceptance:
 # Self-tests of the benchmark harness (not part of `test`).
 bench-selftest:
 	$(PYTHON) -m pytest bench -q
+
+# SHA-256 of the 2700 bench reports (seeds 1-5); a refactor must not move it.
+report-hash:
+	$(PYTHON) tools/report_hash.py
 
 # Replay every bundled computation through the CLI.
 golden:

@@ -75,51 +75,42 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version="%(prog)s " + __version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument(
-            "--format", choices=("json", "table"), default="json",
-            help="output format (default: json)",
-        )
-        p.add_argument(
-            "--catalog", default=None,
-            help="Fano catalog file (default: bundled; env %s)" % CATALOG_ENV,
-        )
-
     p_smooth = sub.add_parser("smooth", help="analyze a degeneration description")
     p_smooth.add_argument("file", help="degeneration JSON file")
-    add_common(p_smooth)
 
     p_move = sub.add_parser("move-top", help="move the top blow-up center across")
     p_move.add_argument("file", help="degeneration JSON file")
     p_move.add_argument("--from", dest="from_index", type=int, required=True,
                         choices=(1, 2), help="component losing its top center")
-    add_common(p_move)
 
     p_fano = sub.add_parser("fano", help="Fano catalog pipeline")
     fano_sub = p_fano.add_subparsers(dest="fano_command", required=True)
     p_search = fano_sub.add_parser("search", help="delta-matched pairs")
     p_search.add_argument("--rank-one", action="store_true",
                           help="restrict to rank-one x rank-one pairs")
-    add_common(p_search)
     p_cy = fano_sub.add_parser("cy", help="Calabi-Yau invariants of a pair")
     p_cy.add_argument("--v1", required=True, help="first family id")
     p_cy.add_argument("--v2", required=True, help="second family id")
-    add_common(p_cy)
     p_groups = fano_sub.add_parser("groups", help="deformation groups")
     p_groups.add_argument("--all-known", action="store_true",
                           help="include every known reference Calabi-Yau")
-    add_common(p_groups)
 
     p_inv = sub.add_parser("invariants", help="form invariants and dimension counts")
     inv_sub = p_inv.add_subparsers(dest="inv_command", required=True)
     p_cubic = inv_sub.add_parser("cubic", help="Aronhold S and T of a cubic tensor")
     p_cubic.add_argument("--file", required=True, help="tensor JSON file")
-    add_common(p_cubic)
     p_rr = inv_sub.add_parser("rr", help="Riemann-Roch dimension count")
     p_rr.add_argument("--rho3", type=int, required=True)
     p_rr.add_argument("--rhoc2", type=int, required=True)
     p_rr.add_argument("--n", type=int, required=True)
-    add_common(p_rr)
+
+    for p in (p_smooth, p_move, p_search, p_cy, p_groups, p_cubic, p_rr):
+        p.add_argument("--format", choices=("json", "table"), default="json",
+                       help="output format (default: json)")
+    # only the subcommands that read the Fano catalog take --catalog
+    for p in (p_smooth, p_move, p_search, p_cy, p_groups):
+        p.add_argument("--catalog", default=None,
+                       help="Fano catalog file (default: bundled; env %s)" % CATALOG_ENV)
 
     return parser
 

@@ -1,16 +1,19 @@
 """Exact integer linear algebra over finitely generated abelian groups.
 
 Everything here works with Python's arbitrary-precision integers; no
-floating point is ever involved.  One gcd row elimination, ``echelon_rows``,
-is behind the row-style Hermite normal form (HNF) and the RG^4 Gram display.
-One HNF with a unimodular transform per map (``_factor``) gives its
-saturated kernel in a canonical basis, canonical solving and its image
-basis; ``fiber_product`` factors each of its two maps once.  The HNF is
-also behind ranks, lattice intersections and the unimodularity test for
-pairing Gram matrices.  Smith
-normal form (SNF) is used only where torsion matters: quotients of Z^n by a
-relation lattice (torsion invariants, projection and section maps), and the
-public ``smith_normal_form``/``snf_diagonal``.
+floating point is ever involved.  The private steps take and return plain
+row lists; an ``IntMatrix`` is built only where a public function returns
+one.  One gcd row elimination, ``echelon_rows``, is behind the row-style
+Hermite normal form (HNF, ``_hermite``) and the RG^4 Gram display.  One HNF
+with a unimodular transform per map (``_factor``) gives its saturated
+kernel in a canonical basis, canonical solving and its image basis;
+``fiber_product`` factors each of its two maps once, and a lattice
+intersection factors the stacked generators once.  The HNF is also behind
+ranks and the unimodularity test for pairing Gram matrices.  Smith normal
+form (SNF) is used only where torsion matters: quotients of Z^n by a
+relation lattice (torsion invariants, projection and section maps, with
+U^-1 read from one factorization of U), and the public
+``smith_normal_form``/``snf_diagonal``.
 
 Canonical forms matter: kernels and quotient sections are normalized so
 that repeated runs (and golden tests) see byte-identical output.
@@ -201,6 +204,10 @@ class FgAbelianGroup:
 # ---------------------------------------------------------------------------
 
 
+def _identity_rows(n: int) -> list[list[int]]:
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
 def smith_normal_form(M: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     """Smith normal form with transforms: returns (U, S, V) with S = U*M*V.
 
@@ -208,23 +215,14 @@ def smith_normal_form(M: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     divisibility chain d_i | d_{i+1}.  Total function; deterministic pivot
     choice (smallest absolute value, then lowest position).
     """
-    U, S, V, _ = _snf(M)
-    return U, S, V
-
-
-def _snf(M: IntMatrix):
-    """Smith normal form (U, S, V) plus U^-1, whose columns lift quotient generators."""
     n, m = M.rows, M.cols
     A = M.to_rows()
-    U = IntMatrix.identity(n).to_rows()
-    V = IntMatrix.identity(m).to_rows()
-    Uinv = IntMatrix.identity(n).to_rows()
+    U = _identity_rows(n)
+    V = _identity_rows(m)
 
     def swap_rows(i, j):
         A[i], A[j] = A[j], A[i]
         U[i], U[j] = U[j], U[i]
-        for r in Uinv:
-            r[i], r[j] = r[j], r[i]
 
     def swap_cols(i, j):
         for r in A:
@@ -240,8 +238,6 @@ def _snf(M: IntMatrix):
         Us, Ud = U[src], U[dst]
         for k in range(n):
             Ud[k] += q * Us[k]
-        for r in Uinv:
-            r[src] -= q * r[dst]
 
     def add_col(src, dst, q):
         for r in A:
@@ -252,8 +248,6 @@ def _snf(M: IntMatrix):
     def negate_row(i):
         A[i] = [-e for e in A[i]]
         U[i] = [-e for e in U[i]]
-        for r in Uinv:
-            r[i] = -r[i]
 
     size = min(n, m)
     for t in range(size):
@@ -306,7 +300,6 @@ def _snf(M: IntMatrix):
         IntMatrix.from_rows(U, cols=n),
         IntMatrix.from_rows(A, cols=m),
         IntMatrix.from_rows(V, cols=m),
-        IntMatrix.from_rows(Uinv, cols=n),
     )
 
 
@@ -371,30 +364,38 @@ def echelon_rows(A: list[list[int]], C: list[list[int]]) -> list[int]:
     return pivots
 
 
-def hermite_row_form(M: IntMatrix, with_transform: bool = False):
-    """Row-style Hermite normal form H (zero rows dropped).
+def _hermite(A: list[list[int]], C: list[list[int]]) -> int:
+    """Bring the rows A to row-style Hermite normal form in place; returns the rank.
 
     Pivots are positive, strictly to the right as rows descend, and
-    entries above a pivot are reduced into [0, pivot).  When
-    ``with_transform`` is set, also returns a unimodular T (square, size =
-    original row count) with H equal to the nonzero rows of T*M.
+    entries above a pivot are reduced into [0, pivot); the rows past the
+    rank are zero.  Every row operation is applied to the companion rows C
+    as well, so C = identity rows ends as a unimodular T with T*A0 = A
+    (empty companion rows when no transform is wanted).  Rows are replaced,
+    never written into, so A and C may share row lists with the caller.
     """
-    A = M.to_rows()
-    T = IntMatrix.identity(M.rows).to_rows()
     # The elimination below a pivot never reads the rows above it, so the
     # upward reduction can wait until the echelon form is complete.
-    pivots = echelon_rows(A, T)
+    pivots = echelon_rows(A, C)
     for prow, col in enumerate(pivots):
         d = A[prow][col]
         for i in range(prow):
             q = A[i][col] // d  # floor brings the entry into [0, d)
             if q:
                 A[i] = [a - q * b for a, b in zip(A[i], A[prow])]
-                T[i] = [a - q * b for a, b in zip(T[i], T[prow])]
-    H = IntMatrix.from_rows(A[: len(pivots)], cols=M.cols)
-    if with_transform:
-        return H, IntMatrix.from_rows(T, cols=M.rows)
-    return H
+                C[i] = [a - q * b for a, b in zip(C[i], C[prow])]
+    return len(pivots)
+
+
+def _hnf_rows(vectors) -> list[list[int]]:
+    """The nonzero HNF rows of the given vectors."""
+    A = [list(v) for v in vectors]
+    return A[: _hermite(A, [[] for _ in A])]
+
+
+def hermite_row_form(M: IntMatrix) -> IntMatrix:
+    """Row-style Hermite normal form H of M, zero rows dropped (see ``_hermite``)."""
+    return IntMatrix.from_rows(_hnf_rows(M.to_rows()), cols=M.cols)
 
 
 def rank(M: IntMatrix) -> int:
@@ -418,6 +419,11 @@ def _reduce(v: Sequence[int], rows) -> tuple[list[int], list[int]]:
     return quotients, v
 
 
+def _canonical(vectors) -> list[list[int]]:
+    """Canonical basis of the lattice the vectors span (``canonical_basis_columns``)."""
+    return [h[::-1] for h in reversed(_hnf_rows(v[::-1] for v in vectors))]
+
+
 def canonical_basis_columns(columns: IntMatrix) -> IntMatrix:
     """Canonical basis of the lattice spanned by the given columns.
 
@@ -426,50 +432,43 @@ def canonical_basis_columns(columns: IntMatrix) -> IntMatrix:
     reduced-echelon shape one writes when solving the defining equations
     by hand (free coordinates carry the identity block).
     """
-    H = hermite_row_form(
-        IntMatrix.from_rows([c[::-1] for c in columns.to_columns()], cols=columns.rows)
-    )
-    return IntMatrix.from_columns(
-        [H.row(i)[::-1] for i in reversed(range(H.rows))], rows=columns.rows
-    )
+    return IntMatrix.from_columns(_canonical(columns.to_columns()), rows=columns.rows)
 
 
-def _factor(M: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
-    """H = T M^t with T unimodular: one factorization serves three questions.
+def _factor(vectors) -> tuple[list[list[int]], list[list[int]]]:
+    """H = T M^t with T unimodular, for M with the given columns: rows (H, T).
 
-    H's rows are a basis of M's image, T's rows past ``H.rows`` span M's
-    saturated kernel, and T's first ``H.rows`` rows are preimages of H's.
+    One factorization serves three questions: H's rows are a basis of M's
+    image, T's rows past ``len(H)`` span M's saturated kernel, and T's
+    first ``len(H)`` rows are preimages of H's.
     """
-    return hermite_row_form(M.transpose(), with_transform=True)
+    A = [list(v) for v in vectors]
+    T = _identity_rows(len(A))
+    return A[: _hermite(A, T)], T
 
 
-def _kernel(H: IntMatrix, T: IntMatrix) -> IntMatrix:
-    """Canonical kernel basis (columns) from the factorization (H, T) of M."""
-    K = IntMatrix.from_columns(T.to_rows()[H.rows :], rows=T.cols)
-    if K.cols == 0:
-        return K
-    return canonical_basis_columns(K)
+def _kernel(H: list[list[int]], T: list[list[int]]) -> list[list[int]]:
+    """Canonical kernel basis from the factorization (H, T) of M."""
+    return _canonical(T[len(H) :])
 
 
-def _preimage(
-    H_rows: list[list[int]], T: IntMatrix, b: Sequence[int]
-) -> tuple[int, ...] | None:
+def _preimage(H: list[list[int]], T: list[list[int]], b: Sequence[int]) -> tuple[int, ...] | None:
     """Canonical x with M x = b from the factorization (H, T) of M, or None."""
     # b = sum z_j H_j when solvable; a nonexact division leaves a nonzero
     # remainder at its pivot, where the later rows are zero
-    z, rest = _reduce(b, H_rows)
+    z, rest = _reduce(b, H)
     if any(rest):
         return None
-    x = [0] * T.cols
-    for j, q in enumerate(z):
+    x = [0] * len(T)
+    for q, row in zip(z, T):
         if q:
-            x = [a + q * t for a, t in zip(x, T.row(j))]
+            x = [a + q * t for a, t in zip(x, row)]
     return tuple(x)
 
 
 def kernel_basis(M: IntMatrix) -> IntMatrix:
     """Canonical basis (as columns) of the saturated kernel {x : Mx = 0}."""
-    return _kernel(*_factor(M))
+    return IntMatrix.from_columns(_kernel(*_factor(M.to_columns())), rows=M.cols)
 
 
 def solve_exact(M: IntMatrix, b: Sequence[int]) -> tuple[int, ...] | None:
@@ -481,26 +480,29 @@ def solve_exact(M: IntMatrix, b: Sequence[int]) -> tuple[int, ...] | None:
     """
     if len(b) != M.rows:
         raise ValueError("rhs length mismatch")
-    H, T = _factor(M)
-    return _preimage(H.to_rows(), T, b)
+    return _preimage(*_factor(M.to_columns()), b)
+
+
+def _intersect(U, V) -> list[list[int]]:
+    """HNF rows of span(U) n span(V), for lists of vectors in one Z^n.
+
+    The HNF of the rows U + (-V), with U and zeros for V carried along as
+    companion rows, turns each companion row past the rank into the common
+    vector of a kernel relation.  These span the intersection, and its HNF
+    depends only on that lattice.
+    """
+    if not U or not V:
+        return []
+    A = U + [[-e for e in v] for v in V]
+    C = U + [[0] * len(U[0]) for _ in V]
+    return _hnf_rows(C[_hermite(A, C) :])
 
 
 def intersect_column_lattices(A: IntMatrix, B: IntMatrix) -> IntMatrix:
     """Canonical basis (columns) of (column span of A) n (column span of B)."""
     if A.rows != B.rows:
         raise ValueError("ambient dimension mismatch")
-    stacked = A.hstack(-B)
-    K = kernel_basis(stacked)
-    cols = []
-    for j in range(K.cols):
-        u = K.column(j)[: A.cols]
-        cols.append(A.mul_vector(u))
-    L = IntMatrix.from_columns(cols, rows=A.rows)
-    if L.cols == 0:
-        return L
-    # drop dependent generators and canonicalize
-    H = hermite_row_form(L.transpose())
-    return H.transpose()
+    return IntMatrix.from_columns(_intersect(A.to_columns(), B.to_columns()), rows=A.rows)
 
 
 def fiber_product(A: IntMatrix, B: IntMatrix):
@@ -513,15 +515,14 @@ def fiber_product(A: IntMatrix, B: IntMatrix):
     the intersection is taken of their image bases, which span the same
     lattices as their columns.
     """
-    (HA, TA), (HB, TB) = _factor(A), _factor(B)
-    rows_a, rows_b = HA.to_rows(), HB.to_rows()
+    (HA, TA), (HB, TB) = _factor(A.to_columns()), _factor(B.to_columns())
     diag = [
-        sign_normalize_column(_preimage(rows_a, TA, u) + _preimage(rows_b, TB, u))
-        for u in intersect_column_lattices(HA.transpose(), HB.transpose()).to_columns()
+        sign_normalize_column(_preimage(HA, TA, u) + _preimage(HB, TB, u))
+        for u in _intersect(HA, HB)
     ]
     zeros_a, zeros_b = (0,) * A.cols, (0,) * B.cols
-    vert1 = [sign_normalize_column(tuple(k) + zeros_b) for k in _kernel(HA, TA).to_columns()]
-    vert2 = [sign_normalize_column(zeros_a + tuple(k)) for k in _kernel(HB, TB).to_columns()]
+    vert1 = [sign_normalize_column(tuple(k) + zeros_b) for k in _kernel(HA, TA)]
+    vert2 = [sign_normalize_column(zeros_a + tuple(k)) for k in _kernel(HB, TB)]
     return diag, vert1, vert2
 
 
@@ -545,17 +546,17 @@ def quotient(
         raise ValueError(
             "relations have %d rows, ambient rank is %d" % (relations.rows, ambient_rank)
         )
-    U, S, _, Uinv = _snf(relations)
+    U, S, _ = smith_normal_form(relations)
     diag = [S[t, t] for t in range(min(S.rows, S.cols)) if S[t, t]]
     t = len(diag)
     torsion = tuple(d for d in diag if d >= 2)
     free = ambient_rank - t
-    projection = IntMatrix.from_rows(
-        [list(U.row(i)) for i in range(t, ambient_rank)], cols=ambient_rank
-    )
+    projection = IntMatrix.from_rows(U.to_rows()[t:], cols=ambient_rank)
+    # U^t is unimodular, so its HNF is I and T = (U^t)^-1: T's rows are U^-1's columns
+    _, inverse_cols = _factor(U.to_columns())
     # canonical representatives: reduce modulo the relation lattice
     rel_basis = hermite_row_form(relations.transpose()).to_rows()
-    section_cols = [_reduce(Uinv.column(j), rel_basis)[1] for j in range(t, ambient_rank)]
+    section_cols = [_reduce(c, rel_basis)[1] for c in inverse_cols[t:]]
     section = IntMatrix.from_columns(section_cols, rows=ambient_rank)
     return FgAbelianGroup(free, torsion), projection, section
 

@@ -34,7 +34,6 @@ from dataclasses import dataclass
 from . import components as comp
 from .exact_lattice import (
     IntMatrix,
-    FgAbelianGroup,
     echelon_rows,
     fiber_product,
     kernel_basis,
@@ -122,7 +121,7 @@ def _choose_drop(basis, w_coords, n_diag):
 def _quotient_by(basis, relations: IntMatrix, n_diag: int, rows: int):
     """Generators of span(basis) modulo relations given in basis coordinates.
 
-    Returns (group, generators, dropped index).  With one relation that has
+    Returns (generators, dropped index).  With one relation that has
     a unit coordinate the element chosen by _choose_drop is removed.
     Otherwise the generic quotient's section is mapped back to the ambient
     lattice (index -1).
@@ -131,11 +130,11 @@ def _quotient_by(basis, relations: IntMatrix, n_diag: int, rows: int):
         drop = _choose_drop(basis, relations.column(0), n_diag)
         if drop is not None:
             gens = tuple(v for i, v in enumerate(basis) if i != drop)
-            return FgAbelianGroup(len(gens)), gens, drop
-    group, _, section = quotient(len(basis), relations)
+            return gens, drop
+    _, _, section = quotient(len(basis), relations)
     B = IntMatrix.from_columns(basis, rows=rows)
     gens = tuple(sign_normalize_column(B.mul_vector(c)) for c in section.to_columns())
-    return group, gens, -1
+    return gens, -1
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +209,6 @@ def _kahler_verdict(model: NormalCrossingModel) -> HypothesisVerdict:
 
 @dataclass(frozen=True)
 class RG2Result:
-    group: FgAbelianGroup
     generators: tuple[tuple[int, ...], ...]  # stacked (H^2(Y1) | H^2(Y2)) lifts
     g2_basis: tuple[tuple[int, ...], ...]  # full basis of G^2, same stacking
     degenerate: tuple[int, ...]  # the class (D, -D)
@@ -218,7 +216,7 @@ class RG2Result:
 
     @property
     def rank(self) -> int:
-        return self.group.free_rank
+        return len(self.generators)
 
 
 def compute_rg2(model: NormalCrossingModel) -> RG2Result:
@@ -237,8 +235,8 @@ def compute_rg2(model: NormalCrossingModel) -> RG2Result:
     wc = solve_exact(IntMatrix.from_columns(basis, rows=rows), w)
     if wc is None:
         raise InternalInconsistencyError("(D, -D) is not in the computed G^2 basis span")
-    group, gens, drop = _quotient_by(basis, IntMatrix.from_columns([wc]), len(diag), rows)
-    return RG2Result(group, gens, tuple(basis), w, drop)
+    gens, drop = _quotient_by(basis, IntMatrix.from_columns([wc]), len(diag), rows)
+    return RG2Result(gens, tuple(basis), w, drop)
 
 
 # ---------------------------------------------------------------------------
@@ -319,18 +317,22 @@ def compute_rg4_and_consur(model: NormalCrossingModel, rg2: RG2Result) -> RG4Res
     )
     scan = diag + vert1 + vert2
     # radical of the pairing against all of G^2; (D, -D) pairs to zero with
-    # G^4, so its rank is at least the joint restriction rank k >= 1
+    # G^4, so its rank is at least the joint restriction rank k >= 1.  G^2
+    # lies in the rational span of the RG^2 generators and (D, -D), so the
+    # pairing with the generators alone has the same saturated kernel, and
+    # kernel_basis returns that lattice's canonical basis.
     # the products check every lift's length (pairing_covector) and every
     # H^4 vector's (the shape check of @)
     n = y1.h2_rank + y2.h2_rank
-    Q = _pairing_rows(model, rg2.g2_basis, n) @ IntMatrix.from_columns(scan, rows=n)
-    _, gens, drop = _quotient_by(scan, kernel_basis(Q), len(diag), n)
+    P = _pairing_rows(model, rg2.generators, n)
+    radical = kernel_basis(P @ IntMatrix.from_columns(scan, rows=n))
+    gens, drop = _quotient_by(scan, radical, len(diag), n)
     if drop != -1:
         # output order: verticals first, then what is left of the diagonal block
         split = len(diag) - (drop < len(diag))
         gens = gens[split:] + gens[:split]
 
-    gram = _pairing_rows(model, rg2.generators, n) @ IntMatrix.from_columns(gens, rows=n)
+    gram = P @ IntMatrix.from_columns(gens, rows=n)
     if gram.rows != gram.cols:
         # G^4 = (D, -D)^perp, so RG^2 and RG^4 pair nondegenerately
         raise InternalInconsistencyError(

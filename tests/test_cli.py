@@ -314,6 +314,13 @@ class TestInvariants:
         assert payload["chi"] == 200
         assert payload["embedding_dimension_N"] == 199
 
+    def test_rr_rejects_catalog(self, capsys):
+        # only the subcommands that load the Fano catalog take --catalog
+        with pytest.raises(SystemExit) as exc:
+            main(["invariants", "rr", "--rho3", "2", "--rhoc2", "44", "--n", "8",
+                  "--catalog", "/nonexistent/x.csv"])
+        assert exc.value.code == 2
+
     def test_rr_n_zero(self, capsys):
         code, out, _ = run(capsys, "invariants", "rr", "--rho3", "2",
                            "--rhoc2", "44", "--n", "0")

@@ -18,6 +18,7 @@ from cy_smoother.exact_lattice import (
     smith_normal_form,
     snf_diagonal,
     solve_exact,
+    _factor,
 )
 
 
@@ -79,7 +80,7 @@ class TestIntMatrixEntries:
             np = pytest.importorskip("numpy")
             M = IntMatrix.from_rows(np.array([[2, 4, 1], [6, 8, 3]], dtype=np.int64))
             N = IntMatrix.from_columns(np.array([[1, 2, 0], [3, 1, 5]], dtype=np.int64))
-        H, T = hermite_row_form(M.transpose(), with_transform=True)
+        H = hermite_row_form(M.transpose())
         _, projection, section = quotient(2, M)
         derived = [
             M,
@@ -90,7 +91,6 @@ class TestIntMatrixEntries:
             -M,
             IntMatrix.identity(2) @ M,
             H,
-            T,
             kernel_basis(M),
             *smith_normal_form(M),
             projection,
@@ -228,6 +228,35 @@ class TestQuotient:
         with pytest.raises(ValueError):
             quotient(3, IntMatrix.from_columns([[1, 2]]))
 
+    def test_quotient_section_is_reduced_inverse(self, rng):
+        # Oracle: U^-1 from sympy.  A section column is U^-1's column shifted
+        # by a relation, reduced at the pivots of the relation HNF.
+        sympy = pytest.importorskip("sympy")
+        seen_torsion = seen_free = 0
+        for _ in range(120):
+            n, k = rng.randint(1, 5), rng.randint(0, 4)
+            R = random_matrix(rng, n, k, bound=rng.choice((1, 3, 6)))
+            if k and rng.random() < 0.5:
+                # scale one column to force torsion more often
+                cols = R.to_columns()
+                cols[0] = [rng.choice((2, 3)) * e for e in cols[0]]
+                R = IntMatrix.from_columns(cols, rows=n)
+            g, _, sec = quotient(n, R)
+            seen_torsion += bool(g.torsion_invariants)
+            seen_free += not g.torsion_invariants
+            U, _, _ = smith_normal_form(R)
+            inv = sympy.Matrix(U.to_rows()).inv()
+            t = n - g.free_rank
+            rel = hermite_row_form(R.transpose()).to_rows()
+            for j in range(g.free_rank):
+                col = sec.column(j)
+                diff = [c - int(inv[i, t + j]) for i, c in enumerate(col)]
+                assert solve_exact(R, diff) is not None
+                for h in rel:
+                    p = next(i for i, e in enumerate(h) if e)
+                    assert 0 <= col[p] < h[p]
+        assert seen_torsion and seen_free
+
 
 class TestPairingUnimodular:
     def test_examples(self):
@@ -273,7 +302,8 @@ class TestSolveAndHermite:
     def test_hermite_transform(self, rng):
         for _ in range(30):
             M = random_matrix(rng, rng.randint(1, 4), rng.randint(1, 4))
-            H, T = hermite_row_form(M, with_transform=True)
+            H_rows, T_rows = _factor(M.to_rows())
+            H, T = IntMatrix.from_rows(H_rows, cols=M.cols), IntMatrix.from_rows(T_rows)
             assert abs(brute_det(T)) == 1
             TM = T @ M
             assert IntMatrix.from_rows(TM.to_rows()[: H.rows], cols=M.cols) == H

@@ -152,7 +152,6 @@ class TestRG4Consur:
 
     def test_degenerate_empty_rg2_vacuous(self, quick_model):
         fake = RG2Result(
-            group=dataclasses.replace(compute_rg2(quick_model).group, free_rank=0),
             generators=(),
             g2_basis=(),
             degenerate=compute_rg2(quick_model).degenerate,

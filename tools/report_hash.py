@@ -1,0 +1,43 @@
+"""SHA-256 of the 2700 benchmark reports, to check a change moves no output byte.
+
+Runs ``bench/families.py`` seeds 1-5, seed-major, the sextic-wide pool and
+then the quartic-lines pool of each seed, through parse, ``analyze`` and the
+JSON serializer, and prints one hex digest of the concatenated reports with
+their count.  Run it from the repository root (``make report-hash``) before
+and after a change to the engine: the two digests must be equal.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "bench"))
+
+from cy_smoother.catalog import load_catalog  # noqa: E402
+from cy_smoother.schemas import dump_json, parse_degeneration, report_to_dict  # noqa: E402
+from cy_smoother.smoothing import analyze  # noqa: E402
+from families import GENERATORS  # noqa: E402
+
+SEEDS = range(1, 6)
+FAMILIES = ("sextic-wide", "quartic-lines")
+
+
+def main() -> None:
+    catalog = load_catalog()
+    digest = hashlib.sha256()
+    count = 0
+    for seed in SEEDS:
+        for family in FAMILIES:
+            for case in GENERATORS[family](seed):
+                model = parse_degeneration(case.doc, catalog)
+                digest.update(dump_json(report_to_dict(analyze(model))).encode())
+                count += 1
+    print("%s  %d reports" % (digest.hexdigest(), count))
+
+
+if __name__ == "__main__":
+    main()
