@@ -11,10 +11,10 @@ from .exact_lattice import (
     quotient,
     smith_normal_form,
 )
-from .surface import CurveClass, K3Model, curve_genus, intersect
+from .surface import K3Model, curve_genus, intersect
 from .components import (
-    BaseThreefold,
     BlownComponent,
+    FanoFamily,
     P3,
     build_component,
     c2_pair,
@@ -41,7 +41,6 @@ from .invariant_forms import (
     rr_dimension,
 )
 from .catalog import (
-    FanoFamily,
     cy_invariants,
     known_cy_table,
     load_catalog,
@@ -56,12 +55,11 @@ __all__ = [
     "pairing_is_unimodular",
     "quotient",
     "smith_normal_form",
-    "CurveClass",
     "K3Model",
     "curve_genus",
     "intersect",
-    "BaseThreefold",
     "BlownComponent",
+    "FanoFamily",
     "P3",
     "build_component",
     "c2_pair",
@@ -82,7 +80,6 @@ __all__ = [
     "deformation_group",
     "forms_distinguishable",
     "rr_dimension",
-    "FanoFamily",
     "cy_invariants",
     "known_cy_table",
     "load_catalog",

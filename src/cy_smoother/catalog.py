@@ -25,52 +25,17 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 from typing import Iterable
 
-from .components import BaseThreefold
+from .components import FanoFamily
 from .invariant_forms import CyInvariantTriple
 
 
 class CatalogError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class FanoFamily:
-    id: str
-    b2: int
-    index: int
-    minus_K_cubed: int
-    h12: int
-    provenance: str = ""
-    description: str = ""
-
-    def __post_init__(self):
-        if self.b2 < 1 or self.index < 1 or self.minus_K_cubed <= 0 or self.h12 < 0:
-            raise CatalogError("invalid numeric data for family %r" % self.id)
-        if self.minus_K_cubed % self.index**2 != 0:
-            raise CatalogError(
-                "family %r: -K^3 = %d is not divisible by index^2 = %d"
-                % (self.id, self.minus_K_cubed, self.index**2)
-            )
-
-    @property
-    def delta(self) -> int:
-        return self.minus_K_cubed // self.index**2
-
-    @property
-    def rank_one(self) -> bool:
-        return self.b2 == 1
-
-    def as_base(self) -> BaseThreefold:
-        return BaseThreefold(self.id, self.b2, self.index, self.minus_K_cubed, self.h12)
-
-
-_COLUMNS = ("id", "b2", "index", "minus_K_cubed", "h12", "provenance", "description")
 
 
 def default_catalog_path() -> Path:
@@ -80,23 +45,24 @@ def default_catalog_path() -> Path:
 def load_catalog(path=None) -> tuple[FanoFamily, ...]:
     """Load and validate a catalog file (CSV or JSON list of rows)."""
     path = Path(path) if path is not None else default_catalog_path()
-    if not path.exists():
-        raise CatalogError("catalog file %s does not exist" % path)
-    text = path.read_text(encoding="utf-8")
-    rows: list[dict]
+    try:
+        text = path.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise CatalogError("cannot read catalog file %s: %s" % (path, exc.strerror)) from exc
     if path.suffix.lower() == ".json" or text.lstrip().startswith("["):
         try:
-            raw = json.loads(text) if text.strip() else []
+            rows = json.loads(text) if text.strip() else []
         except json.JSONDecodeError as exc:
             raise CatalogError("catalog JSON is malformed: %s" % exc) from exc
-        if not isinstance(raw, list):
+        if not isinstance(rows, list):
             raise CatalogError("catalog JSON must be a list of rows")
-        rows = raw
+        first = 1  # list position
     else:
         rows = list(csv.DictReader(text.splitlines()))
+        first = 2  # file line, after the header
     families = []
     seen = set()
-    for lineno, row in enumerate(rows, start=2 if path.suffix.lower() != ".json" else 1):
+    for lineno, row in enumerate(rows, start=first):
         try:
             fam = FanoFamily(
                 id=str(row["id"]).strip(),

@@ -30,12 +30,13 @@ H^4 pairing is a dot product with ``pairing_covector``.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 
 from .exact_lattice import IntMatrix
 # bench/test_bench.py checks that its tracer rebinds ``intersect`` here
-from .surface import CurveClass, K3Model, PicardVector, genus_from_square, intersect  # noqa: F401
+from .surface import K3Model, PicardVector, genus_from_square, intersect  # noqa: F401
 
 
 class ComponentError(ValueError):
@@ -47,30 +48,45 @@ class FullLatticeModeError(ComponentError):
 
 
 @dataclass(frozen=True)
-class BaseThreefold:
-    """A rank-one Fano 3-fold base: -K = r*H with H primitive ample."""
+class FanoFamily:
+    """A Fano 3-fold family: -K = r*H with H primitive ample.
 
-    name: str
+    One record serves both the closed-form pair search (``catalog``) and,
+    when b2 = 1, the lattice engine as the base of a blown-up component.
+    """
+
+    id: str
     b2: int
     index: int
     minus_K_cubed: int
     h12: int
+    provenance: str = ""
+    description: str = ""
 
     def __post_init__(self):
-        if self.index < 1:
-            raise ComponentError("Fano index must be positive")
-        if self.minus_K_cubed <= 0:
-            raise ComponentError("-K^3 must be positive")
-        if self.b2 == 1:
-            if self.minus_K_cubed % self.index**3 != 0:
-                raise ComponentError(
-                    "index^3 = %d does not divide -K^3 = %d"
-                    % (self.index**3, self.minus_K_cubed)
-                )
-            if 24 % self.index != 0:
-                raise ComponentError("index %d does not divide -K.c2 = 24" % self.index)
-        if self.h12 < 0:
-            raise ComponentError("h12 must be nonnegative")
+        if self.b2 < 1 or self.index < 1 or self.minus_K_cubed <= 0 or self.h12 < 0:
+            raise ComponentError("invalid numeric data for family %r" % self.id)
+        r = self.index
+        if self.minus_K_cubed % r**2 != 0:
+            raise ComponentError(
+                "family %r: -K^3 = %d is not divisible by index^2 = %d"
+                % (self.id, self.minus_K_cubed, r**2)
+            )
+        # b2 = 1: H generates H^2, so H^3 = -K^3/r^3 and H.c2 = 24/r are integers
+        if self.b2 == 1 and (self.minus_K_cubed % r**3 or 24 % r):
+            raise ComponentError(
+                "family %r: a rank-one base needs index^3 | -K^3 and index | 24, "
+                "got index %d and -K^3 = %d" % (self.id, r, self.minus_K_cubed)
+            )
+
+    @property
+    def delta(self) -> int:
+        """-K^3 / r^2, the degree h.h of the anticanonical K3."""
+        return self.minus_K_cubed // self.index**2
+
+    @property
+    def rank_one(self) -> bool:
+        return self.b2 == 1
 
     @property
     def H_cubed(self) -> int:
@@ -81,14 +97,14 @@ class BaseThreefold:
         return 2 * (self.b2 - self.h12 + 1)
 
 
-P3 = BaseThreefold("P3", b2=1, index=4, minus_K_cubed=64, h12=0)
+P3 = FanoFamily("P3", b2=1, index=4, minus_K_cubed=64, h12=0)
 
 
 @dataclass(frozen=True)
 class BlownComponent:
     """One component Y of the normal crossing, fully populated."""
 
-    base: BaseThreefold
+    base: FanoFamily
     k3: K3Model
     centers: tuple[PicardVector, ...]
     degrees: tuple[int, ...]
@@ -112,23 +128,30 @@ class BlownComponent:
         return self.base.euler + sum(2 - 2 * g for g in self.genera)
 
 
-def build_component(base: BaseThreefold, D: K3Model, centers) -> BlownComponent:
+def build_component(base: FanoFamily, D: K3Model, centers) -> BlownComponent:
     """Blow up the base along the given ordered curves on D."""
     if base.b2 != 1:
         raise FullLatticeModeError(
             "base %r has b2 = %d; full lattice mode needs b2 = 1 "
-            "(use the fano_catalog closed forms instead)" % (base.name, base.b2)
+            "(use the fano_catalog closed forms instead)" % (base.id, base.b2)
         )
     # D in |r H|, so h.h = H^2.D = r H^3 = delta
-    delta = D.degree
-    if delta != base.index * base.H_cubed:
+    if D.degree != base.delta:
         raise ComponentError(
             "K3 degree h.h = %d does not match base %r (r H^3 = %d)"
-            % (delta, base.name, base.index * base.H_cubed)
+            % (D.degree, base.id, base.delta)
+        )
+    h = D.polarization
+    # h = H|_D with H a generator of H^2(V, Z), which Lefschetz embeds in
+    # H^2(D, Z) with torsion-free cokernel: h is primitive
+    g = math.gcd(*h)
+    if g != 1:
+        raise ComponentError(
+            "polarization %r is not primitive (divisible by %d), but H|_D is" % (h, g)
         )
     coords = []
     for c in centers:
-        v = c.coords if isinstance(c, CurveClass) else tuple(map(operator.index, c))
+        v = tuple(map(operator.index, c))
         if len(v) != D.rank:
             raise ComponentError(
                 "center %r does not lie in the declared Pic(D) (rank %d)" % (v, D.rank)
@@ -137,7 +160,6 @@ def build_component(base: BaseThreefold, D: K3Model, centers) -> BlownComponent:
     centers_t = tuple(coords)
     s = len(centers_t)
     r = base.index
-    h = D.polarization
 
     restriction = IntMatrix.from_columns([h] + list(centers_t), rows=D.rank)
     # one Gram product gives every h.c_i and c_i.c_j

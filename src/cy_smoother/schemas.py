@@ -8,9 +8,11 @@ Degeneration files look like
 
 with component bases resolved against the Fano catalog (the base must
 have b2 = 1).  Cubic tensors are {"rank": 3, "entries": {"111": 2, ...}}
-with symmetric completion applied on load; for ranks above 9 the index
-keys are comma-separated.  All emitted JSON is deterministic: sorted
-keys, fixed indentation, trailing newline.
+with symmetric completion applied on load.  Each index key is written as
+its digits ("123") when every index is at most 9, and comma-separated
+("1,2,10") otherwise; the parser reads both forms at any rank.  All
+emitted JSON is deterministic: sorted keys, fixed indentation, trailing
+newline.
 
 Degeneration inputs are capped so that analysis time stays bounded on
 hostile input: at most MAX_CENTERS centers per component, a K3 lattice
@@ -25,8 +27,8 @@ import json
 from pathlib import Path
 from typing import Iterable
 
-from .catalog import FanoFamily, find_family
-from .components import BlownComponent, build_component
+from .catalog import find_family
+from .components import BlownComponent, FanoFamily, build_component
 from .exact_lattice import IntMatrix
 from .invariant_forms import CubicTensor
 from .smoothing import NormalCrossingModel, SmoothingReport
@@ -34,7 +36,7 @@ from .surface import K3Model
 
 
 MAX_CENTERS = 32
-MAX_K3_RANK = 32
+MAX_K3_RANK = 20  # a complex K3 has Picard rank at most h^{1,1} = 20
 MAX_ENTRY = 1000
 
 
@@ -110,7 +112,7 @@ def parse_component(
         _int_list(c, "%s.centers[%d]" % (location, i)) for i, c in enumerate(centers_raw)
     ]
     try:
-        return build_component(family.as_base(), k3, centers)
+        return build_component(family, k3, centers)
     except ValueError as exc:
         raise SchemaError(str(exc), location) from exc
 
@@ -141,11 +143,11 @@ def degeneration_to_dict(model: NormalCrossingModel) -> dict:
             "polarization": list(k3.polarization),
         },
         "Y1": {
-            "base": model.y1.base.name,
+            "base": model.y1.base.id,
             "centers": [list(c) for c in model.y1.centers],
         },
         "Y2": {
-            "base": model.y2.base.name,
+            "base": model.y2.base.id,
             "centers": [list(c) for c in model.y2.centers],
         },
     }
@@ -238,9 +240,11 @@ def dump_json(payload) -> str:
 
 def _load_json(path):
     p = Path(path)
-    if not p.exists():
-        raise SchemaError("file %s does not exist" % p, "$")
     try:
-        return json.loads(p.read_text(encoding="utf-8"))
+        text = p.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise SchemaError("cannot read file %s: %s" % (p, exc.strerror), "$") from exc
+    try:
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError("invalid JSON: %s" % exc, str(p)) from exc

@@ -78,16 +78,6 @@ class K3Model:
         return cls(IntMatrix.from_rows([[4]]), ("h",), (1,))
 
 
-@dataclass(frozen=True)
-class CurveClass:
-    """A curve class on the K3, in the declared lattice basis."""
-
-    coords: PicardVector
-
-    def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(map(operator.index, self.coords)))
-
-
 def _negative_definite(rows) -> bool:
     """Sylvester's criterion: the k-th leading minor has sign (-1)^k.
 
@@ -124,8 +114,7 @@ def intersect(D: K3Model, a, b) -> int:
 
 def curve_genus(D: K3Model, c) -> int:
     """Genus of a smooth irreducible curve on a K3: g = c.c/2 + 1."""
-    coords = c.coords if isinstance(c, CurveClass) else tuple(c)
-    return genus_from_square(intersect(D, coords, coords))
+    return genus_from_square(intersect(D, c, c))
 
 
 def genus_from_square(c2: int) -> int:

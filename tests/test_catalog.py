@@ -48,6 +48,14 @@ class TestLoadCatalog:
         with pytest.raises(CatalogError, match="row 3"):
             load_catalog(bad)
 
+    @pytest.mark.parametrize("name", ["cat.json", "cat.txt"])
+    def test_json_rows_numbered_by_position(self, tmp_path, name):
+        # the format, not the suffix, decides how rows are numbered
+        bad = tmp_path / name
+        bad.write_text('[{"id": "A", "b2": 1, "index": 0, "minus_K_cubed": 4, "h12": 0}]')
+        with pytest.raises(CatalogError, match="catalog row 1 is malformed"):
+            load_catalog(bad)
+
     def test_non_integral_delta_rejected(self, tmp_path):
         bad = tmp_path / "bad2.csv"
         bad.write_text(
@@ -155,8 +163,8 @@ class TestCyInvariants:
         for v1, v2 in pairs + tuple(p[::-1] for p in pairs):
             D = K3Model(IntMatrix.from_rows([[v1.delta]]), ("h",), (1,))
             rep = analyze(NormalCrossingModel(
-                build_component(v1.as_base(), D, []),
-                build_component(v2.as_base(), D, [(v1.index + v2.index,)]),
+                build_component(v1, D, []),
+                build_component(v2, D, [(v1.index + v2.index,)]),
             ))
             triple, rank_one, _ = cy_invariants(v1, v2)
             assert rank_one and rep.hypotheses_ok
@@ -183,8 +191,7 @@ def test_every_rank_one_base_has_chi_one(catalog):
     for fam in catalog:
         if not fam.rank_one:
             continue
-        base = fam.as_base()
         # a matching K3: h^2 = delta
         D = K3Model(IntMatrix.from_rows([[fam.delta]]), ("h",), (1,))
-        y = build_component(base, D, [])
+        y = build_component(fam, D, [])
         assert c2_pair(y, y.D_class) == 24

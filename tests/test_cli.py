@@ -100,25 +100,31 @@ class TestSmooth:
         assert "h.c" in err
 
     @pytest.mark.parametrize(
-        "k3, y1, y2, match",
+        "k3, base, y1, y2, match",
         [
-            ({"gram": [[2]], "classes": ["h"], "polarization": [1]}, [], [[8]], "K3 degree"),
+            ({"gram": [[2]], "classes": ["h"], "polarization": [1]}, "P3", [], [[8]], "K3 degree"),
             (
                 {"gram": [[4, 0], [0, 2]], "classes": ["h", "x"], "polarization": [1, 0]},
-                [[4, 1]], [[4, -1]], "not hyperbolic",
+                "P3", [[4, 1]], [[4, -1]], "not hyperbolic",
             ),
             (
                 {"gram": [[4, 0], [0, 0]], "classes": ["h", "x"], "polarization": [1, 0]},
-                [[4, 1]], [[4, -1]], "not hyperbolic",
+                "P3", [[4, 1]], [[4, -1]], "not hyperbolic",
+            ),
+            # h = 2v: degree 8 matches X8, but H|_D is primitive in Pic(D)
+            (
+                {"gram": [[2]], "classes": ["v"], "polarization": [2]},
+                "X8", [[3]], [[1]], "not primitive",
             ),
         ],
-        ids=["degree-2-under-P3", "positive-definite", "degenerate"],
+        ids=["degree-2-under-P3", "positive-definite", "degenerate", "non-primitive-h"],
     )
-    def test_impossible_k3_exit_2(self, capsys, tmp_path, k3, y1, y2, match):
+    def test_impossible_k3_exit_2(self, capsys, tmp_path, k3, base, y1, y2, match):
         doc = tmp_path / "k3.json"
         doc.write_text(
             json.dumps(
-                {"k3": k3, "Y1": {"base": "P3", "centers": y1}, "Y2": {"base": "P3", "centers": y2}}
+                {"k3": k3, "Y1": {"base": base, "centers": y1},
+                 "Y2": {"base": base, "centers": y2}}
             )
         )
         code, out, err = run(capsys, "smooth", str(doc))
@@ -216,6 +222,22 @@ class TestSmooth:
                            "--format", "table")
         assert code == 0
         assert "picard_rank" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["smooth", "{dir}"],
+        ["smooth", str(EXAMPLES / "quick.json"), "--catalog", "{dir}"],
+        ["invariants", "cubic", "--file", "{dir}"],
+    ],
+    ids=["smooth-file", "catalog", "tensor-file"],
+)
+def test_unreadable_path_exit_2(capsys, tmp_path, argv):
+    code, out, err = run(capsys, *(a.format(dir=tmp_path) for a in argv))
+    assert code == 2
+    assert out == ""
+    assert "cannot read" in err
 
 
 class TestMoveTop:

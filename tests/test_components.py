@@ -3,8 +3,8 @@ import itertools
 import pytest
 
 from cy_smoother.components import (
-    BaseThreefold,
     ComponentError,
+    FanoFamily,
     FullLatticeModeError,
     P3,
     build_component,
@@ -27,10 +27,10 @@ class TestBase:
 
     def test_index_cube_divides(self):
         with pytest.raises(ComponentError):
-            BaseThreefold("bad", 1, 3, 55, 0)
+            FanoFamily("bad", 1, 3, 55, 0)
 
     def test_quadric(self):
-        q = BaseThreefold("Q", 1, 3, 54, 0)
+        q = FanoFamily("Q", 1, 3, 54, 0)
         assert q.H_cubed == 2
 
 
@@ -106,7 +106,7 @@ class TestBuildComponent:
             IntMatrix.from_rows([[4, 1, 1], [1, -2, 0], [1, 0, -2]]), ("h", "l1", "l2"), (1, 0, 0)
         )
         sextic = K3Model(IntMatrix.from_rows([[0, 3], [3, 0]]), ("f1", "f2"), (1, 1))
-        q = BaseThreefold("Q", 1, 3, 54, 0)
+        q = FanoFamily("Q", 1, 3, 54, 0)
         for base, D, pool in (
             (P3, quartic, [(1,), (2,), (3,), (5,)]),
             (P3, lines, [(0, 1, 0), (0, 0, 1), (1, 0, 0), (2, -1, 0), (3, -1, -1)]),
@@ -132,7 +132,7 @@ class TestBuildComponent:
 
 class TestComponentErrors:
     def test_rejects_higher_rank_base(self, quartic):
-        fat = BaseThreefold("MM-12.3-1", 2, 1, 4, 22)
+        fat = FanoFamily("MM-12.3-1", 2, 1, 4, 22)
         with pytest.raises(FullLatticeModeError):
             build_component(fat, quartic, [])
 
@@ -162,6 +162,7 @@ class TestComponentErrors:
             pair_h2_h4(y, (1, 0), (1, "0"))
         with pytest.raises(TypeError):
             build_component(P3, quartic, [(5.0,)])
+        assert build_component(P3, quartic, [(True,)]) == build_component(P3, quartic, [(1,)])
         assert triple_product(y, (True, False), (1, 0), (1, 0)) == triple_product(
             y, (1, 0), (1, 0), (1, 0)
         )
@@ -197,7 +198,7 @@ def rules_triple(Y, a, b, c):
     return total
 
 
-Q = BaseThreefold("Q", 1, 3, 54, 0)
+Q = FanoFamily("Q", 1, 3, 54, 0)
 SEXTIC = K3Model(IntMatrix.from_rows([[0, 3], [3, 0]]), ("f1", "f2"), (1, 1))
 
 

@@ -67,7 +67,7 @@ class TestHypotheses:
         # The candidate pair is positive at n = 1 only when both indices are >= 2.
         catalog = load_catalog()
         sextic = K3Model(IntMatrix.from_rows([[6]]), ("h",), (1,))
-        b1, b2 = (find_family(catalog, i).as_base() for i in ids)
+        b1, b2 = (find_family(catalog, i) for i in ids)
         model = NormalCrossingModel(
             build_component(b1, sextic, []),
             build_component(b2, sextic, [(b1.index + b2.index,)]),
@@ -392,10 +392,10 @@ class TestMoveTop:
         the new configuration, so they may change (moving from Y1 does
         here); the cubic forms must still not be told apart.
         """
-        from cy_smoother.components import BaseThreefold
+        from cy_smoother.components import FanoFamily
 
-        Q = BaseThreefold("Q", 1, 3, 54, 0)
-        dP3 = BaseThreefold("dP3", 1, 2, 24, 5)
+        Q = FanoFamily("Q", 1, 3, 54, 0)
+        dP3 = FanoFamily("dP3", 1, 2, 24, 5)
         # Pic = <f1, f2>, f1.f2 = 3, h = f1 + f2: a degree-6 K3 without (-2)-roots
         D = K3Model(IntMatrix.from_rows([[0, 3], [3, 0]]), ("f1", "f2"), (1, 1))
         model = NormalCrossingModel(
@@ -450,10 +450,10 @@ class TestAnalyze:
     def test_non_p3_bases_meet_closed_form(self):
         # quadric x cubic del Pezzo along a degree-6 K3: the smoothing has
         # the quintic's invariants, agreeing with the catalog closed forms
-        from cy_smoother.components import BaseThreefold
+        from cy_smoother.components import FanoFamily
 
-        Q = BaseThreefold("Q", 1, 3, 54, 0)
-        dP3 = BaseThreefold("dP3", 1, 2, 24, 5)
+        Q = FanoFamily("Q", 1, 3, 54, 0)
+        dP3 = FanoFamily("dP3", 1, 2, 24, 5)
         D6 = K3Model(IntMatrix.from_rows([[6]]), ("h",), (1,))
         model = NormalCrossingModel(
             build_component(Q, D6, []), build_component(dP3, D6, [(5,)])

@@ -1,7 +1,7 @@
 import pytest
 
 from cy_smoother.exact_lattice import IntMatrix
-from cy_smoother.surface import CurveClass, K3Model, SurfaceError, curve_genus, intersect
+from cy_smoother.surface import K3Model, SurfaceError, curve_genus, intersect
 
 
 class TestIntersect:
@@ -35,17 +35,14 @@ class TestIntersect:
             assert intersect(D, uv, w) == intersect(D, u, w) + c * intersect(D, v, w)
 
 
-class TestCurveClass:
-    def test_rejects_non_integer_coords(self):
-        with pytest.raises(TypeError):
-            CurveClass((1.9, 0))
-        assert CurveClass((True, 0)).coords == (1, 0)
-
-
 class TestCurveGenus:
     def test_examples(self, quartic):
         assert curve_genus(quartic, (8,)) == 129
-        assert curve_genus(quartic, CurveClass((1,))) == 3
+        assert curve_genus(quartic, (1,)) == 3
+
+    def test_rejects_non_integer_coords(self, quartic):
+        with pytest.raises(TypeError):
+            curve_genus(quartic, (1.9,))
 
     def test_minus_two_curve(self):
         D = K3Model(IntMatrix.from_rows([[4, 0], [0, -2]]), ("h", "e"), (1, 0))

@@ -3,8 +3,9 @@
 Runs ``bench/families.py`` seeds 1-5, seed-major, the sextic-wide pool and
 then the quartic-lines pool of each seed, through parse, ``analyze`` and the
 JSON serializer, and prints one hex digest of the concatenated reports with
-their count.  Run it from the repository root (``make report-hash``) before
-and after a change to the engine: the two digests must be equal.
+their count.  Run it from the repository root (``make report-hash``): it exits
+1, printing both digests, when the reports no longer hash to ``EXPECTED``.  A
+change that is meant to move report bytes updates ``EXPECTED`` with them.
 """
 
 from __future__ import annotations
@@ -22,11 +23,12 @@ from cy_smoother.schemas import dump_json, parse_degeneration, report_to_dict  #
 from cy_smoother.smoothing import analyze  # noqa: E402
 from families import GENERATORS  # noqa: E402
 
+EXPECTED = "c21687db5a38f8187791f50c4232dda0daa723fc771dd4e3ed89da62147c443d"
 SEEDS = range(1, 6)
 FAMILIES = ("sextic-wide", "quartic-lines")
 
 
-def main() -> None:
+def main() -> int:
     catalog = load_catalog()
     digest = hashlib.sha256()
     count = 0
@@ -37,7 +39,12 @@ def main() -> None:
                 digest.update(dump_json(report_to_dict(analyze(model))).encode())
                 count += 1
     print("%s  %d reports" % (digest.hexdigest(), count))
+    if digest.hexdigest() != EXPECTED:
+        print("report hash mismatch: expected %s, got %s" % (EXPECTED, digest.hexdigest()),
+              file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
