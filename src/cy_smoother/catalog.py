@@ -42,6 +42,15 @@ def default_catalog_path() -> Path:
     return Path(resources.files("cy_smoother").joinpath("data/fano_catalog.csv"))
 
 
+def _int_field(row, field: str) -> int:
+    value = row[field]
+    # CSV fields are strings; a JSON number arrives typed, and int() would
+    # truncate 4.9 to 4 and read true as 1
+    if isinstance(value, (bool, float)):
+        raise TypeError("field %r must be an integer, got %r" % (field, value))
+    return int(value)
+
+
 def load_catalog(path=None) -> tuple[FanoFamily, ...]:
     """Load and validate a catalog file (CSV or JSON list of rows)."""
     path = Path(path) if path is not None else default_catalog_path()
@@ -66,10 +75,10 @@ def load_catalog(path=None) -> tuple[FanoFamily, ...]:
         try:
             fam = FanoFamily(
                 id=str(row["id"]).strip(),
-                b2=int(row["b2"]),
-                index=int(row["index"]),
-                minus_K_cubed=int(row["minus_K_cubed"]),
-                h12=int(row["h12"]),
+                b2=_int_field(row, "b2"),
+                index=_int_field(row, "index"),
+                minus_K_cubed=_int_field(row, "minus_K_cubed"),
+                h12=_int_field(row, "h12"),
                 provenance=str(row.get("provenance", "") or ""),
                 description=str(row.get("description", "") or ""),
             )

@@ -224,8 +224,11 @@ def cup_covector(Y: BlownComponent, b, c) -> tuple[int, ...]:
     entry j: e_j^3 b_j c_j - d_j (b0 c_j + b_j c0)
              - sum_{i<j} m_ij (b_i c_j + b_j c_i) - sum_{k>j} m_jk b_k c_k
     """
-    b = _check_vec(Y, b, "second vector")
-    c = _check_vec(Y, c, "third vector")
+    return _cup(Y, _check_vec(Y, b, "second vector"), _check_vec(Y, c, "third vector"))
+
+
+def _cup(Y: BlownComponent, b: tuple[int, ...], c: tuple[int, ...]) -> tuple[int, ...]:
+    """``cup_covector`` on vectors already passed through ``_check_vec``."""
     b0, c0 = b[0], c[0]
     cov = [Y.base.H_cubed * b0 * c0] + [0] * (len(b) - 1)
     for j in range(1, len(b)):

@@ -52,15 +52,17 @@ class CubicTensor:
     entries: Mapping[tuple[int, int, int], int]
 
     def __post_init__(self):
-        if self.rank < 0:
+        n = self.rank
+        if n < 0:
             raise TensorError("negative rank")
         canon = {}
-        for idx, v in dict(self.entries).items():
-            key = _canonical_key(idx, self.rank)
+        for idx, v in self.entries.items():
+            key = tuple(sorted(map(operator.index, idx)))
+            if len(key) != 3 or key[0] < 1 or key[2] > n:
+                raise TensorError("bad tensor index %r for rank %d" % (tuple(idx), n))
             v = operator.index(v)
-            if key in canon and canon[key] != v:
+            if canon.setdefault(key, v) != v:
                 raise TensorError("conflicting values for symmetric entry %r" % (key,))
-            canon[key] = v
         object.__setattr__(self, "entries", dict(sorted(canon.items())))
 
     def value(self, i: int, j: int, k: int) -> int:

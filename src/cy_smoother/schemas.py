@@ -24,6 +24,7 @@ inputs are rejected with a SchemaError.
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii as _encode_str
 from pathlib import Path
 from typing import Iterable
 
@@ -153,12 +154,6 @@ def degeneration_to_dict(model: NormalCrossingModel) -> dict:
     }
 
 
-def _entry_key(idx: tuple[int, ...]) -> str:
-    if max(idx) <= 9:
-        return "".join(str(i) for i in idx)
-    return ",".join(str(i) for i in idx)
-
-
 def _parse_entry_key(key: str, location: str) -> tuple[int, ...]:
     try:
         if "," in key:
@@ -197,9 +192,12 @@ def load_tensor(path) -> CubicTensor:
 
 
 def tensor_to_dict(tensor: CubicTensor) -> dict:
+    # keys are sorted triples, so k[2] is the largest index of each
     return {
         "rank": tensor.rank,
-        "entries": {_entry_key(k): v for k, v in tensor.entries.items()},
+        "entries": {
+            ("%d%d%d" if k[2] <= 9 else "%d,%d,%d") % k: v for k, v in tensor.entries.items()
+        },
     }
 
 
@@ -234,8 +232,44 @@ def report_to_dict(report: SmoothingReport) -> dict:
 
 
 def dump_json(payload) -> str:
-    """Deterministic JSON: sorted keys, two-space indent, trailing newline."""
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    """Deterministic JSON: sorted keys, two-space indent, trailing newline.
+
+    The bytes are exactly ``json.dumps(payload, sort_keys=True, indent=2)``
+    plus a newline, for payloads built from dicts with str keys, lists,
+    tuples, str, int, bool and None; any other type raises TypeError.
+    """
+    return _json_text(payload, "\n") + "\n"
+
+
+def _json_text(obj, newline: str) -> str:
+    """JSON text of obj; newline is a line break plus the current indent."""
+    if isinstance(obj, str):
+        return _encode_str(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = newline + "  "
+        # the encoder raises TypeError on a key that is not a str
+        items = [_encode_str(k) + ": " + _json_text(obj[k], inner) for k in sorted(obj)]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = newline + "  "
+        if all(type(x) is int for x in obj):
+            items = map(int.__repr__, obj)
+        else:
+            items = [_json_text(x, inner) for x in obj]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    raise TypeError("Object of type %s is not JSON serializable" % type(obj).__name__)
 
 
 def _load_json(path):

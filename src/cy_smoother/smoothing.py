@@ -367,30 +367,36 @@ def cubic_form(model: NormalCrossingModel, rg2: RG2Result) -> CubicTensor:
     """Cup-product tensor on the canonical RG^2 generators.
 
     Products across components vanish, so the covector of a pair of lifts
-    is the two component covectors side by side.  It is built once for
-    each pair x <= y among the generators and w = (D, -D), which also
-    checks every lift's length; entry (i, j, k) is g_i . cov[j, k].  The
-    entries do not depend on the lift: w pairs to zero with all of G^2,
-    since w.x.y = x1|_D . y1|_D - x2|_D . y2|_D and x1|_D = x2|_D
-    (d-semistability puts w itself in G^2).  This is asserted for x, y
-    among the generators and w, which by trilinearity covers every lift
-    shifted by multiples of w.
+    is the two component covectors side by side.  Each lift's two halves
+    are length-checked once; the covector is then built once for each pair
+    x <= y among the generators and w = (D, -D), and entry (i, j, k) is
+    g_i . cov[j, k].  The entries do not depend on the lift: w pairs to
+    zero with all of G^2, since w.x.y = x1|_D . y1|_D - x2|_D . y2|_D and
+    x1|_D = x2|_D (d-semistability puts w itself in G^2).  This is
+    asserted for x, y among the generators and w, which by trilinearity
+    covers every lift shifted by multiples of w.
     """
-    gens = rg2.generators
-    w = rg2.degenerate
-    vecs = gens + (w,)
-    cov = {
-        (j, k): _cup_covector(model, vecs[j], vecs[k])
-        for j, k in itertools.combinations_with_replacement(range(len(vecs)), 2)
-    }
+    y1, y2 = model.components
+    halves = []
+    for v in rg2.generators + (rg2.degenerate,):
+        l1, l2 = _split(model, v)
+        halves.append(
+            (comp._check_vec(y1, l1, "lift on Y1"), comp._check_vec(y2, l2, "lift on Y2"))
+        )
+    vecs = [l1 + l2 for l1, l2 in halves]
+    n, w = len(rg2.generators), vecs[-1]
+    cov = {}
+    for j, k in itertools.combinations_with_replacement(range(n + 1), 2):
+        (b1, b2), (c1, c2) = halves[j], halves[k]
+        cov[j, k] = comp._cup(y1, b1, c1) + comp._cup(y2, b2, c2)
     for v in cov.values():
         if _dot(w, v):
             raise InternalInconsistencyError("cubic form depends on the NG^2 lift")
     entries = {
-        (i + 1, j + 1, k + 1): _dot(gens[i], cov[j, k])
-        for i, j, k in itertools.combinations_with_replacement(range(len(gens)), 3)
+        (i + 1, j + 1, k + 1): _dot(vecs[i], cov[j, k])
+        for i, j, k in itertools.combinations_with_replacement(range(n), 3)
     }
-    return CubicTensor(len(gens), entries)
+    return CubicTensor(n, entries)
 
 
 def c2_form(model: NormalCrossingModel, rg2: RG2Result) -> tuple[int, ...]:

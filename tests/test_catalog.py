@@ -1,3 +1,4 @@
+import json
 from collections import Counter
 
 import pytest
@@ -54,6 +55,19 @@ class TestLoadCatalog:
         bad = tmp_path / name
         bad.write_text('[{"id": "A", "b2": 1, "index": 0, "minus_K_cubed": 4, "h12": 0}]')
         with pytest.raises(CatalogError, match="catalog row 1 is malformed"):
+            load_catalog(bad)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("index", 4.9), ("minus_K_cubed", 64.0), ("b2", True), ("h12", False)],
+    )
+    def test_json_rejects_float_and_bool(self, tmp_path, field, value):
+        # int() would truncate 4.9 to 4 and load the row as P3
+        row = {"id": "P3", "b2": 1, "index": 4, "minus_K_cubed": 64, "h12": 0, field: value}
+        bad = tmp_path / "cat.json"
+        bad.write_text(json.dumps([row]))
+        with pytest.raises(CatalogError, match=r"^catalog row 1 is malformed: field %r must "
+                           r"be an integer, got %r$" % (field, value)):
             load_catalog(bad)
 
     def test_non_integral_delta_rejected(self, tmp_path):

@@ -240,6 +240,15 @@ def test_unreadable_path_exit_2(capsys, tmp_path, argv):
     assert "cannot read" in err
 
 
+def test_json_catalog_with_float_exit_2(capsys, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text('[{"id": "P3", "b2": 1, "index": 4.9, "minus_K_cubed": 64, "h12": 0}]')
+    code, out, err = run(capsys, "smooth", str(EXAMPLES / "quick.json"), "--catalog", str(bad))
+    assert code == 2
+    assert out == ""
+    assert "catalog row 1 is malformed: field 'index' must be an integer, got 4.9" in err
+
+
 class TestMoveTop:
     def test_pipeline(self, capsys, tmp_path):
         code, out, _ = run(capsys, "move-top", str(EXAMPLES / "pair1_a.json"),

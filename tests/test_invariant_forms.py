@@ -1,4 +1,5 @@
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -104,12 +105,20 @@ class TestCubicTensor:
         assert t.value(1, 1, 1) == 0
 
     def test_conflicting_entries_rejected(self):
-        with pytest.raises(TensorError):
+        with pytest.raises(TensorError, match=r"conflicting values .* \(1, 2, 3\)$"):
             CubicTensor(3, {(1, 2, 3): 1, (3, 2, 1): 2})
+        # equal symmetric values are one entry, not a conflict
+        assert CubicTensor(3, {(1, 2, 3): 1, (3, 2, 1): 1}).entries == {(1, 2, 3): 1}
 
-    def test_bad_index(self):
-        with pytest.raises(TensorError):
-            CubicTensor(2, {(1, 2, 3): 1})
+    @pytest.mark.parametrize(
+        "idx",
+        [(0, 1, 1), (1, 2, 3), (1, 2), (1, 1, 2, 2)],
+        ids=["index-0", "above-rank", "two-indices", "four-indices"],
+    )
+    def test_bad_index(self, idx):
+        with pytest.raises(TensorError, match=r"^bad tensor index %s for rank 2$"
+                           % re.escape(repr(idx))):
+            CubicTensor(2, {idx: 1})
 
     @pytest.mark.parametrize("value", [2.5, "7"], ids=["float", "string"])
     def test_rejects_non_integer_entries(self, value):

@@ -7,7 +7,14 @@ import pytest
 
 from cy_smoother import smoothing
 from cy_smoother.catalog import find_family, load_catalog
-from cy_smoother.components import P3, build_component, c2_pair, pair_h2_h4, triple_product
+from cy_smoother.components import (
+    P3,
+    ComponentError,
+    build_component,
+    c2_pair,
+    pair_h2_h4,
+    triple_product,
+)
 from cy_smoother.exact_lattice import (
     IntMatrix,
     fiber_product,
@@ -252,6 +259,26 @@ class TestCubicAndC2:
         rg2 = compute_rg2(pair1_a)
         bad = dataclasses.replace(rg2, generators=((1, 0, 0, 0),) + rg2.generators[1:])
         with pytest.raises(InternalInconsistencyError, match="depends on the NG\\^2 lift"):
+            cubic_form(pair1_a, bad)
+
+    def test_perturbed_degenerate_is_rejected_by_cubic(self, pair1_a):
+        # w + (H, 0) no longer pairs to zero with the cup products of G^2
+        rg2 = compute_rg2(pair1_a)
+        w = rg2.degenerate
+        bad = RG2Result(rg2.generators, rg2.g2_basis, (w[0] + 1,) + w[1:], rg2.dropped_index)
+        with pytest.raises(InternalInconsistencyError, match="depends on the NG\\^2 lift"):
+            cubic_form(pair1_a, bad)
+
+    @pytest.mark.parametrize("which", ["generator", "degenerate"])
+    def test_wrong_length_lift_is_rejected_by_cubic(self, pair1_a, which):
+        rg2 = compute_rg2(pair1_a)
+        if which == "generator":
+            bad = dataclasses.replace(
+                rg2, generators=rg2.generators[:-1] + (rg2.generators[-1] + (0,),)
+            )
+        else:
+            bad = dataclasses.replace(rg2, degenerate=rg2.degenerate[:-1])
+        with pytest.raises(ComponentError, match="lift on Y2 has length"):
             cubic_form(pair1_a, bad)
 
     def test_zero_argument_kills_product(self, pair1_a):
