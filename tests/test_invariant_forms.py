@@ -110,12 +110,16 @@ class TestCubicTensor:
         # equal symmetric values are one entry, not a conflict
         assert CubicTensor(3, {(1, 2, 3): 1, (3, 2, 1): 1}).entries == {(1, 2, 3): 1}
 
+    def test_bad_index(self):
+        with pytest.raises(TensorError, match=r"^bad tensor index \(1, 2, 3\) for rank 2$"):
+            CubicTensor(2, {(1, 2, 3): 1})
+
     @pytest.mark.parametrize(
         "idx",
-        [(0, 1, 1), (1, 2, 3), (1, 2), (1, 1, 2, 2)],
-        ids=["index-0", "above-rank", "two-indices", "four-indices"],
+        [(0, 1, 1), (1, 2), (1, 1, 2, 2)],
+        ids=["index-0", "two-indices", "four-indices"],
     )
-    def test_bad_index(self, idx):
+    def test_malformed_index(self, idx):
         with pytest.raises(TensorError, match=r"^bad tensor index %s for rank 2$"
                            % re.escape(repr(idx))):
             CubicTensor(2, {idx: 1})
