@@ -4,7 +4,6 @@ two-component normal crossing degenerations."""
 __version__ = "0.1.0"
 
 from .exact_lattice import (
-    FgAbelianGroup,
     IntMatrix,
     kernel_basis,
     pairing_is_unimodular,
@@ -49,7 +48,6 @@ from .catalog import (
 )
 
 __all__ = [
-    "FgAbelianGroup",
     "IntMatrix",
     "kernel_basis",
     "pairing_is_unimodular",

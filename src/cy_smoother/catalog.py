@@ -42,13 +42,15 @@ def default_catalog_path() -> Path:
     return Path(resources.files("cy_smoother").joinpath("data/fano_catalog.csv"))
 
 
-def _int_field(row, field: str) -> int:
+def _int_field(row, field: str, from_json: bool) -> int:
     value = row[field]
-    # CSV fields are strings; a JSON number arrives typed, and int() would
-    # truncate 4.9 to 4 and read true as 1
-    if isinstance(value, (bool, float)):
+    if not from_json:
+        return int(value)  # CSV fields are strings
+    # a JSON number arrives typed, and int() would truncate 4.9 to 4, read
+    # true as 1 and " 4" as 4
+    if type(value) is not int:
         raise TypeError("field %r must be an integer, got %r" % (field, value))
-    return int(value)
+    return value
 
 
 def load_catalog(path=None) -> tuple[FanoFamily, ...]:
@@ -58,7 +60,8 @@ def load_catalog(path=None) -> tuple[FanoFamily, ...]:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise CatalogError("cannot read catalog file %s: %s" % (path, exc.strerror)) from exc
-    if path.suffix.lower() == ".json" or text.lstrip().startswith("["):
+    from_json = path.suffix.lower() == ".json" or text.lstrip().startswith("[")
+    if from_json:
         try:
             rows = json.loads(text) if text.strip() else []
         except json.JSONDecodeError as exc:
@@ -75,10 +78,10 @@ def load_catalog(path=None) -> tuple[FanoFamily, ...]:
         try:
             fam = FanoFamily(
                 id=str(row["id"]).strip(),
-                b2=_int_field(row, "b2"),
-                index=_int_field(row, "index"),
-                minus_K_cubed=_int_field(row, "minus_K_cubed"),
-                h12=_int_field(row, "h12"),
+                b2=_int_field(row, "b2", from_json),
+                index=_int_field(row, "index", from_json),
+                minus_K_cubed=_int_field(row, "minus_K_cubed", from_json),
+                h12=_int_field(row, "h12", from_json),
                 provenance=str(row.get("provenance", "") or ""),
                 description=str(row.get("description", "") or ""),
             )
@@ -178,13 +181,6 @@ _KNOWN_CY = (
 def known_cy_table() -> tuple[tuple[str, CyInvariantTriple], ...]:
     """Reference Picard-rank-one Calabi-Yau 3-folds used for comparisons."""
     return tuple((label, triple) for label, triple, _ in _KNOWN_CY)
-
-
-def known_cy_lookup(label: str) -> CyInvariantTriple | None:
-    for name, triple, _ in _KNOWN_CY:
-        if name.lower() == label.strip().lower():
-            return triple
-    return None
 
 
 # The seven new rank-one examples: (label, id of V1, id of V2).

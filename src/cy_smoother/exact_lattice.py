@@ -10,10 +10,10 @@ kernel in a canonical basis, canonical solving and its image basis;
 ``fiber_product`` factors each of its two maps once, and a lattice
 intersection factors the stacked generators once.  The HNF is also behind
 ranks and the unimodularity test for pairing Gram matrices.  Smith normal
-form (SNF) is used only where torsion matters: quotients of Z^n by a
-relation lattice (torsion invariants, projection and section maps, with
-U^-1 read from one factorization of U), and the public
-``smith_normal_form``/``snf_diagonal``.
+form (SNF) is behind ``quotient``: a canonical section of the free quotient
+of Z^n by a relation lattice, with U^-1 read from one factorization of U.
+A quotient with torsion raises; every result is modulo torsion, and both
+quotients the smoothing takes are by saturated lattices.
 
 Canonical forms matter: kernels and quotient sections are normalized so
 that repeated runs (and golden tests) see byte-identical output.
@@ -22,12 +22,7 @@ that repeated runs (and golden tests) see byte-identical output.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from typing import Iterable, Sequence
-
-
-class RankMismatchError(ValueError):
-    """A pairing Gram matrix relates lattices of different ranks."""
 
 
 class IntMatrix:
@@ -174,31 +169,6 @@ class IntMatrix:
         return "IntMatrix(%d, %d, %r)" % (self.rows, self.cols, list(self.entries))
 
 
-@dataclass(frozen=True)
-class FgAbelianGroup:
-    """A finitely generated abelian group: Z^free_rank + sum Z/d_i.
-
-    The torsion invariants form a divisibility chain d_1 | d_2 | ..., each
-    at least 2.  The torsion part is carried for reporting but the rest of
-    the library only ever consumes the free rank (everything downstream
-    works modulo torsion).
-    """
-
-    free_rank: int
-    torsion_invariants: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        if self.free_rank < 0:
-            raise ValueError("negative free rank")
-        prev = None
-        for d in self.torsion_invariants:
-            if d < 2:
-                raise ValueError("torsion invariant %d < 2" % d)
-            if prev is not None and d % prev != 0:
-                raise ValueError("torsion invariants are not a divisibility chain")
-            prev = d
-
-
 # ---------------------------------------------------------------------------
 # Smith normal form
 # ---------------------------------------------------------------------------
@@ -301,17 +271,6 @@ def smith_normal_form(M: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
         IntMatrix.from_rows(A, cols=m),
         IntMatrix.from_rows(V, cols=m),
     )
-
-
-def snf_diagonal(M: IntMatrix) -> tuple[int, ...]:
-    """The nonzero Smith invariants of M, in chain order."""
-    _, S, _ = smith_normal_form(M)
-    out = []
-    for t in range(min(S.rows, S.cols)):
-        d = S[t, t]
-        if d:
-            out.append(d)
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -420,19 +379,14 @@ def _reduce(v: Sequence[int], rows) -> tuple[list[int], list[int]]:
 
 
 def _canonical(vectors) -> list[list[int]]:
-    """Canonical basis of the lattice the vectors span (``canonical_basis_columns``)."""
-    return [h[::-1] for h in reversed(_hnf_rows(v[::-1] for v in vectors))]
-
-
-def canonical_basis_columns(columns: IntMatrix) -> IntMatrix:
-    """Canonical basis of the lattice spanned by the given columns.
+    """Canonical basis of the lattice the vectors span.
 
     The normal form is the row-HNF computed in reversed coordinate order:
     generators come out "solved for the leading coordinates", which is the
     reduced-echelon shape one writes when solving the defining equations
     by hand (free coordinates carry the identity block).
     """
-    return IntMatrix.from_columns(_canonical(columns.to_columns()), rows=columns.rows)
+    return [h[::-1] for h in reversed(_hnf_rows(v[::-1] for v in vectors))]
 
 
 def _factor(vectors) -> tuple[list[list[int]], list[list[int]]]:
@@ -531,16 +485,14 @@ def fiber_product(A: IntMatrix, B: IntMatrix):
 # ---------------------------------------------------------------------------
 
 
-def quotient(
-    ambient_rank: int, relations: IntMatrix
-) -> tuple[FgAbelianGroup, IntMatrix, IntMatrix]:
-    """Z^ambient_rank modulo the column span of ``relations``.
+def quotient(ambient_rank: int, relations: IntMatrix) -> IntMatrix:
+    """Canonical section of Z^ambient_rank modulo the column span of ``relations``.
 
-    Returns the group (free rank plus torsion chain), a projection matrix
-    mapping ambient coordinates onto the free-part coordinates, and a
-    section lifting free generators back to the ambient lattice; the
-    composite projection*section is the identity.  Section columns are
-    reduced modulo the relation lattice so the lift is canonical.
+    The quotient must be free: a Smith invariant above 1 raises
+    ``ValueError`` naming the invariants.  The section's columns lift a
+    basis of the quotient to the ambient lattice, and together with the
+    relations they span it.  Each column is reduced modulo the relation
+    lattice, so the lift is canonical.
     """
     if relations.rows != ambient_rank:
         raise ValueError(
@@ -548,17 +500,14 @@ def quotient(
         )
     U, S, _ = smith_normal_form(relations)
     diag = [S[t, t] for t in range(min(S.rows, S.cols)) if S[t, t]]
-    t = len(diag)
-    torsion = tuple(d for d in diag if d >= 2)
-    free = ambient_rank - t
-    projection = IntMatrix.from_rows(U.to_rows()[t:], cols=ambient_rank)
+    if any(d > 1 for d in diag):
+        raise ValueError("the quotient has torsion: Smith invariants %r" % (tuple(diag),))
     # U^t is unimodular, so its HNF is I and T = (U^t)^-1: T's rows are U^-1's columns
     _, inverse_cols = _factor(U.to_columns())
     # canonical representatives: reduce modulo the relation lattice
-    rel_basis = hermite_row_form(relations.transpose()).to_rows()
-    section_cols = [_reduce(c, rel_basis)[1] for c in inverse_cols[t:]]
-    section = IntMatrix.from_columns(section_cols, rows=ambient_rank)
-    return FgAbelianGroup(free, torsion), projection, section
+    rel_basis = _hnf_rows(relations.to_columns())
+    section_cols = [_reduce(c, rel_basis)[1] for c in inverse_cols[len(diag) :]]
+    return IntMatrix.from_columns(section_cols, rows=ambient_rank)
 
 
 def pairing_is_unimodular(G: IntMatrix) -> bool:
@@ -570,7 +519,7 @@ def pairing_is_unimodular(G: IntMatrix) -> bool:
     a degenerate-subgroup computation bug upstream.
     """
     if not G.is_square():
-        raise RankMismatchError(
+        raise ValueError(
             "pairing Gram is %dx%d; the paired lattices have different ranks"
             % (G.rows, G.cols)
         )

@@ -285,17 +285,6 @@ def aronhold_ST(tensor: CubicTensor) -> tuple[int, int]:
     return _eval_terms(_S_TERMS, vals), _eval_terms(_T_TERMS, vals)
 
 
-def binary_cubic_discriminant(tensor: CubicTensor) -> int:
-    """Discriminant of the binary cubic p x^3 + q x^2 y + r x y^2 + s y^3."""
-    if tensor.rank != 2:
-        raise TensorError("binary discriminant needs rank 2")
-    p = tensor.value(1, 1, 1)
-    q = 3 * tensor.value(1, 1, 2)
-    r = 3 * tensor.value(1, 2, 2)
-    s = tensor.value(2, 2, 2)
-    return 18 * p * q * r * s - 4 * q**3 * s + q**2 * r**2 - 4 * p * r**3 - 27 * p**2 * s**2
-
-
 DISTINCT = "DISTINCT"
 INCONCLUSIVE = "INCONCLUSIVE"
 
@@ -336,7 +325,15 @@ def forms_distinguishable(t1: CubicTensor, t2: CubicTensor) -> ComparisonResult:
             return ComparisonResult(DISTINCT, "%s invariants differ" % which, details)
         return ComparisonResult(INCONCLUSIVE, "all computed invariants agree", details)
     if t1.rank == 2:
-        d1, d2 = binary_cubic_discriminant(t1), binary_cubic_discriminant(t2)
+        # discriminant of the binary cubic p x^3 + q x^2 y + r x y^2 + s y^3
+        discs = []
+        for t in (t1, t2):
+            p, s = t.value(1, 1, 1), t.value(2, 2, 2)
+            q, r = 3 * t.value(1, 1, 2), 3 * t.value(1, 2, 2)
+            discs.append(
+                18 * p * q * r * s - 4 * q**3 * s + q**2 * r**2 - 4 * p * r**3 - 27 * p**2 * s**2
+            )
+        d1, d2 = discs
         c1, c2 = t1.content(), t2.content()
         details = {"discriminant": (d1, d2), "content": (c1, c2)}
         if d1 != d2 or c1 != c2:

@@ -131,7 +131,7 @@ def _quotient_by(basis, relations: IntMatrix, n_diag: int, rows: int):
         if drop is not None:
             gens = tuple(v for i, v in enumerate(basis) if i != drop)
             return gens, drop
-    _, _, section = quotient(len(basis), relations)
+    section = quotient(len(basis), relations)
     B = IntMatrix.from_columns(basis, rows=rows)
     gens = tuple(sign_normalize_column(B.mul_vector(c)) for c in section.to_columns())
     return gens, -1

@@ -23,14 +23,7 @@ from cy_smoother.catalog import (
 )
 from cy_smoother.cli import main
 from cy_smoother.components import P3, build_component, triple_product
-from cy_smoother.exact_lattice import (
-    IntMatrix,
-    kernel_basis,
-    pairing_is_unimodular,
-    quotient,
-    smith_normal_form,
-    snf_diagonal,
-)
+from cy_smoother.exact_lattice import kernel_basis, pairing_is_unimodular, smith_normal_form
 from cy_smoother.invariant_forms import (
     CubicTensor,
     CyInvariantTriple,
@@ -172,7 +165,7 @@ def test_criterion_7_x6_cross_check():
 def test_criterion_8_property_suites(rng, quartic):
     """Randomized property checks with independent oracles."""
     # SNF / kernel / quotient correctness against brute-force oracles
-    from test_exact_lattice import brute_det, random_matrix
+    from test_exact_lattice import brute_det, check_quotient, random_matrix, smith_invariants
 
     for _ in range(30):
         M = random_matrix(rng, rng.randint(1, 5), rng.randint(1, 5), bound=6)
@@ -182,12 +175,10 @@ def test_criterion_8_property_suites(rng, quartic):
         K = kernel_basis(M)
         assert (M @ K).is_zero()
         if K.cols:
-            assert all(d == 1 for d in snf_diagonal(K))
+            assert all(d == 1 for d in smith_invariants(K))
         if M.is_square():
             assert pairing_is_unimodular(M) == (abs(brute_det(M)) == 1)
-        g, proj, sec = quotient(M.rows, M)
-        if g.free_rank:
-            assert proj @ sec == IntMatrix.identity(g.free_rank)
+        check_quotient(M.rows, M)
 
     # cubic tensor symmetry and lift-independence; e = 2(h11 - h12);
     # d-semistability implies vanishing c2 correction on random G^2 classes

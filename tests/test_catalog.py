@@ -8,7 +8,6 @@ from cy_smoother.catalog import (
     cy_invariants,
     default_catalog_path,
     find_family,
-    known_cy_lookup,
     known_cy_table,
     load_catalog,
     search_pairs,
@@ -59,10 +58,11 @@ class TestLoadCatalog:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("index", 4.9), ("minus_K_cubed", 64.0), ("b2", True), ("h12", False)],
+        [("index", 4.9), ("minus_K_cubed", 64.0), ("b2", True), ("h12", False),
+         ("b2", "1")],
     )
     def test_json_rejects_float_and_bool(self, tmp_path, field, value):
-        # int() would truncate 4.9 to 4 and load the row as P3
+        # int() would truncate 4.9 to 4, or parse "1", and load the row as P3
         row = {"id": "P3", "b2": 1, "index": 4, "minus_K_cubed": 64, "h12": 0, field: value}
         bad = tmp_path / "cat.json"
         bad.write_text(json.dumps([row]))
@@ -190,10 +190,11 @@ class TestCyInvariants:
 
 class TestKnownTable:
     def test_lookups(self):
-        assert known_cy_lookup("X(8)").key == (2, 44)
-        z3 = known_cy_lookup("Z3")
+        table = dict(known_cy_table())
+        assert table["X(8)"].key == (2, 44)
+        z3 = table["Z3"]
         assert (z3.rho_cubed, z3.rho_c2, z3.h12) == (15, 66, 76)
-        assert known_cy_lookup("nonsense") is None
+        assert "nonsense" not in table
 
     def test_table_contents(self):
         labels = [label for label, _ in known_cy_table()]

@@ -249,6 +249,16 @@ def test_json_catalog_with_float_exit_2(capsys, tmp_path):
     assert "catalog row 1 is malformed: field 'index' must be an integer, got 4.9" in err
 
 
+def test_json_catalog_with_strings_exit_2(capsys, tmp_path):
+    # int() would read every field and load the row as P3
+    bad = tmp_path / "bad.json"
+    bad.write_text('[{"id": "P3", "b2": "1", "index": " 4", "minus_K_cubed": "64", "h12": 0}]')
+    code, out, err = run(capsys, "smooth", str(EXAMPLES / "quick.json"), "--catalog", str(bad))
+    assert code == 2
+    assert out == ""
+    assert "catalog row 1 is malformed: field 'b2' must be an integer, got '1'" in err
+
+
 class TestMoveTop:
     def test_pipeline(self, capsys, tmp_path):
         code, out, _ = run(capsys, "move-top", str(EXAMPLES / "pair1_a.json"),

@@ -12,7 +12,6 @@ from cy_smoother.invariant_forms import (
     InvariantError,
     TensorError,
     aronhold_ST,
-    binary_cubic_discriminant,
     deformation_group,
     forms_distinguishable,
     rr_dimension,
@@ -162,8 +161,11 @@ class TestFormsDistinguishable:
         b = CubicTensor(2, {(1, 1, 1): 1, (2, 2, 2): 2})
         res = forms_distinguishable(a, b)
         assert res.verdict == DISTINCT
-        # x^3 + y^3 has discriminant -27
-        assert binary_cubic_discriminant(a) == -27
+        # x^3 + y^3 has discriminant -27 and x^3 + 2 y^3 has -27 * 4
+        assert res.details["discriminant"] == (-27, -108)
+        # 3 x^2 y + 3 x y^2: q = r = 3 leaves only the q^2 r^2 term
+        c = CubicTensor(2, {(1, 1, 2): 1, (1, 2, 2): 1})
+        assert forms_distinguishable(a, c).details["discriminant"] == (-27, 81)
 
 
 class TestRiemannRoch:

@@ -39,7 +39,7 @@ from cy_smoother.smoothing import (
     joint_restriction_rank,
     move_top_center,
 )
-from cy_smoother.surface import K3Model
+from cy_smoother.surface import K3Model, curve_genus, intersect
 
 from conftest import MU_TABLE, NU_TABLE, make_model
 from test_components import random_quartic_lines_model, random_sextic_model
@@ -119,6 +119,31 @@ class TestRG2:
             rg2 = compute_rg2(m)
             k = joint_restriction_rank(m)
             assert rg2.rank == m.y1.h2_rank + m.y2.h2_rank - k - 1
+
+    def test_generic_fallback_without_unit_coordinate(self):
+        # A lattice with no (-2)-class, so h is ample and every center with
+        # c.c >= 0 is nef.  (D, -D) has G^2 coordinates (3, 4): no unit
+        # coordinate to drop, so RG^2 comes from the generic quotient.
+        D = K3Model(IntMatrix.from_rows([[6, -1], [-1, -4]]), ("a", "b"), (-1, 1))
+        assert intersect(D, D.polarization, D.polarization) == 4
+        centers1, centers2 = [(-1, 0)], [(-7, 8)]
+        degrees = [(intersect(D, D.polarization, c), curve_genus(D, c))
+                   for c in centers1 + centers2]
+        assert degrees == [(7, 4), (25, 76)]
+        model = NormalCrossingModel(
+            build_component(P3, D, centers1), build_component(P3, D, centers2)
+        )
+        rg2 = compute_rg2(model)
+        assert rg2.dropped_index == -1
+        wc = solve_exact(IntMatrix.from_columns(rg2.g2_basis), rg2.degenerate)
+        assert wc == (3, 4)
+        rep = analyze(model)
+        assert rep.hypotheses_ok
+        assert (rep.h11, rep.h12, rep.euler) == (1, 99, -196)
+        assert rep.picard_generators == (((1, 0), (1, 0)),)
+        assert rep.cubic_tensor.entries == {(1, 1, 1): 2}
+        assert rep.c2_covector == (44,)
+        assert rep.consur_unimodular
 
 
 INDICES = (1, 2, 3, 4, 6, 8, 12, 24)  # every Fano index r divides 24
