@@ -147,13 +147,6 @@ def cy_invariants(v1: FanoFamily, v2: FanoFamily):
                 "pair (%s, %s): %s = %s is not an integer; catalog data error"
                 % (v1.id, v2.id, name, val)
             )
-    # cross-check against the component-side bookkeeping: the gluing curve
-    # has genus (r1+r2)^2 delta / 2 + 1 and the joint restriction image has
-    # rank max(b2), so 21 + h12(V1) + (h12(V2) + g) - max(b2) must agree.
-    g = (r1 + r2) ** 2 * delta // 2 + 1
-    alt = 21 + v1.h12 + v2.h12 + g - max(v1.b2, v2.b2)
-    if alt != int(h12):
-        raise CatalogError("h12 cross-check failed for pair (%s, %s)" % (v1.id, v2.id))
     rank_one = min(v1.b2, v2.b2) == 1
     if v1.b2 == 1 and v2.b2 == 1:
         note = ""

@@ -22,11 +22,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from pathlib import Path
 
 from . import __version__
 from .catalog import (
-    CatalogError,
     cy_invariants,
     find_family,
     known_cy_table,
@@ -36,14 +34,11 @@ from .catalog import (
 )
 from .invariant_forms import (
     CyInvariantTriple,
-    InvariantError,
-    TensorError,
     aronhold_ST,
     deformation_group,
     rr_dimension,
 )
 from .schemas import (
-    SchemaError,
     degeneration_to_dict,
     dump_json,
     load_degeneration,
@@ -58,6 +53,8 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_HYPOTHESIS = 3
 
+# The -6 is the scale of the bracket form T = [abc][abd][ace][bcf][def]^2
+# (see invariant_forms); the wording is part of the report bytes.
 ARONHOLD_NOTE = (
     "S is classically normalized (S = abcm - m^4 on a x^3 + b y^3 + c z^3 "
     "+ 6 m xyz); T carries the calibrated factor -6 against the classical "
@@ -258,7 +255,7 @@ def main(argv=None) -> int:
             return _cmd_fano(args)
         if args.command == "invariants":
             return _cmd_invariants(args)
-    except (SchemaError, CatalogError, TensorError, InvariantError, ValueError) as exc:
+    except ValueError as exc:
         sys.stderr.write("error: %s\n" % exc)
         return EXIT_INPUT
     parser.error("unknown command")  # pragma: no cover

@@ -4,19 +4,23 @@ The Aronhold S (degree 4) and T (degree 6) invariants of a ternary cubic
 distinguish GL-inequivalent forms; equal invariants prove nothing, so
 comparisons return DISTINCT or INCONCLUSIVE, never "equivalent".
 
-Normalization.  The term tables below were derived once and for all as
-the unique polynomials of their degrees annihilated by the infinitesimal
-sl3 action on the coefficient space (each solution space is
-1-dimensional).  The scale of S is the classical one,
+Normalization.  Write the cubic symbolically, T_ijk = a_i a_j a_k =
+b_i b_j b_k = ... (so F(x) = sum T_ijk x_i x_j x_k), and let [abc] be the
+determinant of the symbols a, b, c.  The classical bracket forms
+(Aronhold, Clebsch; Salmon, Higher Plane Curves; Sturmfels, Algorithms
+in Invariant Theory) give
 
-    S(a x^3 + b y^3 + c z^3 + 6 m xyz) = a b c m - m^4,
+    S = -[abc][abd][acd][bcd] / 24,    T = [abc][abd][ace][bcf][def]^2,
 
-while T carries an extra factor -6 relative to the classical
+evaluated in exact integers: every coefficient of the bracket polynomial
+of S, in the ten entries T_ijk, is a multiple of 24.
 
-    a^2 b^2 c^2 - 20 a b c m^3 - 8 m^6,
+On a x^3 + b y^3 + c z^3 + 6 m xyz these read
 
-calibrated so that the two published reference cubics evaluate to exactly
--86400 and -38400 (both reference points give the same factor).  The
+    S = a b c m - m^4,    T = -6 (a^2 b^2 c^2 - 20 a b c m^3 - 8 m^6),
+
+so S has the classical scale and T is -6 times the classical one; the
+two published reference cubics evaluate to T = -86400 and -38400.  The
 normalization-free outputs are the S = 0 flag and ratios of T values.
 """
 
@@ -116,164 +120,38 @@ class CyInvariantTriple:
         return (self.rho_cubed, self.rho_c2)
 
 
-# Variable order: t111 t112 t113 t122 t123 t133 t222 t223 t233 t333.
-# Each entry is (coefficient, exponent vector).
-_S_TERMS = (
-    (-1, (1, 0, 0, 1, 0, 0, 0, 1, 0, 1)),
-    (1, (1, 0, 0, 1, 0, 0, 0, 0, 2, 0)),
-    (1, (1, 0, 0, 0, 1, 0, 1, 0, 0, 1)),
-    (-1, (1, 0, 0, 0, 1, 0, 0, 1, 1, 0)),
-    (-1, (1, 0, 0, 0, 0, 1, 1, 0, 1, 0)),
-    (1, (1, 0, 0, 0, 0, 1, 0, 2, 0, 0)),
-    (1, (0, 2, 0, 0, 0, 0, 0, 1, 0, 1)),
-    (-1, (0, 2, 0, 0, 0, 0, 0, 0, 2, 0)),
-    (-1, (0, 1, 1, 0, 0, 0, 1, 0, 0, 1)),
-    (1, (0, 1, 1, 0, 0, 0, 0, 1, 1, 0)),
-    (-1, (0, 1, 0, 1, 1, 0, 0, 0, 0, 1)),
-    (1, (0, 1, 0, 1, 0, 1, 0, 0, 1, 0)),
-    (2, (0, 1, 0, 0, 2, 0, 0, 0, 1, 0)),
-    (-3, (0, 1, 0, 0, 1, 1, 0, 1, 0, 0)),
-    (1, (0, 1, 0, 0, 0, 2, 1, 0, 0, 0)),
-    (1, (0, 0, 2, 0, 0, 0, 1, 0, 1, 0)),
-    (-1, (0, 0, 2, 0, 0, 0, 0, 2, 0, 0)),
-    (1, (0, 0, 1, 2, 0, 0, 0, 0, 0, 1)),
-    (-3, (0, 0, 1, 1, 1, 0, 0, 0, 1, 0)),
-    (1, (0, 0, 1, 1, 0, 1, 0, 1, 0, 0)),
-    (2, (0, 0, 1, 0, 2, 0, 0, 1, 0, 0)),
-    (-1, (0, 0, 1, 0, 1, 1, 1, 0, 0, 0)),
-    (-1, (0, 0, 0, 2, 0, 2, 0, 0, 0, 0)),
-    (2, (0, 0, 0, 1, 2, 1, 0, 0, 0, 0)),
-    (-1, (0, 0, 0, 0, 4, 0, 0, 0, 0, 0)),
-)
-
-_T_TERMS = (
-    (-6, (2, 0, 0, 0, 0, 0, 2, 0, 0, 2)),
-    (36, (2, 0, 0, 0, 0, 0, 1, 1, 1, 1)),
-    (-24, (2, 0, 0, 0, 0, 0, 1, 0, 3, 0)),
-    (-24, (2, 0, 0, 0, 0, 0, 0, 3, 0, 1)),
-    (18, (2, 0, 0, 0, 0, 0, 0, 2, 2, 0)),
-    (36, (1, 1, 0, 1, 0, 0, 1, 0, 0, 2)),
-    (-108, (1, 1, 0, 1, 0, 0, 0, 1, 1, 1)),
-    (72, (1, 1, 0, 1, 0, 0, 0, 0, 3, 0)),
-    (-72, (1, 1, 0, 0, 1, 0, 1, 0, 1, 1)),
-    (144, (1, 1, 0, 0, 1, 0, 0, 2, 0, 1)),
-    (-72, (1, 1, 0, 0, 1, 0, 0, 1, 2, 0)),
-    (-36, (1, 1, 0, 0, 0, 1, 1, 1, 0, 1)),
-    (72, (1, 1, 0, 0, 0, 1, 1, 0, 2, 0)),
-    (-36, (1, 1, 0, 0, 0, 1, 0, 2, 1, 0)),
-    (-36, (1, 0, 1, 1, 0, 0, 1, 0, 1, 1)),
-    (72, (1, 0, 1, 1, 0, 0, 0, 2, 0, 1)),
-    (-36, (1, 0, 1, 1, 0, 0, 0, 1, 2, 0)),
-    (-72, (1, 0, 1, 0, 1, 0, 1, 1, 0, 1)),
-    (144, (1, 0, 1, 0, 1, 0, 1, 0, 2, 0)),
-    (-72, (1, 0, 1, 0, 1, 0, 0, 2, 1, 0)),
-    (36, (1, 0, 1, 0, 0, 1, 2, 0, 0, 1)),
-    (-108, (1, 0, 1, 0, 0, 1, 1, 1, 1, 0)),
-    (72, (1, 0, 1, 0, 0, 1, 0, 3, 0, 0)),
-    (-24, (1, 0, 0, 3, 0, 0, 0, 0, 0, 2)),
-    (144, (1, 0, 0, 2, 1, 0, 0, 0, 1, 1)),
-    (72, (1, 0, 0, 2, 0, 1, 0, 1, 0, 1)),
-    (-144, (1, 0, 0, 2, 0, 1, 0, 0, 2, 0)),
-    (-216, (1, 0, 0, 1, 2, 0, 0, 1, 0, 1)),
-    (-72, (1, 0, 0, 1, 2, 0, 0, 0, 2, 0)),
-    (-72, (1, 0, 0, 1, 1, 1, 1, 0, 0, 1)),
-    (360, (1, 0, 0, 1, 1, 1, 0, 1, 1, 0)),
-    (72, (1, 0, 0, 1, 0, 2, 1, 0, 1, 0)),
-    (-144, (1, 0, 0, 1, 0, 2, 0, 2, 0, 0)),
-    (120, (1, 0, 0, 0, 3, 0, 1, 0, 0, 1)),
-    (72, (1, 0, 0, 0, 3, 0, 0, 1, 1, 0)),
-    (-216, (1, 0, 0, 0, 2, 1, 1, 0, 1, 0)),
-    (-72, (1, 0, 0, 0, 2, 1, 0, 2, 0, 0)),
-    (144, (1, 0, 0, 0, 1, 2, 1, 1, 0, 0)),
-    (-24, (1, 0, 0, 0, 0, 3, 2, 0, 0, 0)),
-    (-24, (0, 3, 0, 0, 0, 0, 1, 0, 0, 2)),
-    (72, (0, 3, 0, 0, 0, 0, 0, 1, 1, 1)),
-    (-48, (0, 3, 0, 0, 0, 0, 0, 0, 3, 0)),
-    (72, (0, 2, 1, 0, 0, 0, 1, 0, 1, 1)),
-    (-144, (0, 2, 1, 0, 0, 0, 0, 2, 0, 1)),
-    (72, (0, 2, 1, 0, 0, 0, 0, 1, 2, 0)),
-    (18, (0, 2, 0, 2, 0, 0, 0, 0, 0, 2)),
-    (-72, (0, 2, 0, 1, 1, 0, 0, 0, 1, 1)),
-    (-36, (0, 2, 0, 1, 0, 1, 0, 1, 0, 1)),
-    (72, (0, 2, 0, 1, 0, 1, 0, 0, 2, 0)),
-    (-72, (0, 2, 0, 0, 2, 0, 0, 1, 0, 1)),
-    (144, (0, 2, 0, 0, 2, 0, 0, 0, 2, 0)),
-    (144, (0, 2, 0, 0, 1, 1, 1, 0, 0, 1)),
-    (-216, (0, 2, 0, 0, 1, 1, 0, 1, 1, 0)),
-    (-144, (0, 2, 0, 0, 0, 2, 1, 0, 1, 0)),
-    (162, (0, 2, 0, 0, 0, 2, 0, 2, 0, 0)),
-    (72, (0, 1, 2, 0, 0, 0, 1, 1, 0, 1)),
-    (-144, (0, 1, 2, 0, 0, 0, 1, 0, 2, 0)),
-    (72, (0, 1, 2, 0, 0, 0, 0, 2, 1, 0)),
-    (-36, (0, 1, 1, 2, 0, 0, 0, 0, 1, 1)),
-    (360, (0, 1, 1, 1, 1, 0, 0, 1, 0, 1)),
-    (-216, (0, 1, 1, 1, 1, 0, 0, 0, 2, 0)),
-    (-108, (0, 1, 1, 1, 0, 1, 1, 0, 0, 1)),
-    (36, (0, 1, 1, 1, 0, 1, 0, 1, 1, 0)),
-    (-216, (0, 1, 1, 0, 2, 0, 1, 0, 0, 1)),
-    (72, (0, 1, 1, 0, 2, 0, 0, 1, 1, 0)),
-    (360, (0, 1, 1, 0, 1, 1, 1, 0, 1, 0)),
-    (-216, (0, 1, 1, 0, 1, 1, 0, 2, 0, 0)),
-    (-36, (0, 1, 1, 0, 0, 2, 1, 1, 0, 0)),
-    (-72, (0, 1, 0, 2, 1, 1, 0, 0, 0, 1)),
-    (72, (0, 1, 0, 2, 0, 2, 0, 0, 1, 0)),
-    (72, (0, 1, 0, 1, 3, 0, 0, 0, 0, 1)),
-    (72, (0, 1, 0, 1, 2, 1, 0, 0, 1, 0)),
-    (-216, (0, 1, 0, 1, 1, 2, 0, 1, 0, 0)),
-    (72, (0, 1, 0, 1, 0, 3, 1, 0, 0, 0)),
-    (-144, (0, 1, 0, 0, 4, 0, 0, 0, 1, 0)),
-    (216, (0, 1, 0, 0, 3, 1, 0, 1, 0, 0)),
-    (-72, (0, 1, 0, 0, 2, 2, 1, 0, 0, 0)),
-    (-24, (0, 0, 3, 0, 0, 0, 2, 0, 0, 1)),
-    (72, (0, 0, 3, 0, 0, 0, 1, 1, 1, 0)),
-    (-48, (0, 0, 3, 0, 0, 0, 0, 3, 0, 0)),
-    (-144, (0, 0, 2, 2, 0, 0, 0, 1, 0, 1)),
-    (162, (0, 0, 2, 2, 0, 0, 0, 0, 2, 0)),
-    (144, (0, 0, 2, 1, 1, 0, 1, 0, 0, 1)),
-    (-216, (0, 0, 2, 1, 1, 0, 0, 1, 1, 0)),
-    (-36, (0, 0, 2, 1, 0, 1, 1, 0, 1, 0)),
-    (72, (0, 0, 2, 1, 0, 1, 0, 2, 0, 0)),
-    (-72, (0, 0, 2, 0, 2, 0, 1, 0, 1, 0)),
-    (144, (0, 0, 2, 0, 2, 0, 0, 2, 0, 0)),
-    (-72, (0, 0, 2, 0, 1, 1, 1, 1, 0, 0)),
-    (18, (0, 0, 2, 0, 0, 2, 2, 0, 0, 0)),
-    (72, (0, 0, 1, 3, 0, 1, 0, 0, 0, 1)),
-    (-72, (0, 0, 1, 2, 2, 0, 0, 0, 0, 1)),
-    (-216, (0, 0, 1, 2, 1, 1, 0, 0, 1, 0)),
-    (72, (0, 0, 1, 2, 0, 2, 0, 1, 0, 0)),
-    (216, (0, 0, 1, 1, 3, 0, 0, 0, 1, 0)),
-    (72, (0, 0, 1, 1, 2, 1, 0, 1, 0, 0)),
-    (-72, (0, 0, 1, 1, 1, 2, 1, 0, 0, 0)),
-    (-144, (0, 0, 1, 0, 4, 0, 0, 1, 0, 0)),
-    (72, (0, 0, 1, 0, 3, 1, 1, 0, 0, 0)),
-    (-48, (0, 0, 0, 3, 0, 3, 0, 0, 0, 0)),
-    (144, (0, 0, 0, 2, 2, 2, 0, 0, 0, 0)),
-    (-144, (0, 0, 0, 1, 4, 1, 0, 0, 0, 0)),
-    (48, (0, 0, 0, 0, 6, 0, 0, 0, 0, 0)),
-)
-
-_VAR_ORDER = (
-    (1, 1, 1), (1, 1, 2), (1, 1, 3), (1, 2, 2), (1, 2, 3),
-    (1, 3, 3), (2, 2, 2), (2, 2, 3), (2, 3, 3), (3, 3, 3),
+# The six signed permutations of (0, 1, 2): a bracket [xyz] contracts the
+# three symbols' indices against the Levi-Civita symbol.
+_EPS = (
+    (1, (0, 1, 2)), (1, (1, 2, 0)), (1, (2, 0, 1)),
+    (-1, (0, 2, 1)), (-1, (2, 1, 0)), (-1, (1, 0, 2)),
 )
 
 
-def _eval_terms(terms, values) -> int:
+def _abc_ab_ac_bc(A, X) -> int:
+    """[abc][abp][acq][bcr] contracted with A_a A_b A_c and X[p][q][r].
+
+    With X = A (p = q = r = d) this is [abc][abd][acd][bcd]; with X the
+    squared bracket M of `aronhold_ST` it is [abc][abd][ace][bcf][def]^2.
+    """
     total = 0
-    for coef, expo in terms:
-        p = coef
-        for v, e in zip(values, expo):
-            if e:
-                p *= v**e
-        total += p
+    for s1, (a1, b1, c1) in _EPS:
+        for s2, (a2, b2, p) in _EPS:
+            for s3, (a3, c2, q) in _EPS:
+                w = s1 * s2 * s3 * A[a1][a2][a3]
+                if w:
+                    Ac = A[c1][c2]
+                    for s4, (b3, c3, r) in _EPS:
+                        total += s4 * w * A[b1][b2][b3] * Ac[c3] * X[p][q][r]
     return total
 
 
 def aronhold_ST(tensor: CubicTensor) -> tuple[int, int]:
     """Aronhold S and T invariants of a rank-3 cubic tensor.
 
-    See the module docstring for the exact normalization.  Under a basis
-    change of determinant d the values scale by d^4 and d^6, so they are
+    S = -[abc][abd][acd][bcd] / 24 and T = [abc][abd][ace][bcf][def]^2
+    (see the module docstring).  Under a basis change of determinant d
+    every bracket scales by d, so S and T scale by d^4 and d^6 and are
     GL(3,Z) invariants.
     """
     if tensor.rank != 3:
@@ -281,8 +159,24 @@ def aronhold_ST(tensor: CubicTensor) -> tuple[int, int]:
             "Aronhold invariants need rank 3; for rank <= 2 compare "
             "discriminant/content data (forms_distinguishable does this)"
         )
-    vals = [tensor.value(*idx) for idx in _VAR_ORDER]
-    return _eval_terms(_S_TERMS, vals), _eval_terms(_T_TERMS, vals)
+    R = range(3)
+    A = [[[tensor.value(i + 1, j + 1, k + 1) for k in R] for j in R] for i in R]
+    # M[p][q][r] = [def]^2 with d, e, f's free indices p, q, r
+    M = [
+        [
+            [
+                sum(
+                    s * t * A[p][d1][d2] * A[q][e1][e2] * A[r][f1][f2]
+                    for s, (d1, e1, f1) in _EPS
+                    for t, (d2, e2, f2) in _EPS
+                )
+                for r in R
+            ]
+            for q in R
+        ]
+        for p in R
+    ]
+    return -_abc_ab_ac_bc(A, A) // 24, _abc_ab_ac_bc(A, M)
 
 
 DISTINCT = "DISTINCT"

@@ -11,18 +11,15 @@ from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
-import pytest
-
 from cy_smoother.catalog import (
     cy_invariants,
     find_family,
-    known_cy_table,
     load_catalog,
     search_pairs,
     xi_examples,
 )
 from cy_smoother.cli import main
-from cy_smoother.components import P3, build_component, triple_product
+from cy_smoother.components import triple_product
 from cy_smoother.exact_lattice import kernel_basis, pairing_is_unimodular, smith_normal_form
 from cy_smoother.invariant_forms import (
     CubicTensor,

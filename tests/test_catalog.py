@@ -15,6 +15,7 @@ from cy_smoother.catalog import (
 )
 from cy_smoother.components import build_component, c2_pair
 from cy_smoother.exact_lattice import IntMatrix
+from cy_smoother.invariant_forms import rr_dimension
 from cy_smoother.smoothing import NormalCrossingModel, analyze
 from cy_smoother.surface import K3Model
 
@@ -153,9 +154,14 @@ class TestCyInvariants:
             cy_invariants(find_family(catalog, "P3"), find_family(catalog, "Q"))
 
     def test_h12_identity_all_pairs(self, catalog):
-        # cy_invariants itself asserts the two h12 routes agree; run them all
-        for v1, v2 in search_pairs(catalog):
-            cy_invariants(v1, v2)
+        # every delta-matched pair gives a triple whose Riemann-Roch counts
+        # chi(O(n rho)) are integers for n = 1..12
+        pairs = search_pairs(catalog)
+        assert len(pairs) == 51
+        for v1, v2 in pairs:
+            triple, _, _ = cy_invariants(v1, v2)
+            for n in range(1, 13):
+                rr_dimension(triple, n)
 
     def test_rank_one_verdict(self, catalog):
         q = find_family(catalog, "Q")

@@ -36,6 +36,14 @@ def random_unimodular(rng, n=3):
     return M
 
 
+def random_tensor(rng, bound=9):
+    """Random rank-3 integer tensor, every independent entry drawn."""
+    return CubicTensor(3, {
+        idx: rng.randint(-bound, bound)
+        for idx in itertools.combinations_with_replacement((1, 2, 3), 3)
+    })
+
+
 class TestAronhold:
     def test_reference_values(self):
         assert aronhold_ST(MU) == (0, -86400)
@@ -44,10 +52,12 @@ class TestAronhold:
     def test_zero_tensor(self):
         assert aronhold_ST(CubicTensor(3, {})) == (0, 0)
 
-    def test_canonical_family(self):
+    def test_canonical_family(self, rng):
         # a x^3 + b y^3 + c z^3 + 6 m xyz: S = abcm - m^4,
         # T = -6 (a^2 b^2 c^2 - 20 a b c m^3 - 8 m^6)
-        for a, b, c, m in ((1, 1, 1, 0), (2, 3, 5, 1), (1, -1, 4, -2)):
+        cases = [(1, 1, 1, 0), (2, 3, 5, 1), (1, -1, 4, -2)]
+        cases += [tuple(rng.randint(-50, 50) for _ in range(4)) for _ in range(30)]
+        for a, b, c, m in cases:
             t = CubicTensor(3, {(1, 1, 1): a, (2, 2, 2): b, (3, 3, 3): c, (1, 2, 3): m})
             S, T = aronhold_ST(t)
             assert S == a * b * c * m - m**4
@@ -65,17 +75,23 @@ class TestAronhold:
             assert T2 == lam**6 * T
 
     def test_gl3z_invariance(self, rng):
-        S, T = aronhold_ST(MU)
-        for _ in range(12):
-            M = random_unimodular(rng)
-            S2, T2 = aronhold_ST(MU.change_basis(M))
-            assert (S2, T2) == (S, T)
+        # MU has S = 0, so random tensors with S != 0 exercise S as well
+        tensors = [MU]
+        while len(tensors) < 9:
+            t = random_tensor(rng)
+            if aronhold_ST(t)[0]:
+                tensors.append(t)
+        for t in tensors:
+            S, T = aronhold_ST(t)
+            for _ in range(6):
+                M = random_unimodular(rng)
+                assert aronhold_ST(t.change_basis(M)) == (S, T)
 
 
     def test_reducible_cubics_have_zero_discriminant(self, rng):
         """T^2 + 2304 S^3 vanishes on every product l*q of a linear and a
-        quadratic form, which checks the -6 calibration of S and T
-        independently of the two reference values; it is nonzero on mu."""
+        quadratic form, which checks the relative scale of the two bracket
+        forms independently of the two reference values; it is nonzero on mu."""
         for _ in range(200):
             lin = [rng.randint(-3, 3) for _ in range(3)]
             quad = {ij: rng.randint(-3, 3)
