@@ -3,7 +3,7 @@ PYTHON ?= python3
 # The package is run from the source tree; no install is needed.
 CLI = PYTHONPATH=src $(PYTHON) -m cy_smoother.cli
 
-.PHONY: test acceptance bench-selftest report-hash golden
+.PHONY: test acceptance bench-selftest report-hash check golden
 
 test:
 	$(PYTHON) -m pytest -q
@@ -18,6 +18,10 @@ bench-selftest:
 # SHA-256 of the 2700 bench reports (seeds 1-5); exits 1 if it moved from the pinned digest.
 report-hash:
 	$(PYTHON) tools/report_hash.py
+
+# The three gates a change must pass: the suite, the pinned report digest and
+# the harness self-tests.
+check: test report-hash bench-selftest
 
 # Replay every bundled computation through the CLI.
 golden:

@@ -171,7 +171,8 @@ def parse_tensor(raw, location: str = "$") -> CubicTensor:
     _expect(isinstance(raw, dict), "expected an object", location)
     _expect("rank" in raw and "entries" in raw, "need fields 'rank' and 'entries'", location)
     rank = raw["rank"]
-    _expect(isinstance(rank, int) and rank >= 0, "rank must be a nonnegative integer",
+    _expect(isinstance(rank, int) and not isinstance(rank, bool) and rank >= 0,
+            "rank must be a nonnegative integer",
             location + ".rank")
     entries_raw = raw["entries"]
     _expect(isinstance(entries_raw, dict), "entries must be an object", location + ".entries")

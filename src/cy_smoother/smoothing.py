@@ -108,13 +108,8 @@ def _choose_drop(basis, w_coords, n_diag):
         return None
     vert = [i for i in candidates if i >= n_diag]
     if vert:
-        def lead(i):
-            for e in basis[i]:
-                if e:
-                    return abs(e)
-            return 0
-
-        return min(vert, key=lambda i: (lead(i), -i))
+        # a lattice basis element is nonzero, so each has a leading coefficient
+        return min(vert, key=lambda i: (next(abs(e) for e in basis[i] if e), -i))
     return candidates[-1]
 
 
@@ -222,19 +217,15 @@ class RG2Result:
 def compute_rg2(model: NormalCrossingModel) -> RG2Result:
     """The Picard lattice of the smoothing with canonical lifted generators."""
     y1, y2 = model.components
-    r1 = y1.restriction.mul_vector(y1.D_class)
-    r2 = y2.restriction.mul_vector(tuple(-x for x in y2.D_class))
-    if r1 != r2:
-        raise InternalInconsistencyError(
-            "(D, -D) is not a fiber-product class; d-semistability must be violated"
-        )
     diag, vert1, vert2 = fiber_product(y1.restriction, y2.restriction)
     basis = diag + vert1 + vert2
     rows = y1.h2_rank + y2.h2_rank
     w = y1.D_class + tuple(-x for x in y2.D_class)
     wc = solve_exact(IntMatrix.from_columns(basis, rows=rows), w)
     if wc is None:
-        raise InternalInconsistencyError("(D, -D) is not in the computed G^2 basis span")
+        raise InternalInconsistencyError(
+            "(D, -D) is not a fiber-product class; d-semistability must be violated"
+        )
     gens, drop = _quotient_by(basis, IntMatrix.from_columns([wc]), len(diag), rows)
     return RG2Result(gens, tuple(basis), w, drop)
 

@@ -1,4 +1,6 @@
+import io
 import json
+import sys
 from importlib import resources
 from pathlib import Path
 
@@ -9,6 +11,12 @@ from cy_smoother.schemas import MAX_CENTERS, MAX_ENTRY, MAX_K3_RANK
 
 
 EXAMPLES = Path(resources.files("cy_smoother").joinpath("data/examples"))
+# parses, but (D, -D) is not in the fiber product: 7h on Y2 against nothing on Y1
+NOT_D_SEMISTABLE = {
+    "k3": {"gram": [[4]], "classes": ["h"], "polarization": [1]},
+    "Y1": {"base": "P3", "centers": []},
+    "Y2": {"base": "P3", "centers": [[7]]},
+}
 
 
 def run(capsys, *argv):
@@ -65,15 +73,7 @@ class TestSmooth:
 
     def test_hypothesis_failure_exit_3(self, capsys, tmp_path):
         broken = tmp_path / "seven.json"
-        broken.write_text(
-            json.dumps(
-                {
-                    "k3": {"gram": [[4]], "classes": ["h"], "polarization": [1]},
-                    "Y1": {"base": "P3", "centers": []},
-                    "Y2": {"base": "P3", "centers": [[7]]},
-                }
-            )
-        )
+        broken.write_text(json.dumps(NOT_D_SEMISTABLE))
         code, out, err = run(capsys, "smooth", str(broken))
         assert code == 3
         assert "d_semistability" in err
@@ -217,11 +217,38 @@ class TestSmooth:
         from cy_smoother.schemas import dump_json
         assert dump_json(rep) == out
 
-    def test_table_format(self, capsys):
-        code, out, _ = run(capsys, "smooth", str(EXAMPLES / "quick.json"),
-                           "--format", "table")
-        assert code == 0
-        assert "picard_rank" in out
+
+@pytest.mark.parametrize(
+    "argv, code, lines",
+    [
+        (["smooth", "{examples}/quick.json"], 0, ["euler:              -296"]),
+        (["move-top", "{examples}/pair1_a.json", "--from", "2"], 0, ["    - 5"]),
+        (["fano", "search", "--rank-one"], 0, ["count:          26"]),
+        (["fano", "cy", "--v1", "X22", "--v2", "MM-12.3-15"], 0, ["h12:              68"]),
+        # members must be a list: a tuple would print on one "members:" line
+        (["fano", "groups"], 0, ["  members:", "    - Xi1"]),
+        (["invariants", "cubic", "--file", "{examples}/mu_tensor.json"], 0, ["T:                   -86400"]),
+        (["invariants", "rr", "--rho3", "2", "--rhoc2", "44", "--n", "8"], 0,
+         ["chi:                    200"]),
+        # the report is written before the stderr line
+        (["smooth", "{doc}"], 3,
+         ["hypotheses_ok:      False", "smoothing hypotheses failed: d_semistability"]),
+    ],
+    ids=["smooth", "move-top", "fano-search", "fano-cy", "fano-groups", "invariants-cubic",
+         "invariants-rr", "smooth-exit-3"],
+)
+def test_table_format_every_subcommand(monkeypatch, tmp_path, argv, code, lines):
+    doc = tmp_path / "not_d_semistable.json"
+    doc.write_text(json.dumps(NOT_D_SEMISTABLE))
+    argv = [a.format(examples=EXAMPLES, doc=doc) for a in argv]
+    both = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", both)
+    monkeypatch.setattr(sys, "stderr", both)
+    assert main(argv + ["--format", "table"]) == code
+    written = both.getvalue().splitlines()
+    assert all(line in written for line in lines)
+    at = [written.index(line) for line in lines]
+    assert at == sorted(at)
 
 
 @pytest.mark.parametrize(

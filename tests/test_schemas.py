@@ -3,7 +3,7 @@ import json
 import pytest
 
 from cy_smoother.invariant_forms import CubicTensor
-from cy_smoother.schemas import dump_json, parse_tensor, tensor_to_dict
+from cy_smoother.schemas import SchemaError, dump_json, parse_tensor, tensor_to_dict
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -61,6 +61,12 @@ class TestTensorKeys:
         }
         assert parse_tensor(tensor_to_dict(t)) == t
         assert parse_tensor(json.loads(dump_json(tensor_to_dict(t)))) == t
+
+    @pytest.mark.parametrize("rank", [True, False, -1, 3.0, "3"])
+    def test_rank_must_be_a_nonnegative_integer(self, rank):
+        # bool is an int subclass, rejected like the entry values
+        with pytest.raises(SchemaError, match=r"\$\.rank: rank must be a nonnegative integer"):
+            parse_tensor({"rank": rank, "entries": {"111": 1}})
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(min_value=1, max_value=14).flatmap(

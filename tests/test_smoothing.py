@@ -110,7 +110,7 @@ class TestRG2:
         assert compute_rg2(triple_mu).rank == 3
 
     def test_violated_d_semistability_raises(self, quartic):
-        with pytest.raises(InternalInconsistencyError):
+        with pytest.raises(InternalInconsistencyError, match="d-semistability must be violated"):
             compute_rg2(make_model(quartic, [], [(7,)]))
 
     def test_rank_bookkeeping(self, quartic):
