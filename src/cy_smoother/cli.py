@@ -15,10 +15,12 @@ Subcommands::
 
 Each subcommand is one handler, bound to its parser with
 ``set_defaults(run=...)``, that returns ``(payload, failed_hypotheses)``
-and prints nothing.  ``main`` writes the payload once, as JSON by default
-(--format table for aligned text), and maps the outcome to the exit code:
-0 success, 2 bad input (any ValueError), 3 smoothing hypothesis failure
-(the report is still written, then one stderr line).
+and prints nothing.  ``main`` writes the payload in one write, as JSON by
+default (--format table for aligned text), and maps the outcome to the
+exit code: 0 success, 2 bad input (any ValueError), 3 smoothing
+hypothesis failure (the report is still written, then one stderr line),
+1 when the reader of stdout has gone (e.g. ``| head``), without a
+traceback.
 """
 
 from __future__ import annotations
@@ -54,6 +56,7 @@ from .smoothing import analyze, move_top_center
 CATALOG_ENV = "CY_SMOOTHER_CATALOG"
 
 EXIT_OK = 0
+EXIT_BROKEN_PIPE = 1
 EXIT_INPUT = 2
 EXIT_HYPOTHESIS = 3
 
@@ -118,7 +121,10 @@ def _build_parser() -> argparse.ArgumentParser:
     for p in (p_smooth, p_move, p_search, p_cy, p_groups):
         p.add_argument("--catalog", default=None,
                        help="Fano catalog file (default: bundled; env %s)" % CATALOG_ENV)
-
+    # a missing subcommand is reported by metavar, else by the internal dest;
+    # this is the metavar argparse shows in --help anyway
+    for action in (sub, fano_sub, inv_sub):
+        action.metavar = "{%s}" % ",".join(action.choices)
     return parser
 
 
@@ -127,26 +133,28 @@ def _resolve_catalog(args):
     return load_catalog(path)
 
 
-def _emit_table(payload, indent: int = 0) -> None:
-    pad = "  " * indent
+def _table_lines(payload, pad: str = "") -> list[str]:
+    """Aligned "key: value" lines, "- item" for list scalars; a blank line
+    separates the dicts and lists that are items of one list, at any depth."""
+    lines = []
     if isinstance(payload, dict):
         width = max((len(str(k)) for k in payload), default=0)
-        for key in payload:
-            val = payload[key]
+        for key, val in payload.items():
             if isinstance(val, (dict, list)):
-                sys.stdout.write("%s%s:\n" % (pad, key))
-                _emit_table(val, indent + 1)
+                lines += ["%s%s:" % (pad, key)] + _table_lines(val, pad + "  ")
             else:
-                sys.stdout.write("%s%-*s  %s\n" % (pad, width + 1, str(key) + ":", val))
+                lines.append("%s%-*s  %s" % (pad, width + 1, str(key) + ":", val))
     elif isinstance(payload, list):
         for item in payload:
             if isinstance(item, (dict, list)):
-                _emit_table(item, indent)
-                sys.stdout.write("\n" if indent == 0 else "")
+                if lines:
+                    lines.append("")
+                lines += _table_lines(item, pad)
             else:
-                sys.stdout.write("%s- %s\n" % (pad, item))
+                lines.append("%s- %s" % (pad, item))
     else:
-        sys.stdout.write("%s%s\n" % (pad, payload))
+        lines.append("%s%s" % (pad, payload))
+    return lines
 
 
 def _smooth(args):
@@ -221,7 +229,13 @@ def main(argv=None) -> int:
         if args.format == "json":
             sys.stdout.write(dump_json(payload))
         else:
-            _emit_table(payload)
+            sys.stdout.write("".join(line + "\n" for line in _table_lines(payload)))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # As in the SIGPIPE note of the `signal` docs: send what is left to
+        # devnull, so the flush at interpreter exit raises no second error.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except ValueError as exc:
         sys.stderr.write("error: %s\n" % exc)
         return EXIT_INPUT

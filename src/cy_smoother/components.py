@@ -22,10 +22,12 @@ center and m_ij = c_i.c_j, the nonzero products are
 
 with every other mixed product zero.  These rules are calibrated against
 the full set of worked blow-up tables and conserve -K.c2 = 24 at every
-stage.  ``cup_covector`` evaluates them as the covector a -> a.b.c of a
-pair (b, c), and ``triple_product`` dots a with it; only the e_i^3 values
-are stored, and no triple-product tensor is built.  Likewise the H^2 x
-H^4 pairing is a dot product with ``pairing_covector``.
+stage.  ``_cup`` evaluates them as the covector a -> a.b.c of a pair
+(b, c), and ``triple_product`` dots a with it; only the e_i^3 values are
+stored, and no triple-product tensor is built.  Likewise the H^2 x H^4
+pairing is a dot product with the covector ``_pairing``.  The two private
+covectors take vectors already passed through ``_check_vec``, so callers
+that reuse a vector (``smoothing``) check its length once.
 """
 
 from __future__ import annotations
@@ -217,18 +219,13 @@ def _check_vec(Y: BlownComponent, a, what: str) -> tuple[int, ...]:
     return a
 
 
-def cup_covector(Y: BlownComponent, b, c) -> tuple[int, ...]:
+def _cup(Y: BlownComponent, b: tuple[int, ...], c: tuple[int, ...]) -> tuple[int, ...]:
     """The covector a -> a.b.c of the cup product, from the blow-up rules.
 
     entry 0: H^3 b0 c0 - sum_j d_j b_j c_j
     entry j: e_j^3 b_j c_j - d_j (b0 c_j + b_j c0)
              - sum_{i<j} m_ij (b_i c_j + b_j c_i) - sum_{k>j} m_jk b_k c_k
     """
-    return _cup(Y, _check_vec(Y, b, "second vector"), _check_vec(Y, c, "third vector"))
-
-
-def _cup(Y: BlownComponent, b: tuple[int, ...], c: tuple[int, ...]) -> tuple[int, ...]:
-    """``cup_covector`` on vectors already passed through ``_check_vec``."""
     b0, c0 = b[0], c[0]
     cov = [Y.base.H_cubed * b0 * c0] + [0] * (len(b) - 1)
     for j in range(1, len(b)):
@@ -247,9 +244,10 @@ def _cup(Y: BlownComponent, b: tuple[int, ...], c: tuple[int, ...]) -> tuple[int
 
 
 def triple_product(Y: BlownComponent, a, b, c) -> int:
-    """Cup product a.b.c on the component: a dotted with cup_covector(Y, b, c)."""
+    """Cup product a.b.c on the component: a dotted with the covector _cup(Y, b, c)."""
     a = _check_vec(Y, a, "first vector")
-    return sum(x * y for x, y in zip(a, cup_covector(Y, b, c)))
+    cov = _cup(Y, _check_vec(Y, b, "second vector"), _check_vec(Y, c, "third vector"))
+    return sum(x * y for x, y in zip(a, cov))
 
 
 def c2_pair(Y: BlownComponent, a) -> int:
@@ -258,15 +256,14 @@ def c2_pair(Y: BlownComponent, a) -> int:
     return sum(x * y for x, y in zip(a, Y.c2_covector))
 
 
-def pairing_covector(Y: BlownComponent, a) -> tuple[int, ...]:
+def _pairing(a: tuple[int, ...]) -> tuple[int, ...]:
     """The covector u -> a.u of a in H^2 on H^4: (a0, -a1, ..., -as)."""
-    a = _check_vec(Y, a, "H^2 vector")
     return (a[0],) + tuple(-x for x in a[1:])
 
 
 def pair_h2_h4(Y: BlownComponent, a, u) -> int:
     """Pairing of a in H^2 with u in H^4 (bases (H, e_i) and (g, M_i))."""
-    cov = pairing_covector(Y, a)
+    cov = _pairing(_check_vec(Y, a, "H^2 vector"))
     u = tuple(map(operator.index, u))
     if len(u) != Y.h2_rank:
         raise ComponentError("H^4 vector length mismatch")

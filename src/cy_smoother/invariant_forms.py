@@ -48,6 +48,12 @@ def _canonical_key(idx: Sequence[int], rank: int) -> tuple[int, ...]:
     return key
 
 
+def _array(tensor: "CubicTensor") -> list[list[list[int]]]:
+    """The full symmetric array A[i][j][k] = T_(i+1)(j+1)(k+1), zeros included."""
+    R, T = range(tensor.rank), tensor.entries
+    return [[[T.get(tuple(sorted((i + 1, j + 1, k + 1))), 0) for k in R] for j in R] for i in R]
+
+
 @dataclass(frozen=True)
 class CubicTensor:
     """Symmetric integer 3-tensor T_ijk, stored on sorted index triples."""
@@ -77,27 +83,15 @@ class CubicTensor:
         n = self.rank
         if len(M) != n or any(len(r) != n for r in M):
             raise TensorError("change-of-basis matrix must be %dx%d" % (n, n))
-        out = {}
-        rng = range(n)
-        for a in rng:
-            for b in range(a, n):
-                for c in range(b, n):
-                    v = 0
-                    for p in rng:
-                        Mpa = M[p][a]
-                        if not Mpa:
-                            continue
-                        for q in rng:
-                            Mqb = M[q][b]
-                            if not Mqb:
-                                continue
-                            for r in rng:
-                                if M[r][c]:
-                                    v += Mpa * Mqb * M[r][c] * self.value(
-                                        p + 1, q + 1, r + 1
-                                    )
-                    out[(a + 1, b + 1, c + 1)] = v
-        return CubicTensor(n, out)
+        R = range(n)
+        A = _array(self)
+        # three single-index contractions; each moves the contracted index
+        # last, so after the third the indices are back in order
+        for _ in range(3):
+            A = [[[sum(M[p][a] * A[p][q][r] for p in R) for a in R] for r in R] for q in R]
+        return CubicTensor(
+            n, {(a + 1, b + 1, c + 1): A[a][b][c] for a in R for b in R[a:] for c in R[b:]}
+        )
 
     def content(self) -> int:
         return math.gcd(*self.entries.values()) if self.entries else 0
@@ -159,8 +153,7 @@ def aronhold_ST(tensor: CubicTensor) -> tuple[int, int]:
             "Aronhold invariants need rank 3; for rank <= 2 compare "
             "discriminant/content data (forms_distinguishable does this)"
         )
-    R = range(3)
-    A = [[[tensor.value(i + 1, j + 1, k + 1) for k in R] for j in R] for i in R]
+    R, A = range(3), _array(tensor)
     # M[p][q][r] = [def]^2 with d, e, f's free indices p, q, r
     M = [
         [

@@ -22,6 +22,13 @@ a final triangularization of the pairing Gram.  There G^4's basis is a
 closed form of the two degree rows (r, 1, ..., 1), equal to what
 ``fiber_product`` gives on them.  This reproduces the published generator
 tables for all worked examples and keeps golden output stable.
+
+Lifts.  An RG^2 generator is one stacked vector (l1 | l2) in H^2(Y1) +
+H^2(Y2).  Every step that reads the lifts (the RG^4 pairing rows, the
+cubic and c2 forms, the reported generators) splits them with
+``_halves``, which length-checks each half once; the products between
+steps are plain dot products.  ``IntMatrix`` appears only where a public
+``exact_lattice`` call takes one and for the reported Gram.
 """
 
 from __future__ import annotations
@@ -88,9 +95,18 @@ class HypothesisVerdict:
         return self.status in ("pass", "assumed")
 
 
-def _split(model: NormalCrossingModel, vec):
-    n1 = model.y1.h2_rank
-    return tuple(vec[:n1]), tuple(vec[n1:])
+def _halves(model: NormalCrossingModel, lifts) -> list[tuple[tuple[int, ...], ...]]:
+    """Split each stacked lift at y1.h2_rank into (l1, l2), length-checking each half once."""
+    y1, y2 = model.components
+    n1 = y1.h2_rank
+    return [
+        (comp._check_vec(y1, l[:n1], "lift on Y1"), comp._check_vec(y2, l[n1:], "lift on Y2"))
+        for l in lifts
+    ]
+
+
+def _dot(a, b) -> int:
+    return sum(map(operator.mul, a, b))
 
 
 def _choose_drop(basis, w_coords, n_diag):
@@ -113,13 +129,13 @@ def _choose_drop(basis, w_coords, n_diag):
     return candidates[-1]
 
 
-def _quotient_by(basis, relations: IntMatrix, n_diag: int, rows: int):
+def _quotient_by(basis, relations: IntMatrix, n_diag: int):
     """Generators of span(basis) modulo relations given in basis coordinates.
 
     Returns (generators, dropped index).  With one relation that has
     a unit coordinate the element chosen by _choose_drop is removed.
-    Otherwise the generic quotient's section is mapped back to the ambient
-    lattice (index -1).
+    Otherwise each column of the generic quotient's section is mapped back
+    to the ambient lattice as that combination of the basis (index -1).
     """
     if relations.cols == 1:
         drop = _choose_drop(basis, relations.column(0), n_diag)
@@ -127,8 +143,10 @@ def _quotient_by(basis, relations: IntMatrix, n_diag: int, rows: int):
             gens = tuple(v for i, v in enumerate(basis) if i != drop)
             return gens, drop
     section = quotient(len(basis), relations)
-    B = IntMatrix.from_columns(basis, rows=rows)
-    gens = tuple(sign_normalize_column(B.mul_vector(c)) for c in section.to_columns())
+    coords = list(zip(*basis))  # row t: coordinate t of every basis vector
+    gens = tuple(
+        sign_normalize_column([_dot(c, t) for t in coords]) for c in section.to_columns()
+    )
     return gens, -1
 
 
@@ -158,13 +176,9 @@ def check_smoothability(model: NormalCrossingModel) -> tuple[HypothesisVerdict, 
 
     v3 = _kahler_verdict(model)
 
-    rsum = [
-        a + b
-        for a, b in zip(
-            y1.restriction.mul_vector(y1.D_class),
-            y2.restriction.mul_vector(y2.D_class),
-        )
-    ]
+    # D_{Y1}|_D + D_{Y2}|_D, one row of the joint restriction map at a time
+    joint, D_pair = y1.restriction.hstack(y2.restriction), y1.D_class + y2.D_class
+    rsum = [_dot(row, D_pair) for row in joint.to_rows()]
     dss = all(x == 0 for x in rsum)
     v4 = HypothesisVerdict(
         "d_semistability",
@@ -226,7 +240,7 @@ def compute_rg2(model: NormalCrossingModel) -> RG2Result:
         raise InternalInconsistencyError(
             "(D, -D) is not a fiber-product class; d-semistability must be violated"
         )
-    gens, drop = _quotient_by(basis, IntMatrix.from_columns([wc]), len(diag), rows)
+    gens, drop = _quotient_by(basis, IntMatrix.from_columns([wc]), len(diag))
     return RG2Result(gens, tuple(basis), w, drop)
 
 
@@ -240,15 +254,6 @@ class RG4Result:
     generators: tuple[tuple[int, ...], ...]  # stacked (H^4(Y1) | H^4(Y2))
     gram: IntMatrix
     unimodular: bool
-
-
-def _pairing_rows(model: NormalCrossingModel, lifts, cols: int) -> IntMatrix:
-    """Rows l -> (u -> l.u): each stacked lift signed by both components."""
-    rows = []
-    for l in lifts:
-        l1, l2 = _split(model, l)
-        rows.append(comp.pairing_covector(model.y1, l1) + comp.pairing_covector(model.y2, l2))
-    return IntMatrix.from_rows(rows, cols=cols)
 
 
 def _degree_row_kernel(r: int, s: int) -> list[tuple[int, ...]]:
@@ -311,47 +316,36 @@ def compute_rg4_and_consur(model: NormalCrossingModel, rg2: RG2Result) -> RG4Res
     # G^4, so its rank is at least the joint restriction rank k >= 1.  G^2
     # lies in the rational span of the RG^2 generators and (D, -D), so the
     # pairing with the generators alone has the same saturated kernel, and
-    # kernel_basis returns that lattice's canonical basis.
-    # the products check every lift's length (pairing_covector) and every
-    # H^4 vector's (the shape check of @)
-    n = y1.h2_rank + y2.h2_rank
-    P = _pairing_rows(model, rg2.generators, n)
-    radical = kernel_basis(P @ IntMatrix.from_columns(scan, rows=n))
-    gens, drop = _quotient_by(scan, radical, len(diag), n)
+    # kernel_basis returns that lattice's canonical basis.  P's rows are the
+    # covectors u -> l.u of the lifts l, both halves side by side.
+    P = [comp._pairing(l1) + comp._pairing(l2) for l1, l2 in _halves(model, rg2.generators)]
+    radical = kernel_basis(
+        IntMatrix.from_rows([[_dot(p, u) for u in scan] for p in P], cols=len(scan))
+    )
+    gens, drop = _quotient_by(scan, radical, len(diag))
     if drop != -1:
         # output order: verticals first, then what is left of the diagonal block
         split = len(diag) - (drop < len(diag))
         gens = gens[split:] + gens[:split]
 
-    gram = P @ IntMatrix.from_columns(gens, rows=n)
-    if gram.rows != gram.cols:
+    if len(P) != len(gens):
         # G^4 = (D, -D)^perp, so RG^2 and RG^4 pair nondegenerately
         raise InternalInconsistencyError(
-            "rank mismatch: RG^2 has rank %d, RG^4 has rank %d" % (gram.rows, gram.cols)
+            "rank mismatch: RG^2 has rank %d, RG^4 has rank %d" % (len(P), len(gens))
         )
     # Column operations (changes of the RG^4 basis) bring the Gram to
     # lower-triangular form with positive pivots; on a unimodular pairing it
     # is lower unitriangular, which reproduces the published display for the
-    # worked examples.
-    cols, gv = gram.to_columns(), [list(g) for g in gens]
+    # worked examples.  Gram column j pairs every RG^2 generator with gens[j].
+    cols, gv = [[_dot(p, g) for p in P] for g in gens], [list(g) for g in gens]
     echelon_rows(cols, gv)
-    gram = IntMatrix.from_columns(cols, rows=gram.rows)
+    gram = IntMatrix.from_columns(cols, rows=len(P))
     return RG4Result(tuple(map(tuple, gv)), gram, pairing_is_unimodular(gram))
 
 
 # ---------------------------------------------------------------------------
 # Cubic form, c2 form, Hodge numbers
 # ---------------------------------------------------------------------------
-
-
-def _cup_covector(model: NormalCrossingModel, x, y) -> tuple[int, ...]:
-    """a -> a.x.y on stacked lifts: the two component covectors side by side."""
-    (x1, x2), (y1, y2) = _split(model, x), _split(model, y)
-    return comp.cup_covector(model.y1, x1, y1) + comp.cup_covector(model.y2, x2, y2)
-
-
-def _dot(a, b) -> int:
-    return sum(map(operator.mul, a, b))
 
 
 def cubic_form(model: NormalCrossingModel, rg2: RG2Result) -> CubicTensor:
@@ -368,12 +362,7 @@ def cubic_form(model: NormalCrossingModel, rg2: RG2Result) -> CubicTensor:
     covers every lift shifted by multiples of w.
     """
     y1, y2 = model.components
-    halves = []
-    for v in rg2.generators + (rg2.degenerate,):
-        l1, l2 = _split(model, v)
-        halves.append(
-            (comp._check_vec(y1, l1, "lift on Y1"), comp._check_vec(y2, l2, "lift on Y2"))
-        )
+    halves = _halves(model, rg2.generators + (rg2.degenerate,))
     vecs = [l1 + l2 for l1, l2 in halves]
     n, w = len(rg2.generators), vecs[-1]
     cov = {}
@@ -397,18 +386,17 @@ def c2_form(model: NormalCrossingModel, rg2: RG2Result) -> tuple[int, ...]:
     correction term l1.D1^2 + l2.D2^2 = (l1, l2).w.w is computed and must
     vanish (it does exactly when d-semistability holds).
     """
-    ww = _cup_covector(model, rg2.degenerate, rg2.degenerate)
+    y1, y2 = model.components
+    *halves, (w1, w2) = _halves(model, rg2.generators + (rg2.degenerate,))
+    ww = comp._cup(y1, w1, w1) + comp._cup(y2, w2, w2)
     values = []
-    for g in rg2.generators:
-        l1, l2 = _split(model, g)
-        # c2_pair checks the lift's length before the dot product with ww
-        value = comp.c2_pair(model.y1, l1) + comp.c2_pair(model.y2, l2)
-        corr = _dot(g, ww)
+    for l1, l2 in halves:
+        corr = _dot(l1 + l2, ww)
         if corr != 0:
             raise InternalInconsistencyError(
                 "nonzero c2 correction term %d: broken d-semistability or bad lift" % corr
             )
-        values.append(value)
+        values.append(_dot(l1, y1.c2_covector) + _dot(l2, y2.c2_covector))
     return tuple(values)
 
 
@@ -458,7 +446,14 @@ def move_top_center(model: NormalCrossingModel, from_index: int) -> NormalCrossi
     """Move the last blow-up center of one component to the other side.
 
     The moved curve becomes the last center of the receiving component;
-    the smoothing itself is unchanged.
+    the smoothing itself is unchanged.  A move keeps the Hodge numbers, the
+    Picard rank, the consur verdict and the hypothesis statuses, but the
+    cubic, c2 and gram are written in the canonical RG^2 generators, which
+    depend on how the centers are split between Y1 and Y2, so a move (or
+    swapping Y1 and Y2) can change them.  A swap preserves the forms up to
+    an integral change of basis: the mirrored swapped generators are
+    combinations of the original generators and (D, -D), and their
+    transition matrix M gives cubic.change_basis(M) == swapped cubic.
     """
     if from_index not in (1, 2):
         raise ModelError("from_index must be 1 or 2")
@@ -501,29 +496,6 @@ class SmoothingReport:
     def failed_hypotheses(self) -> tuple[str, ...]:
         return tuple(v.key for v in self.hypothesis_verdicts if not v.ok)
 
-    def invariant_payload(self) -> dict:
-        """The report content without the lifted generator coordinates.
-
-        The cubic, c2 and gram are still written in the canonical RG^2
-        generators, which depend on how the centers are split between Y1
-        and Y2, so swapping Y1 and Y2 or move_top_center can change them.
-        What a swap preserves is the forms up to an integral change of
-        basis: the mirrored swapped generators are combinations of the
-        original generators and (D, -D), and their transition matrix M
-        gives cubic.change_basis(M) == swapped cubic.  A move keeps the
-        Hodge numbers, the Picard rank, the consur verdict and the
-        hypothesis statuses.
-        """
-        return {
-            "picard_rank": self.picard_rank,
-            "cubic": None if self.cubic_tensor is None else self.cubic_tensor.entries,
-            "c2": self.c2_covector,
-            "consur_unimodular": self.consur_unimodular,
-            "gram": None if self.consur_gram is None else self.consur_gram.to_rows(),
-            "hodge": (self.h11, self.h12, self.euler),
-            "hypotheses": tuple(v.status for v in self.hypothesis_verdicts),
-        }
-
 
 def analyze(model: NormalCrossingModel) -> SmoothingReport:
     """Run the whole pipeline; lattice steps are skipped on hypothesis failure."""
@@ -542,11 +514,10 @@ def analyze(model: NormalCrossingModel) -> SmoothingReport:
     tensor = cubic_form(model, rg2)
     c2 = c2_form(model, rg2)
     _check_riemann_roch(tensor, c2)
-    gens = tuple(_split(model, g) for g in rg2.generators)
     return SmoothingReport(
         verdicts,
         rg2.rank,
-        gens,
+        tuple(_halves(model, rg2.generators)),
         tensor,
         c2,
         rg4.unimodular,

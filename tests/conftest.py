@@ -3,6 +3,7 @@ import random
 import pytest
 
 from cy_smoother.components import P3, build_component
+from cy_smoother.schemas import report_to_dict
 from cy_smoother.smoothing import NormalCrossingModel
 from cy_smoother.surface import K3Model
 
@@ -15,6 +16,17 @@ def rng():
 @pytest.fixture
 def quartic():
     return K3Model.quartic()
+
+
+def without_lifts(report):
+    """``report_to_dict`` without the lifted generator coordinates.
+
+    The cubic, c2 and gram stay: they are written in the canonical RG^2
+    generators of each configuration (see ``move_top_center``).
+    """
+    payload = report_to_dict(report)
+    del payload["picard_generators"]
+    return payload
 
 
 def make_model(k3, centers1, centers2):

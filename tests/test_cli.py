@@ -1,5 +1,7 @@
 import io
 import json
+import os
+import subprocess
 import sys
 from importlib import resources
 from pathlib import Path
@@ -221,12 +223,15 @@ class TestSmooth:
 @pytest.mark.parametrize(
     "argv, code, lines",
     [
-        (["smooth", "{examples}/quick.json"], 0, ["euler:              -296"]),
+        # a blank line separates the dict items of a list at every depth
+        (["smooth", "{examples}/quick.json"], 0,
+         ["\n  key:          h1_vanishing", "euler:              -296"]),
         (["move-top", "{examples}/pair1_a.json", "--from", "2"], 0, ["    - 5"]),
         (["fano", "search", "--rank-one"], 0, ["count:          26"]),
         (["fano", "cy", "--v1", "X22", "--v2", "MM-12.3-15"], 0, ["h12:              68"]),
         # members must be a list: a tuple would print on one "members:" line
-        (["fano", "groups"], 0, ["  members:", "    - Xi1"]),
+        (["fano", "groups"], 0,
+         ["  members:", "    - Xi7\n    - Z1\n\n  rho_cubed:  8", "    - Xi1"]),
         (["invariants", "cubic", "--file", "{examples}/mu_tensor.json"], 0, ["T:                   -86400"]),
         (["invariants", "rr", "--rho3", "2", "--rhoc2", "44", "--n", "8"], 0,
          ["chi:                    200"]),
@@ -245,10 +250,47 @@ def test_table_format_every_subcommand(monkeypatch, tmp_path, argv, code, lines)
     monkeypatch.setattr(sys, "stdout", both)
     monkeypatch.setattr(sys, "stderr", both)
     assert main(argv + ["--format", "table"]) == code
-    written = both.getvalue().splitlines()
-    assert all(line in written for line in lines)
-    at = [written.index(line) for line in lines]
-    assert at == sorted(at)
+    # each expected entry is one or more whole lines, found in this order
+    text = "\n" + both.getvalue()
+    at = [text.find("\n%s\n" % block) for block in lines]
+    assert -1 not in at and at == sorted(at)
+
+
+@pytest.mark.parametrize("fmt", ["json", "table"])
+def test_closed_stdout_exits_1_without_traceback(fmt):
+    # the reader of stdout is gone before the report is written (`| head`)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    # block-buffered stdout, as under a shell pipe: the error may come at the flush
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "cy_smoother.cli", "smooth",
+             str(EXAMPLES / "triple_mu.json"), "--format", fmt],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, b"")
+
+
+@pytest.mark.parametrize(
+    "argv, choices",
+    [
+        ([], "{smooth,move-top,fano,invariants}"),
+        (["fano"], "{search,cy,groups}"),
+        (["invariants"], "{cubic,rr}"),
+    ],
+    ids=["top", "fano", "invariants"],
+)
+def test_missing_subcommand_names_the_choices(capsys, argv, choices):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "error: the following arguments are required: %s\n" % choices
+    )
 
 
 @pytest.mark.parametrize(

@@ -7,9 +7,9 @@ from cy_smoother.components import (
     FanoFamily,
     FullLatticeModeError,
     P3,
+    _cup,
     build_component,
     c2_pair,
-    cup_covector,
     pair_h2_h4,
     triple_product,
 )
@@ -248,9 +248,9 @@ class TestRulesOracle:
                 for _ in range(6):
                     a, b, c, u = (tuple(rng.randint(-3, 3) for _ in range(n)) for _ in "abcu")
                     assert triple_product(y, a, b, c) == rules_triple(y, a, b, c)
-                    cov = cup_covector(y, b, c)
+                    cov = _cup(y, b, c)
                     assert cov == tuple(rules_triple(y, e, b, c) for e in unit)
-                    assert cov == cup_covector(y, c, b)
+                    assert cov == _cup(y, c, b)
                     assert pair_h2_h4(y, a, u) == a[0] * u[0] - sum(
                         a[i] * u[i] for i in range(1, n)
                     )

@@ -119,6 +119,27 @@ class TestCubicTensor:
         assert t.value(3, 2, 1) == 7
         assert t.value(1, 1, 1) == 0
 
+    @pytest.mark.parametrize("n", range(5))
+    def test_change_basis_is_the_defining_sum(self, rng, n):
+        # T'_abc = sum_pqr M_pa M_qb M_rc T_pqr for any integer M, not only a
+        # unimodular one; every sorted key is kept, zeros included
+        R = range(n)
+        for _ in range(4):
+            t = CubicTensor(n, {
+                idx: rng.randint(-9, 9)
+                for idx in itertools.combinations_with_replacement(range(1, n + 1), 3)
+                if rng.random() < 0.7
+            })
+            M = [[rng.randint(-3, 3) for _ in R] for _ in R]
+            want = {
+                (a + 1, b + 1, c + 1): sum(
+                    M[p][a] * M[q][b] * M[r][c] * t.value(p + 1, q + 1, r + 1)
+                    for p in R for q in R for r in R
+                )
+                for a, b, c in itertools.combinations_with_replacement(R, 3)
+            }
+            assert t.change_basis(M).entries == want
+
     def test_conflicting_entries_rejected(self):
         with pytest.raises(TensorError, match=r"conflicting values .* \(1, 2, 3\)$"):
             CubicTensor(3, {(1, 2, 3): 1, (3, 2, 1): 2})

@@ -41,7 +41,7 @@ from cy_smoother.smoothing import (
 )
 from cy_smoother.surface import K3Model, curve_genus, intersect
 
-from conftest import MU_TABLE, NU_TABLE, make_model
+from conftest import MU_TABLE, NU_TABLE, make_model, without_lifts
 from test_components import random_quartic_lines_model, random_sextic_model
 
 RANDOM_MODELS = [random_quartic_lines_model, random_sextic_model]
@@ -303,8 +303,12 @@ class TestCubicAndC2:
             )
         else:
             bad = dataclasses.replace(rg2, degenerate=rg2.degenerate[:-1])
-        with pytest.raises(ComponentError, match="lift on Y2 has length"):
-            cubic_form(pair1_a, bad)
+        # every step that reads the lifts splits and checks them the same way;
+        # RG^4 reads only the generators
+        steps = [cubic_form, c2_form] + [compute_rg4_and_consur] * (which == "generator")
+        for step in steps:
+            with pytest.raises(ComponentError, match="lift on Y2 has length"):
+                step(pair1_a, bad)
 
     def test_zero_argument_kills_product(self, pair1_a):
         zero = (0, 0)
@@ -402,7 +406,7 @@ class TestHodge:
 class TestMoveTop:
     def test_matches_other_config(self, pair1_a, pair1_b):
         moved = move_top_center(pair1_a, 2)
-        assert analyze(moved).invariant_payload() == analyze(pair1_b).invariant_payload()
+        assert without_lifts(analyze(moved)) == without_lifts(analyze(pair1_b))
 
     def test_involution(self, pair1_a):
         back = move_top_center(move_top_center(pair1_a, 1), 2)
@@ -468,8 +472,8 @@ class TestMoveTop:
             moved = analyze(move_top_center(model, idx))
             assert scalars(moved) == scalars(rep)
             assert forms_distinguishable(rep.cubic_tensor, moved.cubic_tensor).verdict != DISTINCT
-            payloads.append(moved.invariant_payload())
-        assert payloads[0] != rep.invariant_payload()
+            payloads.append(without_lifts(moved))
+        assert payloads[0] != without_lifts(rep)
 
     def test_preserves_hodge_and_consur(self, pair1_a):
         for idx in (1, 2):
