@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import csv
 import json
-from fractions import Fraction
+import math
 from importlib import resources
 from pathlib import Path
 from typing import Iterable
@@ -132,21 +132,23 @@ def cy_invariants(v1: FanoFamily, v2: FanoFamily):
         )
     delta = v1.delta
     r1, r2 = v1.index, v2.index
-    rho3 = Fraction(delta, r1) + Fraction(delta, r2)
-    rho_c2 = Fraction(24, r1) + Fraction(24, r2) + (r1 + r2) * delta
-    h12 = (
-        Fraction(22)
-        + v1.h12
-        + v2.h12
-        + Fraction((r1 + r2) ** 2 * delta, 2)
-        - max(v1.b2, v2.b2)
-    )
-    for name, val in (("rho^3", rho3), ("rho.c2", rho_c2), ("h12", h12)):
-        if val.denominator != 1:
+    values = []
+    # rho^3 = delta/r1 + delta/r2, rho.c2 = 24/r1 + 24/r2 + (r1+r2) delta and
+    # h12 = 22 + h12_1 + h12_2 + (r1+r2)^2 delta/2 - max b2, each as num/den
+    for name, num, den in (
+        ("rho^3", delta * (r1 + r2), r1 * r2),
+        ("rho.c2", (r1 + r2) * (24 + r1 * r2 * delta), r1 * r2),
+        ("h12", 2 * (22 + v1.h12 + v2.h12 - max(v1.b2, v2.b2)) + (r1 + r2) ** 2 * delta, 2),
+    ):
+        q, rem = divmod(num, den)
+        if rem:
+            g = math.gcd(num, den)
             raise CatalogError(
-                "pair (%s, %s): %s = %s is not an integer; catalog data error"
-                % (v1.id, v2.id, name, val)
+                "pair (%s, %s): %s = %d/%d is not an integer; catalog data error"
+                % (v1.id, v2.id, name, num // g, den // g)
             )
+        values.append(q)
+    rho3, rho_c2, h12 = values
     rank_one = min(v1.b2, v2.b2) == 1
     if v1.b2 == 1 and v2.b2 == 1:
         note = ""
@@ -157,7 +159,7 @@ def cy_invariants(v1: FanoFamily, v2: FanoFamily):
             "existence of a matching polarized K3 pair is assumed "
             "(moduli surjectivity needs one rigid side)"
         )
-    triple = CyInvariantTriple(int(rho3), int(rho_c2), int(h12))
+    triple = CyInvariantTriple(rho3, rho_c2, h12)
     return triple, rank_one, note
 
 

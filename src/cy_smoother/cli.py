@@ -143,7 +143,8 @@ def _table_lines(payload, pad: str = "") -> list[str]:
             if isinstance(val, (dict, list)):
                 lines += ["%s%s:" % (pad, key)] + _table_lines(val, pad + "  ")
             else:
-                lines.append("%s%-*s  %s" % (pad, width + 1, str(key) + ":", val))
+                # rstrip: an empty value (a passing hypothesis's note) leaves only padding
+                lines.append(("%s%-*s  %s" % (pad, width + 1, str(key) + ":", val)).rstrip())
     elif isinstance(payload, list):
         for item in payload:
             if isinstance(item, (dict, list)):

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .exact_lattice import IntMatrix
 # bench/test_bench.py checks that its tracer rebinds ``intersect`` here
@@ -49,37 +49,38 @@ class FullLatticeModeError(ComponentError):
     """Base has b2 > 1; only numeric invariants are available (fano_catalog)."""
 
 
-@dataclass(frozen=True)
-class FanoFamily:
+class FanoFamily(
+    namedtuple("FanoFamily", "id b2 index minus_K_cubed h12 provenance description")
+):
     """A Fano 3-fold family: -K = r*H with H primitive ample.
 
     One record serves both the closed-form pair search (``catalog``) and,
     when b2 = 1, the lattice engine as the base of a blown-up component.
     """
 
-    id: str
-    b2: int
-    index: int
-    minus_K_cubed: int
-    h12: int
-    provenance: str = ""
-    description: str = ""
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.b2 < 1 or self.index < 1 or self.minus_K_cubed <= 0 or self.h12 < 0:
-            raise ComponentError("invalid numeric data for family %r" % self.id)
-        r = self.index
-        if self.minus_K_cubed % r**2 != 0:
+    def __new__(cls, id: str, b2: int, index: int, minus_K_cubed: int, h12: int,
+                provenance: str = "", description: str = ""):
+        if b2 < 1 or index < 1 or minus_K_cubed <= 0 or h12 < 0:
+            raise ComponentError("invalid numeric data for family %r" % id)
+        r = index
+        if minus_K_cubed % r**2 != 0:
             raise ComponentError(
                 "family %r: -K^3 = %d is not divisible by index^2 = %d"
-                % (self.id, self.minus_K_cubed, r**2)
+                % (id, minus_K_cubed, r**2)
             )
         # b2 = 1: H generates H^2, so H^3 = -K^3/r^3 and H.c2 = 24/r are integers
-        if self.b2 == 1 and (self.minus_K_cubed % r**3 or 24 % r):
+        if b2 == 1 and (minus_K_cubed % r**3 or 24 % r):
             raise ComponentError(
                 "family %r: a rank-one base needs index^3 | -K^3 and index | 24, "
-                "got index %d and -K^3 = %d" % (self.id, r, self.minus_K_cubed)
+                "got index %d and -K^3 = %d" % (id, r, minus_K_cubed)
             )
+        return super().__new__(cls, id, b2, index, minus_K_cubed, h12, provenance, description)
+
+    @classmethod
+    def _make(cls, fields):  # _replace goes through _make: both run the checks
+        return cls(*fields)
 
     @property
     def delta(self) -> int:
@@ -102,20 +103,20 @@ class FanoFamily:
 P3 = FanoFamily("P3", b2=1, index=4, minus_K_cubed=64, h12=0)
 
 
-@dataclass(frozen=True)
-class BlownComponent:
-    """One component Y of the normal crossing, fully populated."""
+class BlownComponent(
+    namedtuple(
+        "BlownComponent",
+        "base k3 centers degrees genera mutual e_cubed c2_covector D_class restriction",
+    )
+):
+    """One component Y of the normal crossing, fully populated.
 
-    base: FanoFamily
-    k3: K3Model
-    centers: tuple[PicardVector, ...]
-    degrees: tuple[int, ...]
-    genera: tuple[int, ...]
-    mutual: tuple[tuple[int, ...], ...]
-    e_cubed: tuple[int, ...]
-    c2_covector: tuple[int, ...]
-    D_class: PicardVector
-    restriction: IntMatrix
+    Fields: base (FanoFamily), k3 (K3Model), centers (PicardVector per
+    center), degrees h.c_i, genera g_i, mutual c_i.c_j, e_cubed e_i^3,
+    c2_covector, D_class and restriction (IntMatrix H^2(Y) -> Pic(D)).
+    """
+
+    __slots__ = ()
 
     @property
     def h2_rank(self) -> int:
@@ -227,15 +228,17 @@ def _cup(Y: BlownComponent, b: tuple[int, ...], c: tuple[int, ...]) -> tuple[int
              - sum_{i<j} m_ij (b_i c_j + b_j c_i) - sum_{k>j} m_jk b_k c_k
     """
     b0, c0 = b[0], c[0]
+    # record fields are tuple lookups: read them once, not once per j
+    degrees, e_cubed, mutual = Y.degrees, Y.e_cubed, Y.mutual
     cov = [Y.base.H_cubed * b0 * c0] + [0] * (len(b) - 1)
     for j in range(1, len(b)):
         bj, cj = b[j], c[j]
         if not (bj or cj):
             continue
-        bc, d = bj * cj, Y.degrees[j - 1]
+        bc, d = bj * cj, degrees[j - 1]
         cov[0] -= d * bc
-        total = Y.e_cubed[j - 1] * bc - d * (b0 * cj + bj * c0)
-        for i, m in enumerate(Y.mutual[j - 1][: j - 1], start=1):
+        total = e_cubed[j - 1] * bc - d * (b0 * cj + bj * c0)
+        for i, m in enumerate(mutual[j - 1][: j - 1], start=1):
             if m:
                 total -= m * (b[i] * cj + bj * c[i])
                 cov[i] -= m * bc

@@ -28,8 +28,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
 from typing import Iterable, Mapping, Sequence
 
 
@@ -54,26 +53,31 @@ def _array(tensor: "CubicTensor") -> list[list[list[int]]]:
     return [[[T.get(tuple(sorted((i + 1, j + 1, k + 1))), 0) for k in R] for j in R] for i in R]
 
 
-@dataclass(frozen=True)
-class CubicTensor:
-    """Symmetric integer 3-tensor T_ijk, stored on sorted index triples."""
+class CubicTensor(namedtuple("CubicTensor", "rank entries")):
+    """Symmetric integer 3-tensor T_ijk, stored on sorted index triples.
 
-    rank: int
-    entries: Mapping[tuple[int, int, int], int]
+    The constructor takes entries on any index order and stores them as a
+    dict keyed by the sorted triples, in sorted order.
+    """
 
-    def __post_init__(self):
-        n = self.rank
-        if n < 0:
+    __slots__ = ()
+
+    def __new__(cls, rank: int, entries: Mapping[tuple[int, int, int], int]):
+        if rank < 0:
             raise TensorError("negative rank")
         canon = {}
-        for idx, v in self.entries.items():
+        for idx, v in entries.items():
             key = tuple(sorted(map(operator.index, idx)))
-            if len(key) != 3 or key[0] < 1 or key[2] > n:
-                raise TensorError("bad tensor index %r for rank %d" % (tuple(idx), n))
+            if len(key) != 3 or key[0] < 1 or key[2] > rank:
+                raise TensorError("bad tensor index %r for rank %d" % (tuple(idx), rank))
             v = operator.index(v)
             if canon.setdefault(key, v) != v:
                 raise TensorError("conflicting values for symmetric entry %r" % (key,))
-        object.__setattr__(self, "entries", dict(sorted(canon.items())))
+        return super().__new__(cls, rank, dict(sorted(canon.items())))
+
+    @classmethod
+    def _make(cls, fields):  # _replace goes through _make: both run the checks
+        return cls(*fields)
 
     def value(self, i: int, j: int, k: int) -> int:
         return self.entries.get(_canonical_key((i, j, k), self.rank), 0)
@@ -97,17 +101,19 @@ class CubicTensor:
         return math.gcd(*self.entries.values()) if self.entries else 0
 
 
-@dataclass(frozen=True)
-class CyInvariantTriple:
-    """The numerical invariants of a Picard-rank-one Calabi-Yau 3-fold."""
+class CyInvariantTriple(namedtuple("CyInvariantTriple", "rho_cubed rho_c2 h12")):
+    """The numerical invariants of a Picard-rank-one Calabi-Yau 3-fold (h12 may be None)."""
 
-    rho_cubed: int
-    rho_c2: int
-    h12: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.rho_cubed <= 0:
+    def __new__(cls, rho_cubed: int, rho_c2: int, h12: int | None = None):
+        if rho_cubed <= 0:
             raise InvariantError("rho^3 must be positive for an ample generator")
+        return super().__new__(cls, rho_cubed, rho_c2, h12)
+
+    @classmethod
+    def _make(cls, fields):  # _replace goes through _make: both run the checks
+        return cls(*fields)
 
     @property
     def key(self) -> tuple[int, int]:
@@ -176,11 +182,10 @@ DISTINCT = "DISTINCT"
 INCONCLUSIVE = "INCONCLUSIVE"
 
 
-@dataclass(frozen=True)
-class ComparisonResult:
-    verdict: str
-    reason: str
-    details: dict
+class ComparisonResult(namedtuple("ComparisonResult", "verdict reason details")):
+    """verdict is DISTINCT or INCONCLUSIVE; details is a dict of the invariants compared."""
+
+    __slots__ = ()
 
     def __bool__(self):  # truthy iff provably distinct
         return self.verdict == DISTINCT
@@ -204,6 +209,9 @@ def forms_distinguishable(t1: CubicTensor, t2: CubicTensor) -> ComparisonResult:
             "s_zero": (s1 == 0, s2 == 0),
         }
         if (s1 == 0) and (s2 == 0) and v1 and v2:
+            # imported here: no CLI command compares forms, and fractions loads decimal
+            from fractions import Fraction
+
             details["t_ratio"] = Fraction(v1, v2)
         if (s1 == 0) != (s2 == 0):
             return ComparisonResult(DISTINCT, "exactly one form has S = 0", details)
@@ -239,13 +247,14 @@ def rr_dimension(inv: CyInvariantTriple, n: int) -> int:
     """chi(O(n rho)) = rho^3 n^3 / 6 + (rho.c2) n / 12 on a Calabi-Yau 3-fold."""
     if not isinstance(n, int):
         raise InvariantError("n must be an integer")
-    chi = Fraction(inv.rho_cubed * n**3, 6) + Fraction(inv.rho_c2 * n, 12)
-    if chi.denominator != 1:
+    twelve_chi = 2 * inv.rho_cubed * n**3 + inv.rho_c2 * n
+    if twelve_chi % 12:
+        g = math.gcd(twelve_chi, 12)
         raise InvariantError(
-            "chi(O(%d rho)) = %s is not an integer; the invariant pair "
-            "(%d, %d) is inconsistent" % (n, chi, inv.rho_cubed, inv.rho_c2)
+            "chi(O(%d rho)) = %d/%d is not an integer; the invariant pair "
+            "(%d, %d) is inconsistent" % (n, twelve_chi // g, 12 // g, inv.rho_cubed, inv.rho_c2)
         )
-    return int(chi)
+    return twelve_chi // 12
 
 
 def deformation_group(items: Iterable[tuple[str, CyInvariantTriple]]):

@@ -36,7 +36,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import components as comp
 from .exact_lattice import (
@@ -63,16 +63,19 @@ class InternalInconsistencyError(RuntimeError):
     """A structural identity failed; upstream hypotheses must be broken."""
 
 
-@dataclass(frozen=True)
-class NormalCrossingModel:
-    """Two components glued along one shared K3 surface."""
+class NormalCrossingModel(namedtuple("NormalCrossingModel", "y1 y2")):
+    """Two components (BlownComponent) glued along one shared K3 surface."""
 
-    y1: comp.BlownComponent
-    y2: comp.BlownComponent
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.y1.k3 != self.y2.k3:
+    def __new__(cls, y1: comp.BlownComponent, y2: comp.BlownComponent):
+        if y1.k3 != y2.k3:
             raise ModelError("components reference different K3 models")
+        return super().__new__(cls, y1, y2)
+
+    @classmethod
+    def _make(cls, fields):  # _replace goes through _make: both run the checks
+        return cls(*fields)
 
     @property
     def k3(self):
@@ -83,12 +86,12 @@ class NormalCrossingModel:
         return (self.y1, self.y2)
 
 
-@dataclass(frozen=True)
-class HypothesisVerdict:
-    key: str
-    description: str
-    status: str  # "pass" | "fail" | "assumed"
-    note: str = ""
+class HypothesisVerdict(
+    namedtuple("HypothesisVerdict", "key description status note", defaults=("",))
+):
+    """One smoothing hypothesis; status is "pass", "fail" or "assumed"."""
+
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -216,12 +219,12 @@ def _kahler_verdict(model: NormalCrossingModel) -> HypothesisVerdict:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RG2Result:
-    generators: tuple[tuple[int, ...], ...]  # stacked (H^2(Y1) | H^2(Y2)) lifts
-    g2_basis: tuple[tuple[int, ...], ...]  # full basis of G^2, same stacking
-    degenerate: tuple[int, ...]  # the class (D, -D)
-    dropped_index: int
+class RG2Result(namedtuple("RG2Result", "generators g2_basis degenerate dropped_index")):
+    """generators: stacked (H^2(Y1) | H^2(Y2)) lifts; g2_basis: the full basis
+    of G^2, same stacking; degenerate: the class (D, -D); dropped_index: the
+    basis position removed, -1 after a generic quotient."""
+
+    __slots__ = ()
 
     @property
     def rank(self) -> int:
@@ -249,11 +252,11 @@ def compute_rg2(model: NormalCrossingModel) -> RG2Result:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RG4Result:
-    generators: tuple[tuple[int, ...], ...]  # stacked (H^4(Y1) | H^4(Y2))
-    gram: IntMatrix
-    unimodular: bool
+class RG4Result(namedtuple("RG4Result", "generators gram unimodular")):
+    """generators: stacked (H^4(Y1) | H^4(Y2)); gram: the RG^2 x RG^4 pairing
+    (IntMatrix); unimodular: whether it has determinant +-1."""
+
+    __slots__ = ()
 
 
 def _degree_row_kernel(r: int, s: int) -> list[tuple[int, ...]]:
@@ -474,19 +477,20 @@ def move_top_center(model: NormalCrossingModel, from_index: int) -> NormalCrossi
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SmoothingReport:
-    hypothesis_verdicts: tuple[HypothesisVerdict, ...]
-    picard_rank: int
-    picard_generators: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
-    cubic_tensor: CubicTensor | None
-    c2_covector: tuple[int, ...] | None
-    consur_unimodular: bool | None
-    consur_gram: IntMatrix | None
-    h11: int
-    h12: int
-    euler: int
-    torsion_note: str = TORSION_NOTE
+class SmoothingReport(
+    namedtuple(
+        "SmoothingReport",
+        "hypothesis_verdicts picard_rank picard_generators cubic_tensor c2_covector "
+        "consur_unimodular consur_gram h11 h12 euler torsion_note",
+        defaults=(TORSION_NOTE,),
+    )
+):
+    """The whole pipeline's result.  picard_generators are (l1, l2) lift
+    pairs; cubic_tensor (CubicTensor), c2_covector, consur_unimodular and
+    consur_gram (IntMatrix) are None when d-semistability fails, and
+    picard_rank is then -1."""
+
+    __slots__ = ()
 
     @property
     def hypotheses_ok(self) -> bool:

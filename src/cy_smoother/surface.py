@@ -9,7 +9,7 @@ likewise declared, not verified.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .exact_lattice import IntMatrix
 
@@ -20,8 +20,7 @@ class SurfaceError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class K3Model:
+class K3Model(namedtuple("K3Model", "gram class_names polarization")):
     """Picard lattice of a polarized K3 surface.
 
     gram is the intersection form on the declared generators (symmetric,
@@ -29,18 +28,16 @@ class K3Model:
     the ample class h, with h.h = 2n-2 > 0.
     """
 
-    gram: IntMatrix
-    class_names: tuple[str, ...]
-    polarization: PicardVector
+    __slots__ = ()
 
-    def __post_init__(self):
-        g = self.gram
-        if not g.is_square():
+    def __new__(cls, gram: IntMatrix, class_names: tuple[str, ...], polarization: PicardVector):
+        self = super().__new__(cls, gram, class_names, polarization)
+        if not gram.is_square():
             raise SurfaceError("Gram matrix must be square")
-        n, rows = g.rows, g.to_rows()
-        if len(self.class_names) != n:
+        n, rows = gram.rows, gram.to_rows()
+        if len(class_names) != n:
             raise SurfaceError("need one class name per lattice generator")
-        if len(self.polarization) != n:
+        if len(polarization) != n:
             raise SurfaceError("polarization length does not match lattice rank")
         for i, row in enumerate(rows):
             if row[i] % 2 != 0:
@@ -48,20 +45,25 @@ class K3Model:
             for j in range(i + 1, n):
                 if row[j] != rows[j][i]:
                     raise SurfaceError("Gram matrix must be symmetric")
-        h2 = intersect(self, self.polarization, self.polarization)
+        h2 = intersect(self, polarization, polarization)
         if h2 <= 0 or h2 % 2 != 0:
             raise SurfaceError("polarization must have positive even square, got %d" % h2)
         # Hodge index: h^perp is negative definite.  x -> h.h x - (x.h) h maps
         # the coordinate vectors other than p (h_p != 0) onto a basis of
         # h^perp and scales the form by h.h, giving h.h x.y - (x.h)(y.h).
-        hx = g.mul_vector(self.polarization)
-        p = next(i for i, x in enumerate(self.polarization) if x)
+        hx = gram.mul_vector(polarization)
+        p = next(i for i, x in enumerate(polarization) if x)
         rest = [i for i in range(n) if i != p]
         if not _negative_definite([[h2 * rows[i][j] - hx[i] * hx[j] for j in rest] for i in rest]):
             raise SurfaceError(
                 "Gram matrix is not hyperbolic; a K3 Picard lattice has signature (1, %d)"
                 % (n - 1)
             )
+        return self
+
+    @classmethod
+    def _make(cls, fields):  # _replace goes through _make: both run the checks
+        return cls(*fields)
 
     @property
     def rank(self) -> int:

@@ -4,7 +4,6 @@ All comparisons are exact integer equality; each criterion prints one
 PASS line when it holds (pytest -s shows them).
 """
 
-import dataclasses
 import json
 from collections import Counter
 from fractions import Fraction
@@ -199,8 +198,7 @@ def test_criterion_8_property_suites(rng, quartic):
                     assert tensor.value(i, j, k) == tensor.value(k, i, j)
         w = rg2.degenerate
         shifts = [rng.randint(-2, 2) for _ in rg2.generators]
-        shifted = dataclasses.replace(
-            rg2,
+        shifted = rg2._replace(
             generators=tuple(
                 tuple(a + t * b for a, b in zip(g, w))
                 for g, t in zip(rg2.generators, shifts)

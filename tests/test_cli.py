@@ -254,6 +254,7 @@ def test_table_format_every_subcommand(monkeypatch, tmp_path, argv, code, lines)
     text = "\n" + both.getvalue()
     at = [text.find("\n%s\n" % block) for block in lines]
     assert -1 not in at and at == sorted(at)
+    assert [line for line in text.splitlines() if line != line.rstrip()] == []
 
 
 @pytest.mark.parametrize("fmt", ["json", "table"])

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import json
 from pathlib import Path
@@ -215,7 +214,7 @@ class TestRG4Consur:
         # rank RG^4 = rank RG^2 always, so a surplus RG^2 generator can only
         # come from a broken upstream computation
         rg2 = compute_rg2(pair1_a)
-        bad = dataclasses.replace(rg2, generators=rg2.generators + (rg2.degenerate,))
+        bad = rg2._replace(generators=rg2.generators + (rg2.degenerate,))
         with pytest.raises(InternalInconsistencyError, match="rank mismatch"):
             compute_rg4_and_consur(pair1_a, bad)
 
@@ -251,7 +250,7 @@ class TestCubicAndC2:
                 tuple(a + t * b for a, b in zip(g, w))
                 for g, t in zip(rg2.generators, shifts)
             )
-            shifted = dataclasses.replace(rg2, generators=gens)
+            shifted = rg2._replace(generators=gens)
             assert cubic_form(pair1_a, shifted).entries == base_cubic.entries
             assert c2_form(pair1_a, shifted) == base_c2
 
@@ -274,7 +273,7 @@ class TestCubicAndC2:
     def test_corrupted_lift_is_rejected(self, pair1_a):
         # a lift outside G^2 has a nonzero correction term and must error
         rg2 = compute_rg2(pair1_a)
-        bad = dataclasses.replace(rg2, generators=((1, 0, 0, 0),) + rg2.generators[1:])
+        bad = rg2._replace(generators=((1, 0, 0, 0),) + rg2.generators[1:])
         with pytest.raises(InternalInconsistencyError):
             c2_form(pair1_a, bad)
 
@@ -282,7 +281,7 @@ class TestCubicAndC2:
         # (H, 0) does not restrict to the same class from both sides, so
         # (D, -D) cups to a nonzero value with it
         rg2 = compute_rg2(pair1_a)
-        bad = dataclasses.replace(rg2, generators=((1, 0, 0, 0),) + rg2.generators[1:])
+        bad = rg2._replace(generators=((1, 0, 0, 0),) + rg2.generators[1:])
         with pytest.raises(InternalInconsistencyError, match="depends on the NG\\^2 lift"):
             cubic_form(pair1_a, bad)
 
@@ -298,11 +297,11 @@ class TestCubicAndC2:
     def test_wrong_length_lift_is_rejected_by_cubic(self, pair1_a, which):
         rg2 = compute_rg2(pair1_a)
         if which == "generator":
-            bad = dataclasses.replace(
-                rg2, generators=rg2.generators[:-1] + (rg2.generators[-1] + (0,),)
+            bad = rg2._replace(
+                generators=rg2.generators[:-1] + (rg2.generators[-1] + (0,),)
             )
         else:
-            bad = dataclasses.replace(rg2, degenerate=rg2.degenerate[:-1])
+            bad = rg2._replace(degenerate=rg2.degenerate[:-1])
         # every step that reads the lifts splits and checks them the same way;
         # RG^4 reads only the generators
         steps = [cubic_form, c2_form] + [compute_rg4_and_consur] * (which == "generator")
