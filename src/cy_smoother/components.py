@@ -38,7 +38,7 @@ from collections import namedtuple
 
 from .exact_lattice import IntMatrix
 # bench/test_bench.py checks that its tracer rebinds ``intersect`` here
-from .surface import K3Model, PicardVector, genus_from_square, intersect  # noqa: F401
+from .surface import K3Model, genus_from_square, intersect  # noqa: F401
 
 
 class ComponentError(ValueError):
