@@ -87,9 +87,10 @@ def load_catalog(path=None) -> tuple[FanoFamily, ...]:
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise CatalogError("catalog row %d is malformed: %s" % (lineno, exc)) from exc
-        if fam.id in seen:
+        # find_family matches ids case-insensitively, so ids equal up to case collide
+        if fam.id.lower() in seen:
             raise CatalogError("catalog row %d: duplicate id %r" % (lineno, fam.id))
-        seen.add(fam.id)
+        seen.add(fam.id.lower())
         families.append(fam)
     return tuple(families)
 

@@ -92,10 +92,14 @@ class IntMatrix:
         return self.entries[i * self.cols + j]
 
     def row(self, i: int) -> tuple[int, ...]:
+        if not 0 <= i < self.rows:
+            raise IndexError(i)
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
     def column(self, j: int) -> tuple[int, ...]:
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
+        if not 0 <= j < self.cols:
+            raise IndexError(j)
+        return self.entries[j :: self.cols]
 
     def to_rows(self) -> list[list[int]]:
         return [list(self.row(i)) for i in range(self.rows)]
@@ -137,20 +141,13 @@ class IntMatrix:
         return tuple(sum(a * v for a, v in zip(self.row(i), vec)) for i in range(self.rows))
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(
-            self.cols,
-            self.rows,
-            [self.entries[i * self.cols + j] for j in range(self.cols) for i in range(self.rows)],
-        )
+        return IntMatrix(self.cols, self.rows, [e for c in self.to_columns() for e in c])
 
     def hstack(self, other: "IntMatrix") -> "IntMatrix":
         if self.rows != other.rows:
             raise ValueError("row mismatch in hstack")
-        ents = []
-        for i in range(self.rows):
-            ents.extend(self.row(i))
-            ents.extend(other.row(i))
-        return IntMatrix(self.rows, self.cols + other.cols, ents)
+        rows = [a + b for a, b in zip(self.to_rows(), other.to_rows())]
+        return IntMatrix.from_rows(rows, cols=self.cols + other.cols)
 
     def __neg__(self) -> "IntMatrix":
         return IntMatrix(self.rows, self.cols, [-e for e in self.entries])
@@ -184,92 +181,52 @@ def smith_normal_form(M: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     U and V are unimodular, S is diagonal with nonnegative entries in a
     divisibility chain d_i | d_{i+1}.  Total function; deterministic pivot
     choice (smallest absolute value, then lowest position).
+
+    One list of rows R carries the elimination: M's n rows, each extended by
+    the matching row of U, then V's m rows.  A row operation updates one of
+    the first n rows whole, so it reaches M and U; a column operation
+    updates the indices below m of every row, so it reaches M and V, never U.
     """
     n, m = M.rows, M.cols
-    A = M.to_rows()
-    U = _identity_rows(n)
-    V = _identity_rows(m)
-
-    def swap_rows(i, j):
-        A[i], A[j] = A[j], A[i]
-        U[i], U[j] = U[j], U[i]
-
-    def swap_cols(i, j):
-        for r in A:
-            r[i], r[j] = r[j], r[i]
-        for r in V:
-            r[i], r[j] = r[j], r[i]
-
-    def add_row(src, dst, q):
-        # row dst += q * row src
-        Asrc, Adst = A[src], A[dst]
-        for k in range(m):
-            Adst[k] += q * Asrc[k]
-        Us, Ud = U[src], U[dst]
-        for k in range(n):
-            Ud[k] += q * Us[k]
-
-    def add_col(src, dst, q):
-        for r in A:
-            r[dst] += q * r[src]
-        for r in V:
-            r[dst] += q * r[src]
-
-    def negate_row(i):
-        A[i] = [-e for e in A[i]]
-        U[i] = [-e for e in U[i]]
-
-    size = min(n, m)
-    for t in range(size):
+    R = [a + u for a, u in zip(M.to_rows(), _identity_rows(n))] + _identity_rows(m)
+    for t in range(min(n, m)):
         while True:
-            # locate pivot: smallest nonzero |entry| in the trailing block
-            piv = None
-            for i in range(t, n):
-                for j in range(t, m):
-                    e = A[i][j]
-                    if e and (piv is None or abs(e) < abs(A[piv[0]][piv[1]])):
-                        piv = (i, j)
-            if piv is None:
+            # the pivot: min over (|e|, i, j) is the first smallest |entry| in row-major order
+            block = [(abs(R[i][j]), i, j) for i in range(t, n) for j in range(t, m) if R[i][j]]
+            if not block:
                 break
-            if piv[0] != t:
-                swap_rows(t, piv[0])
-            if piv[1] != t:
-                swap_cols(t, piv[1])
+            _, pi, pj = min(block)
+            R[t], R[pi] = R[pi], R[t]
+            if pj != t:
+                for r in R:
+                    r[t], r[pj] = r[pj], r[t]
+            top = R[t]
             dirty = False
             for i in range(t + 1, n):
-                if A[i][t]:
-                    q = A[i][t] // A[t][t]
-                    add_row(t, i, -q)
-                    if A[i][t]:
-                        dirty = True
+                if R[i][t]:
+                    q = R[i][t] // top[t]
+                    R[i] = [a - q * b for a, b in zip(R[i], top)]
+                    dirty = dirty or R[i][t] != 0
             for j in range(t + 1, m):
-                if A[t][j]:
-                    q = A[t][j] // A[t][t]
-                    add_col(t, j, -q)
-                    if A[t][j]:
-                        dirty = True
+                if top[j]:
+                    q = top[j] // top[t]
+                    for r in R:
+                        r[j] -= q * r[t]
+                    dirty = dirty or top[j] != 0
             if dirty:
                 continue
-            # divisibility: pivot must divide the rest of the block
-            offender = None
-            d = A[t][t]
-            for i in range(t + 1, n):
-                for j in range(t + 1, m):
-                    if A[i][j] % d != 0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
+            # divisibility: pivot must divide the rest of the block; else add
+            # the first offending row to the pivot row and eliminate again
+            offender = next((r for r in R[t + 1 : n] if any(e % top[t] for e in r[t + 1 : m])), None)
             if offender is None:
                 break
-            add_row(offender, t, 1)
-        if t < n and t < m and A[t][t] < 0:
-            negate_row(t)
-
+            R[t] = [a + b for a, b in zip(top, offender)]
+        if R[t][t] < 0:
+            R[t] = [-e for e in R[t]]
     return (
-        IntMatrix.from_rows(U, cols=n),
-        IntMatrix.from_rows(A, cols=m),
-        IntMatrix.from_rows(V, cols=m),
+        IntMatrix.from_rows([r[m:] for r in R[:n]], cols=n),
+        IntMatrix.from_rows([r[:m] for r in R[:n]], cols=m),
+        IntMatrix.from_rows(R[n:], cols=m),
     )
 
 

@@ -42,7 +42,7 @@ class InvariantError(ValueError):
 
 def _canonical_key(idx: Sequence[int], rank: int) -> tuple[int, ...]:
     key = tuple(sorted(map(operator.index, idx)))
-    if len(key) != 3 or any(i < 1 or i > rank for i in key):
+    if len(key) != 3 or key[0] < 1 or key[2] > rank:
         raise TensorError("bad tensor index %r for rank %d" % (tuple(idx), rank))
     return key
 
@@ -67,9 +67,7 @@ class CubicTensor(namedtuple("CubicTensor", "rank entries")):
             raise TensorError("negative rank")
         canon = {}
         for idx, v in entries.items():
-            key = tuple(sorted(map(operator.index, idx)))
-            if len(key) != 3 or key[0] < 1 or key[2] > rank:
-                raise TensorError("bad tensor index %r for rank %d" % (tuple(idx), rank))
+            key = _canonical_key(idx, rank)
             v = operator.index(v)
             if canon.setdefault(key, v) != v:
                 raise TensorError("conflicting values for symmetric entry %r" % (key,))

@@ -18,7 +18,8 @@ Degeneration inputs are capped so that analysis time stays bounded on
 hostile input: at most MAX_CENTERS centers per component, a K3 lattice
 of rank at most MAX_K3_RANK, and integers of absolute value at most
 MAX_ENTRY in the Gram matrix, the polarization and the centers.  Larger
-inputs are rejected with a SchemaError.
+inputs are rejected with a SchemaError, and so is a field that the schema
+does not name, so that a misspelt key is never silently ignored.
 """
 
 from __future__ import annotations
@@ -54,6 +55,16 @@ def _expect(cond: bool, message: str, location: str):
         raise SchemaError(message, location)
 
 
+def _check_fields(raw, required: tuple, optional: tuple, location: str):
+    """raw must be an object with every required field and no unknown one."""
+    _expect(isinstance(raw, dict), "expected an object", location)
+    for key in required:
+        _expect(key in raw, "missing field %r" % key, location)
+    for key in raw:
+        if key not in required and key not in optional:
+            raise SchemaError("unknown field %r" % (key,), location)
+
+
 def _int_list(raw, location: str) -> list[int]:
     _expect(isinstance(raw, list), "expected a list of integers", location)
     for i, v in enumerate(raw):
@@ -67,9 +78,7 @@ def _int_list(raw, location: str) -> list[int]:
 
 
 def parse_k3(raw, location: str = "k3") -> K3Model:
-    _expect(isinstance(raw, dict), "expected an object", location)
-    for key in ("gram", "classes", "polarization"):
-        _expect(key in raw, "missing field %r" % key, location)
+    _check_fields(raw, ("gram", "classes", "polarization"), (), location)
     gram_rows = raw["gram"]
     _expect(isinstance(gram_rows, list) and gram_rows, "gram must be a nonempty matrix",
             location + ".gram")
@@ -95,8 +104,7 @@ def parse_k3(raw, location: str = "k3") -> K3Model:
 def parse_component(
     raw, k3: K3Model, catalog: Iterable[FanoFamily], location: str
 ) -> BlownComponent:
-    _expect(isinstance(raw, dict), "expected an object", location)
-    _expect("base" in raw, "missing field 'base'", location)
+    _check_fields(raw, ("base",), ("centers",), location)
     _expect(isinstance(raw["base"], str), "base must be a catalog id string",
             location + ".base")
     try:
@@ -120,8 +128,7 @@ def parse_component(
 
 def parse_degeneration(raw, catalog: Iterable[FanoFamily]) -> NormalCrossingModel:
     _expect(isinstance(raw, dict), "expected a top-level object", "$")
-    for key in ("k3", "Y1", "Y2"):
-        _expect(key in raw, "missing field %r" % key, "$")
+    _check_fields(raw, ("k3", "Y1", "Y2"), (), "$")
     k3 = parse_k3(raw["k3"], "k3")
     y1 = parse_component(raw["Y1"], k3, catalog, "Y1")
     y2 = parse_component(raw["Y2"], k3, catalog, "Y2")

@@ -46,7 +46,7 @@ class K3Model(namedtuple("K3Model", "gram class_names polarization")):
                 if row[j] != rows[j][i]:
                     raise SurfaceError("Gram matrix must be symmetric")
         h2 = intersect(self, polarization, polarization)
-        if h2 <= 0 or h2 % 2 != 0:
+        if h2 <= 0:  # the form is even, so every square is even
             raise SurfaceError("polarization must have positive even square, got %d" % h2)
         # Hodge index: h^perp is negative definite.  x -> h.h x - (x.h) h maps
         # the coordinate vectors other than p (h_p != 0) onto a basis of

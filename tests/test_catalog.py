@@ -71,6 +71,20 @@ class TestLoadCatalog:
                            r"be an integer, got %r$" % (field, value)):
             load_catalog(bad)
 
+    @pytest.mark.parametrize("second", ["P3", "p3", " p3 "])
+    def test_ids_equal_up_to_case_rejected(self, tmp_path, second):
+        # find_family matches ids case-insensitively, so a second "p3" could
+        # never be selected
+        dup = tmp_path / "dup.csv"
+        dup.write_text(
+            "id,b2,index,minus_K_cubed,h12,provenance,description\n"
+            "P3,1,4,64,0,,p3\n"
+            "%s,1,4,64,0,,shadowed\n" % second
+        )
+        with pytest.raises(CatalogError, match=r"^catalog row 3: duplicate id %r$"
+                           % second.strip()):
+            load_catalog(dup)
+
     def test_non_integral_delta_rejected(self, tmp_path):
         bad = tmp_path / "bad2.csv"
         bad.write_text(

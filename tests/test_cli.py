@@ -329,6 +329,42 @@ def test_json_catalog_with_strings_exit_2(capsys, tmp_path):
     assert "catalog row 1 is malformed: field 'b2' must be an integer, got '1'" in err
 
 
+def test_catalog_ids_equal_up_to_case_exit_2(capsys, tmp_path):
+    # loaded, the second row could never be selected: --v1 p3 would read P3
+    dup = tmp_path / "dup.csv"
+    dup.write_text(
+        "id,b2,index,minus_K_cubed,h12,provenance,description\n"
+        "P3,1,4,64,0,,p3\n"
+        "p3,1,4,64,0,,shadowed\n"
+    )
+    code, out, err = run(capsys, "fano", "cy", "--v1", "p3", "--v2", "P3", "--catalog", str(dup))
+    assert code == 2
+    assert out == ""
+    assert "catalog row 3: duplicate id 'p3'" in err
+
+
+@pytest.mark.parametrize(
+    "part, key, message",
+    [
+        (None, "centres", "$: unknown field 'centres'"),
+        ("k3", "polarisation", "k3: unknown field 'polarisation'"),
+        ("Y1", "centres", "Y1: unknown field 'centres'"),
+        ("Y2", "note", "Y2: unknown field 'note'"),
+    ],
+    ids=["top-level", "k3", "Y1", "Y2"],
+)
+def test_unknown_field_exit_2(capsys, tmp_path, part, key, message):
+    # a misspelt "centers" used to run with no centers and exit 3
+    doc = json.loads((EXAMPLES / "quick.json").read_text())
+    (doc if part is None else doc[part])[key] = [[5]]
+    bad = tmp_path / "typo.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "smooth", str(bad))
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
 class TestMoveTop:
     def test_pipeline(self, capsys, tmp_path):
         code, out, _ = run(capsys, "move-top", str(EXAMPLES / "pair1_a.json"),

@@ -127,7 +127,49 @@ class TestIntMatrixEntries:
             assert all(type(e) is int for e in X.entries), X
 
 
+class TestIntMatrixAccess:
+    M = IntMatrix.from_rows([[1, 2], [3, 4], [5, 6]])
+
+    def test_rows_and_columns(self):
+        assert [self.M.row(i) for i in range(3)] == [(1, 2), (3, 4), (5, 6)]
+        assert [self.M.column(j) for j in range(2)] == [(1, 3, 5), (2, 4, 6)]
+        assert IntMatrix(0, 2, []).column(1) == () and IntMatrix(2, 0, []).row(1) == ()
+
+    @pytest.mark.parametrize(
+        "M, read, index",
+        [
+            (M, "row", 3),
+            (M, "row", -1),
+            (M, "column", 2),
+            (M, "column", -1),
+            (IntMatrix(2, 0, []), "column", 0),
+            (IntMatrix(0, 2, []), "row", 0),
+        ],
+        ids=["row-3", "row-minus-1", "column-2", "column-minus-1", "no-columns", "no-rows"],
+    )
+    def test_out_of_range_raises(self, M, read, index):
+        # as M[i, j] does; a negative index does not count from the end
+        with pytest.raises(IndexError):
+            getattr(M, read)(index)
+
+
 class TestSmithNormalForm:
+    @pytest.mark.parametrize(
+        "rows, U, S, V",
+        [
+            ([[2], [3]], [[-1, 1], [3, -2]], [[1], [0]], [[1]]),
+            ([[2, 3]], [[1]], [[1, 0]], [[-1, 3], [1, -2]]),
+            ([[2, 0], [0, 3]], [[1, 1], [3, 2]], [[1, 0], [0, 6]], [[-1, 3], [1, -2]]),
+        ],
+        ids=["row-reelimination", "column-reelimination", "non-dividing-pivot"],
+    )
+    def test_pinned_transforms(self, rows, U, S, V):
+        # U fixes the quotient's generators, so the exact transforms are pinned.
+        # Every pivot in the bench pools is +-1, so the report digest never
+        # reaches these branches: a remainder eliminated again in a row and in
+        # a column, and a pivot that does not divide the rest of the block.
+        assert [X.to_rows() for X in smith_normal_form(IntMatrix.from_rows(rows))] == [U, S, V]
+
     def test_identity(self):
         I2 = IntMatrix.identity(2)
         U, S, V = smith_normal_form(I2)

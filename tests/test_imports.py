@@ -1,0 +1,48 @@
+"""Every name imported in ``src/`` and ``tests/`` is used.
+
+A name counts as used when it is read anywhere in its module or listed in
+the module's ``__all__``.  An import line marked ``# noqa: F401`` is a
+deliberate re-export and is left out.  Only the standard library's ``ast``
+is needed, so the check runs without a linter.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py"))
+
+
+def unused_imports(source: str) -> list[tuple[int, str]]:
+    """(line, name) of each imported name the module never uses."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                if alias.name == "*" or "# noqa: F401" in lines[alias.lineno - 1]:
+                    continue
+                name = alias.asname or alias.name.split(".")[0]
+                imported.append((alias.lineno, name))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    return [(line, name) for line, name in imported if name not in used]
+
+
+def test_finds_an_unused_import():
+    source = "import os\nimport sys  # noqa: F401\nfrom json import dumps, loads\nloads('1')\n"
+    assert unused_imports(source) == [(1, "os"), (3, "dumps")]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []

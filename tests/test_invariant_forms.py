@@ -160,6 +160,12 @@ class TestCubicTensor:
                            % re.escape(repr(idx))):
             CubicTensor(2, {idx: 1})
 
+    @pytest.mark.parametrize("idx", [(1, 2, 3), (0, 1, 1), (3, 1, 1)])
+    def test_value_checks_the_index_as_the_constructor_does(self, idx):
+        with pytest.raises(TensorError, match=r"^bad tensor index %s for rank 2$"
+                           % re.escape(repr(idx))):
+            CubicTensor(2, {(1, 1, 1): 1}).value(*idx)
+
     @pytest.mark.parametrize("value", [2.5, "7"], ids=["float", "string"])
     def test_rejects_non_integer_entries(self, value):
         # an entry is never truncated or parsed: 2.5 does not become 2

@@ -10,7 +10,6 @@ from cy_smoother.components import (
     P3,
     ComponentError,
     build_component,
-    c2_pair,
     pair_h2_h4,
     triple_product,
 )

@@ -75,7 +75,8 @@ class TestK3Validation:
             K3Model(IntMatrix.from_rows([[2, 1], [0, 2]]), ("a", "b"), (1, 0))
 
     def test_rejects_nonpositive_polarization(self):
-        with pytest.raises(SurfaceError):
+        with pytest.raises(SurfaceError, match=r"^polarization must have positive even "
+                           r"square, got -2$"):
             K3Model(IntMatrix.from_rows([[-2]]), ("e",), (1,))
 
     def test_hyperbolic_against_eigenvalues(self, rng):
