@@ -8,12 +8,13 @@ Hermite normal form (HNF, ``_hermite``) and the RG^4 Gram display.  One HNF
 with a unimodular transform per map (``_factor``) gives its saturated
 kernel in a canonical basis, canonical solving and its image basis;
 ``fiber_product`` factors each of its two maps once, and a lattice
-intersection factors the stacked generators once.  The HNF is also behind
-ranks and the unimodularity test for pairing Gram matrices.  Smith normal
-form (SNF) is behind ``quotient``: a canonical section of the free quotient
-of Z^n by a relation lattice, with U^-1 read from one factorization of U.
-A quotient with torsion raises; every result is modulo torsion, and both
-quotients the smoothing takes are by saturated lattices.
+intersection factors the stacked generators once.  Ranks and the
+unimodularity test for pairing Gram matrices read the echelon form alone.
+One Smith normal form (SNF) elimination, ``_smith``, carries U^-1 along and
+is behind both ``smith_normal_form`` and ``quotient``: a canonical section
+of the free quotient of Z^n by a relation lattice, read from U^-1's
+trailing columns.  A quotient with torsion raises; every result is modulo
+torsion, and both quotients the smoothing takes are by saturated lattices.
 
 Canonical forms matter: kernels and quotient sections are normalized so
 that repeated runs (and golden tests) see byte-identical output.
@@ -138,7 +139,7 @@ class IntMatrix:
     def mul_vector(self, vec: Sequence[int]) -> tuple[int, ...]:
         if len(vec) != self.cols:
             raise ValueError("vector length %d, expected %d" % (len(vec), self.cols))
-        return tuple(sum(a * v for a, v in zip(self.row(i), vec)) for i in range(self.rows))
+        return tuple(sum(map(operator.mul, self.row(i), vec)) for i in range(self.rows))
 
     def transpose(self) -> "IntMatrix":
         return IntMatrix(self.cols, self.rows, [e for c in self.to_columns() for e in c])
@@ -175,28 +176,44 @@ def _identity_rows(n: int) -> list[list[int]]:
     return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
-def smith_normal_form(M: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """Smith normal form with transforms: returns (U, S, V) with S = U*M*V.
+def _smith_pivot(R: list[list[int]], t: int, n: int, m: int) -> tuple[int, int] | None:
+    """Position of the first smallest nonzero |entry| of the block R[t:n][t:m].
 
-    U and V are unimodular, S is diagonal with nonnegative entries in a
-    divisibility chain d_i | d_{i+1}.  Total function; deterministic pivot
-    choice (smallest absolute value, then lowest position).
-
-    One list of rows R carries the elimination: M's n rows, each extended by
-    the matching row of U, then V's m rows.  A row operation updates one of
-    the first n rows whole, so it reaches M and U; a column operation
-    updates the indices below m of every row, so it reaches M and V, never U.
+    Row-major order; the scan stops at the first unit, which no entry can
+    undercut.  None when the block is zero.
     """
-    n, m = M.rows, M.cols
-    R = [a + u for a, u in zip(M.to_rows(), _identity_rows(n))] + _identity_rows(m)
+    best = None
+    for i in range(t, n):
+        row = R[i]
+        for j in range(t, m):
+            e = row[j]
+            if e and (best is None or abs(e) < best[0]):
+                if e == 1 or e == -1:
+                    return i, j
+                best = (abs(e), i, j)
+    return best and best[1:]
+
+
+def _smith(R: list[list[int]], n: int, m: int) -> list[list[int]]:
+    """Bring the first n rows of R, read on their first m indices, to Smith form in place.
+
+    Rows past the n-th are column companions and indices past the m-th are
+    row companions: a row operation replaces one of the first n rows whole,
+    a column operation updates the indices below m of every row.  With U
+    the product of the row operations, the returned rows W are the columns
+    of U^-1: each row operation's inverse is applied to W, starting from the
+    identity.  The pivot is the first smallest |entry| of the remaining
+    block in row-major order (``_smith_pivot``).
+    """
+    W = _identity_rows(n)
     for t in range(min(n, m)):
         while True:
-            # the pivot: min over (|e|, i, j) is the first smallest |entry| in row-major order
-            block = [(abs(R[i][j]), i, j) for i in range(t, n) for j in range(t, m) if R[i][j]]
-            if not block:
+            pivot = _smith_pivot(R, t, n, m)
+            if pivot is None:
                 break
-            _, pi, pj = min(block)
+            pi, pj = pivot
             R[t], R[pi] = R[pi], R[t]
+            W[t], W[pi] = W[pi], W[t]
             if pj != t:
                 for r in R:
                     r[t], r[pj] = r[pj], r[t]
@@ -204,8 +221,10 @@ def smith_normal_form(M: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
             dirty = False
             for i in range(t + 1, n):
                 if R[i][t]:
+                    # R_i -= q R_t, undone on U^-1 by W_t += q W_i
                     q = R[i][t] // top[t]
                     R[i] = [a - q * b for a, b in zip(R[i], top)]
+                    W[t] = [a + q * b for a, b in zip(W[t], W[i])]
                     dirty = dirty or R[i][t] != 0
             for j in range(t + 1, m):
                 if top[j]:
@@ -215,14 +234,36 @@ def smith_normal_form(M: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
                     dirty = dirty or top[j] != 0
             if dirty:
                 continue
+            if top[t] == 1 or top[t] == -1:
+                break  # a unit divides everything
             # divisibility: pivot must divide the rest of the block; else add
-            # the first offending row to the pivot row and eliminate again
-            offender = next((r for r in R[t + 1 : n] if any(e % top[t] for e in r[t + 1 : m])), None)
-            if offender is None:
+            # the first offending row o to the pivot row (W_o -= W_t undoes it)
+            # and eliminate again
+            o = next((i for i in range(t + 1, n) if any(e % top[t] for e in R[i][t + 1 : m])), None)
+            if o is None:
                 break
-            R[t] = [a + b for a, b in zip(top, offender)]
+            R[t] = [a + b for a, b in zip(top, R[o])]
+            W[o] = [a - b for a, b in zip(W[o], W[t])]
         if R[t][t] < 0:
             R[t] = [-e for e in R[t]]
+            W[t] = [-e for e in W[t]]
+    return W
+
+
+def smith_normal_form(M: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
+    """Smith normal form with transforms: returns (U, S, V) with S = U*M*V.
+
+    U and V are unimodular, S is diagonal with nonnegative entries in a
+    divisibility chain d_i | d_{i+1}.  Total function; deterministic pivot
+    choice (smallest absolute value, then lowest position).
+
+    ``_smith`` eliminates on M's n rows, each extended by the matching row
+    of U, followed by V's m rows: row operations reach M and U, column
+    operations M and V.
+    """
+    n, m = M.rows, M.cols
+    R = [a + u for a, u in zip(M.to_rows(), _identity_rows(n))] + _identity_rows(m)
+    _smith(R, n, m)
     return (
         IntMatrix.from_rows([r[m:] for r in R[:n]], cols=n),
         IntMatrix.from_rows([r[:m] for r in R[:n]], cols=m),
@@ -252,10 +293,14 @@ def echelon_rows(A: list[list[int]], C: list[list[int]]) -> list[int]:
             break
         # gcd-eliminate below prow in this column
         while True:
+            # the first smallest |entry|; a unit ends the scan
             piv = None
             for i in range(prow, n):
-                if A[i][col] and (piv is None or abs(A[i][col]) < abs(A[piv][col])):
+                e = A[i][col]
+                if e and (piv is None or abs(e) < abs(A[piv][col])):
                     piv = i
+                    if e == 1 or e == -1:
+                        break
             if piv is None:
                 break
             if piv != prow:
@@ -303,6 +348,12 @@ def _hermite(A: list[list[int]], C: list[list[int]]) -> int:
     return len(pivots)
 
 
+def _echelon(vectors) -> list[list[int]]:
+    """The nonzero rows of an echelon form of the given vectors."""
+    A = [list(v) for v in vectors]
+    return A[: len(echelon_rows(A, [[] for _ in A]))]
+
+
 def _hnf_rows(vectors) -> list[list[int]]:
     """The nonzero HNF rows of the given vectors."""
     A = [list(v) for v in vectors]
@@ -315,7 +366,8 @@ def hermite_row_form(M: IntMatrix) -> IntMatrix:
 
 
 def rank(M: IntMatrix) -> int:
-    return hermite_row_form(M).rows
+    """Rank of M: the pivot count of an echelon form of its shorter side."""
+    return len(_echelon(M.to_rows() if M.rows <= M.cols else M.to_columns()))
 
 
 def _reduce(v: Sequence[int], rows) -> tuple[list[int], list[int]]:
@@ -455,14 +507,16 @@ def quotient(ambient_rank: int, relations: IntMatrix) -> IntMatrix:
         raise ValueError(
             "relations have %d rows, ambient rank is %d" % (relations.rows, ambient_rank)
         )
-    U, S, _ = smith_normal_form(relations)
-    diag = [S[t, t] for t in range(min(S.rows, S.cols)) if S[t, t]]
+    S = relations.to_rows()
+    # no companions: only U^-1's columns are read, not U or V
+    inverse_cols = _smith(S, relations.rows, relations.cols)
+    diag = [S[t][t] for t in range(min(relations.rows, relations.cols)) if S[t][t]]
     if any(d > 1 for d in diag):
         raise ValueError("the quotient has torsion: Smith invariants %r" % (tuple(diag),))
-    # U^t is unimodular, so its HNF is I and T = (U^t)^-1: T's rows are U^-1's columns
-    _, inverse_cols = _factor(U.to_columns())
-    # canonical representatives: reduce modulo the relation lattice
-    rel_basis = _hnf_rows(relations.to_columns())
+    # canonical representatives: reduce modulo the relation lattice.  Any
+    # echelon basis will do: two vectors in [0, pivot) at every pivot that
+    # differ by a relation are equal, so the upward reduction is not needed
+    rel_basis = _echelon(relations.to_columns())
     section_cols = [_reduce(c, rel_basis)[1] for c in inverse_cols[len(diag) :]]
     return IntMatrix.from_columns(section_cols, rows=ambient_rank)
 
@@ -470,8 +524,9 @@ def quotient(ambient_rank: int, relations: IntMatrix) -> IntMatrix:
 def pairing_is_unimodular(G: IntMatrix) -> bool:
     """True iff the pairing Gram matrix G is unimodular (|det G| = 1).
 
-    A square integer matrix is unimodular iff its row-HNF is the identity;
-    a 0x0 pairing is vacuously unimodular.  Non-square input signals that
+    A square integer matrix is unimodular iff its row-HNF is the identity,
+    that is iff an echelon form has a pivot in every row and each pivot is
+    1; a 0x0 pairing is vacuously unimodular.  Non-square input signals that
     the two paired lattices have different ranks, which can only come from
     a degenerate-subgroup computation bug upstream.
     """
@@ -480,7 +535,8 @@ def pairing_is_unimodular(G: IntMatrix) -> bool:
             "pairing Gram is %dx%d; the paired lattices have different ranks"
             % (G.rows, G.cols)
         )
-    return hermite_row_form(G) == IntMatrix.identity(G.rows)
+    E = _echelon(G.to_rows())
+    return len(E) == G.rows and all(E[i][i] == 1 for i in range(G.rows))
 
 
 def sign_normalize_column(col: Sequence[int]) -> tuple[int, ...]:

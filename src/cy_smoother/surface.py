@@ -45,14 +45,16 @@ class K3Model(namedtuple("K3Model", "gram class_names polarization")):
             for j in range(i + 1, n):
                 if row[j] != rows[j][i]:
                     raise SurfaceError("Gram matrix must be symmetric")
-        h2 = intersect(self, polarization, polarization)
+        # one Gram image of h gives h.h and every x.h below
+        h = tuple(map(operator.index, polarization))
+        hx = gram.mul_vector(h)
+        h2 = sum(map(operator.mul, h, hx))
         if h2 <= 0:  # the form is even, so every square is even
             raise SurfaceError("polarization must have positive even square, got %d" % h2)
         # Hodge index: h^perp is negative definite.  x -> h.h x - (x.h) h maps
         # the coordinate vectors other than p (h_p != 0) onto a basis of
         # h^perp and scales the form by h.h, giving h.h x.y - (x.h)(y.h).
-        hx = gram.mul_vector(polarization)
-        p = next(i for i, x in enumerate(polarization) if x)
+        p = next(i for i, x in enumerate(h) if x)
         rest = [i for i in range(n) if i != p]
         if not _negative_definite([[h2 * rows[i][j] - hx[i] * hx[j] for j in rest] for i in rest]):
             raise SurfaceError(
