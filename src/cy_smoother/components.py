@@ -138,7 +138,8 @@ def build_component(base: FanoFamily, D: K3Model, centers) -> BlownComponent:
             "base %r has b2 = %d; full lattice mode needs b2 = 1 "
             "(use the fano_catalog closed forms instead)" % (base.id, base.b2)
         )
-    # one Gram image per column, h first: every product below is a dot with one
+    # one Gram image per column, h first: as the Gram is symmetric, every
+    # product below is a dot with one
     h, gram = D.polarization, D.gram
     hx = gram.mul_vector(h)
     # D in |r H|, so h.h = H^2.D = r H^3 = delta

@@ -139,7 +139,12 @@ class IntMatrix:
     def mul_vector(self, vec: Sequence[int]) -> tuple[int, ...]:
         if len(vec) != self.cols:
             raise ValueError("vector length %d, expected %d" % (len(vec), self.cols))
-        return tuple(sum(map(operator.mul, self.row(i), vec)) for i in range(self.rows))
+        # a combination of M's columns: a zero coordinate costs nothing
+        out = [0] * self.rows
+        for k, v in enumerate(vec):
+            if v:
+                out = [a + v * e for a, e in zip(out, self.entries[k :: self.cols])]
+        return tuple(out)
 
     def transpose(self) -> "IntMatrix":
         return IntMatrix(self.cols, self.rows, [e for c in self.to_columns() for e in c])

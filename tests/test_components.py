@@ -15,7 +15,7 @@ from cy_smoother.components import (
 )
 from cy_smoother.exact_lattice import IntMatrix
 from cy_smoother.smoothing import NormalCrossingModel, compute_rg2, cubic_form
-from cy_smoother.surface import K3Model, intersect
+from cy_smoother.surface import K3Model, SurfaceError, intersect
 
 from conftest import MU_TABLE, NU_TABLE
 
@@ -139,6 +139,35 @@ class TestComponentErrors:
     def test_rejects_wrong_center_dimension(self, quartic):
         with pytest.raises(ComponentError):
             build_component(P3, quartic, [(1, 2)])
+
+    def test_check_order(self):
+        # degree first, then primitivity, then the length of each center
+        X8 = FanoFamily("X8", 1, 2, 32, 0)  # delta 8
+        D = K3Model(IntMatrix.from_rows([[2]]), ("v",), (2,))  # h = 2v, h.h = 8
+        with pytest.raises(ComponentError, match="K3 degree h.h = 8 does not match base 'P3'"):
+            build_component(P3, D, [(1, 2)])
+        with pytest.raises(ComponentError, match="not primitive"):
+            build_component(X8, D, [(1, 2)])
+        with pytest.raises(ComponentError, match=r"center \(1, 2\) does not lie"):
+            build_component(P3, K3Model.quartic(), [(1,), (1, 2)])
+
+    def test_center_products_against_intersect(self, rng):
+        gram = IntMatrix.from_rows([[4, 1, 0], [1, -2, 1], [0, 1, -2]])
+        D = K3Model(gram, ("h", "a", "b"), (1, 0, 0))
+        built = 0
+        for _ in range(60):
+            centers = [(rng.randint(1, 6), rng.randint(-2, 2), rng.randint(-2, 2))
+                       for _ in range(rng.randint(0, 3))]
+            try:
+                y = build_component(P3, D, centers)
+            except (ComponentError, SurfaceError):
+                continue  # a square below -2, or two centers meeting negatively
+            built += 1
+            h = D.polarization
+            assert y.degrees == tuple(intersect(D, h, c) for c in centers)
+            assert y.mutual == tuple(tuple(intersect(D, c, e) for e in centers) for c in centers)
+            assert y.genera == tuple(intersect(D, c, c) // 2 + 1 for c in centers)
+        assert built > 10
 
     def test_rejects_negative_mutual_intersection(self):
         D = K3Model(IntMatrix.from_rows([[4, 1], [1, -2]]), ("h", "d"), (1, 0))

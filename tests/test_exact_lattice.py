@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import random
 
 import pytest
 
@@ -16,6 +18,7 @@ from cy_smoother.exact_lattice import (
     solve_exact,
     _canonical,
     _factor,
+    _smith,
 )
 
 
@@ -68,6 +71,18 @@ def check_quotient(n: int, R: IntMatrix) -> IntMatrix | None:
     assert sec.shape == (n, n - rank(R))
     assert hermite_row_form(R.hstack(sec).transpose()) == IntMatrix.identity(n)
     return sec
+
+
+def singular_or_not(rng, rows, cols):
+    """A random matrix, or half the time one whose last row is a combination
+    of the others (a zero row when it is the only one), so its rank drops."""
+    M = random_matrix(rng, rows, cols, bound=rng.choice((1, 3, 9)))
+    if rows and rng.random() < 0.5:
+        R = M.to_rows()
+        coeffs = [rng.randint(-2, 2) for _ in R[:-1]]
+        R[-1] = [sum(c * r[j] for c, r in zip(coeffs, R)) for j in range(cols)]
+        M = IntMatrix.from_rows(R, cols=cols)
+    return M
 
 
 def random_unimodular(rng, n, steps=6):
@@ -152,6 +167,14 @@ class TestIntMatrixAccess:
         with pytest.raises(IndexError):
             getattr(M, read)(index)
 
+    def test_mul_vector_against_matmul(self, rng):
+        for _ in range(100):
+            M = random_matrix(rng, rng.randint(0, 5), rng.randint(0, 5), bound=3)
+            v = [rng.choice((0, 0, 1, -2, 7)) for _ in range(M.cols)]
+            assert M.mul_vector(v) == (M @ IntMatrix.from_columns([v], rows=M.cols)).column(0)
+        with pytest.raises(ValueError, match="vector length 1, expected 2"):
+            IntMatrix.zeros(3, 2).mul_vector((1,))
+
 
 class TestSmithNormalForm:
     @pytest.mark.parametrize(
@@ -169,6 +192,38 @@ class TestSmithNormalForm:
         # reaches these branches: a remainder eliminated again in a row and in
         # a column, and a pivot that does not divide the rest of the block.
         assert [X.to_rows() for X in smith_normal_form(IntMatrix.from_rows(rows))] == [U, S, V]
+
+    def test_carried_inverse(self, rng):
+        # _smith's W holds U^-1's columns, with or without companion rows and
+        # the same Smith form either way
+        for _ in range(150):
+            bound = rng.choice((1, 4, 50))
+            M = random_matrix(rng, rng.randint(0, 6), rng.randint(0, 6), bound=bound)
+            U, S, _ = smith_normal_form(M)
+            R = M.to_rows()
+            W = _smith(R, M.rows, M.cols)
+            assert IntMatrix.from_rows(R, cols=M.cols) == S
+            assert U @ IntMatrix.from_columns(W, rows=M.rows) == IntMatrix.identity(M.rows)
+
+    def test_digest_of_transforms_and_sections(self):
+        # (U, S, V) and the quotient's section (or its torsion error) of 2000
+        # seeded matrices, shapes 0-7 x 0-7, entry bound cycling 1, 3, 9, 1000,
+        # 30% zeros.  The digest was taken from the elimination of commit
+        # b6044b0, which kept U and inverted it with a full HNF.
+        gen = random.Random(20261019)
+        digest = hashlib.sha256()
+        for k in range(2000):
+            n, m, bound = gen.randint(0, 7), gen.randint(0, 7), (1, 3, 9, 1000)[k % 4]
+            M = IntMatrix(n, m, [0 if gen.random() < 0.3 else gen.randint(-bound, bound)
+                                 for _ in range(n * m)])
+            try:
+                section = quotient(n, M)
+            except ValueError as exc:
+                section = str(exc)
+            digest.update(repr((smith_normal_form(M), section)).encode())
+        assert digest.hexdigest() == (
+            "b740119375a9fa44c687d523627232091526c7cc955c774bcb66a55ce3aecbeb"
+        )
 
     def test_identity(self):
         I2 = IntMatrix.identity(2)
@@ -331,8 +386,16 @@ class TestPairingUnimodular:
         assert pairing_is_unimodular(IntMatrix.zeros(0, 0))
 
     def test_non_square_is_error(self):
-        with pytest.raises(ValueError, match="different ranks"):
-            pairing_is_unimodular(IntMatrix.zeros(2, 3))
+        for shape in ((2, 3), (3, 2), (0, 1), (1, 0)):
+            with pytest.raises(ValueError, match="different ranks"):
+                pairing_is_unimodular(IntMatrix.zeros(*shape))
+
+    def test_against_hermite_identity(self, rng):
+        # the echelon reading against the HNF it replaced: unimodular iff HNF = I
+        for _ in range(200):
+            n = rng.randint(0, 6)
+            G = singular_or_not(rng, n, n)
+            assert pairing_is_unimodular(G) == (hermite_row_form(G) == IntMatrix.identity(n))
 
     def test_against_determinant_oracle(self, rng):
         for _ in range(80):
@@ -344,6 +407,21 @@ class TestPairingUnimodular:
             E2 = IntMatrix.from_rows([[2 * e for e in E.row(0)]] + E.to_rows()[1:])
             for G in (M, E, E2):
                 assert pairing_is_unimodular(G) == (abs(brute_det(G)) == 1)
+
+
+class TestRank:
+    def test_examples(self):
+        assert rank(IntMatrix.zeros(0, 0)) == 0
+        assert rank(IntMatrix.zeros(3, 0)) == rank(IntMatrix.zeros(0, 3)) == 0
+        assert rank(IntMatrix.from_rows([[2, 4], [1, 2]])) == 1
+        assert rank(IntMatrix.from_rows([[2, 4, 6]])) == 1
+        assert rank(IntMatrix.from_columns([[2, 4, 6]])) == 1
+
+    def test_against_hermite_row_count(self, rng):
+        # square, wide, tall and singular inputs, read from either side
+        for _ in range(300):
+            M = singular_or_not(rng, rng.randint(0, 6), rng.randint(0, 6))
+            assert rank(M) == hermite_row_form(M).rows == rank(M.transpose())
 
 
 class TestSolveAndHermite:

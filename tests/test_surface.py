@@ -79,6 +79,13 @@ class TestK3Validation:
                            r"square, got -2$"):
             K3Model(IntMatrix.from_rows([[-2]]), ("e",), (1,))
 
+    def test_polarization_checks(self, quartic):
+        with pytest.raises(SurfaceError, match="polarization length does not match"):
+            K3Model(IntMatrix.from_rows([[4]]), ("h",), (1, 0))
+        with pytest.raises(TypeError):
+            K3Model(IntMatrix.from_rows([[4]]), ("h",), (1.0,))
+        assert K3Model(IntMatrix.from_rows([[4]]), ("h",), (True,)).degree == 4
+
     def test_hyperbolic_against_eigenvalues(self, rng):
         np = pytest.importorskip("numpy")
         verdicts = set()
