@@ -138,17 +138,13 @@ def build_component(base: FanoFamily, D: K3Model, centers) -> BlownComponent:
             "base %r has b2 = %d; full lattice mode needs b2 = 1 "
             "(use the fano_catalog closed forms instead)" % (base.id, base.b2)
         )
-    # one Gram image per column, h first: as the Gram is symmetric, every
-    # product below is a dot with one
-    h, gram = D.polarization, D.gram
-    hx = gram.mul_vector(h)
     # D in |r H|, so h.h = H^2.D = r H^3 = delta
-    degree = sum(map(operator.mul, h, hx))
-    if degree != base.delta:
+    if D.degree != base.delta:
         raise ComponentError(
             "K3 degree h.h = %d does not match base %r (r H^3 = %d)"
-            % (degree, base.id, base.delta)
+            % (D.degree, base.id, base.delta)
         )
+    h = D.polarization
     # h = H|_D with H a generator of H^2(V, Z), which Lefschetz embeds in
     # H^2(D, Z) with torsion-free cokernel: h is primitive
     g = math.gcd(*h)
@@ -169,13 +165,15 @@ def build_component(base: FanoFamily, D: K3Model, centers) -> BlownComponent:
     r = base.index
 
     restriction = IntMatrix.from_columns([h] + list(centers_t), rows=D.rank)
-    degrees = tuple(sum(map(operator.mul, c, hx)) for c in centers_t)
+    # one Gram image per center (h's is taken once, by the degree check):
+    # every h.c_i and c_i.c_j is a dot product with one
+    images = [D.gram.mul_vector(c) for c in centers_t]
+    degrees = tuple(sum(map(operator.mul, h, im)) for im in images)
     for i, d in enumerate(degrees):
         if d <= 0:
             raise ComponentError(
                 "center %d has degree h.c = %d; a curve needs h.c > 0" % (i + 1, d)
             )
-    images = [gram.mul_vector(c) for c in centers_t]
     mutual = tuple(tuple(sum(map(operator.mul, c, im)) for im in images) for c in centers_t)
     genera = tuple(genus_from_square(mutual[i][i]) for i in range(s))
     for i in range(s):
