@@ -391,7 +391,7 @@ class TestPairingUnimodular:
                 pairing_is_unimodular(IntMatrix.zeros(*shape))
 
     def test_against_hermite_identity(self, rng):
-        # the echelon reading against the HNF it replaced: unimodular iff HNF = I
+        # the echelon reading against the definition: unimodular iff HNF = I
         for _ in range(200):
             n = rng.randint(0, 6)
             G = singular_or_not(rng, n, n)
