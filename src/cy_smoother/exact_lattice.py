@@ -3,18 +3,20 @@
 Everything here works with Python's arbitrary-precision integers; no
 floating point is ever involved.  The private steps take and return plain
 row lists; an ``IntMatrix`` is built only where a public function returns
-one.  One gcd row elimination, ``echelon_rows``, is behind the row-style
-Hermite normal form (HNF, ``_hermite``) and the RG^4 Gram display.  One HNF
-with a unimodular transform per map (``_factor``) gives its saturated
-kernel in a canonical basis, canonical solving and its image basis;
-``fiber_product`` factors each of its two maps once, and a lattice
-intersection factors the stacked generators once.  Ranks and the
-unimodularity test for pairing Gram matrices read the echelon form alone.
-One Smith normal form (SNF) elimination, ``_smith``, carries U^-1 along and
-is behind both ``smith_normal_form`` and ``quotient``: a canonical section
-of the free quotient of Z^n by a relation lattice, read from U^-1's
-trailing columns.  A quotient with torsion raises; every result is modulo
-torsion, and both quotients the smoothing takes are by saturated lattices.
+one.  One gcd row elimination, ``echelon_rows``, is behind every
+factorization and the RG^4 Gram display.  One echelon form with a
+unimodular transform per map (``_factor``) gives its saturated kernel,
+canonical solving and its image basis; ``fiber_product`` factors each of
+its two maps once, and a lattice intersection eliminates the stacked
+generators once.  Ranks and the unimodularity test read the echelon form
+alone.  The row-style Hermite normal form (HNF, ``_hnf_rows``) is taken
+only where a canonical basis is read: ``_canonical`` (kernels), the
+result of an intersection and ``hermite_row_form``.  One Smith normal
+form (SNF) elimination, ``_smith``, carries U^-1 along and is behind both
+``smith_normal_form`` and ``quotient``: a canonical section of the free
+quotient of Z^n by a relation lattice, read from U^-1's trailing columns.
+A quotient with torsion raises; every result is modulo torsion, and both
+quotients the smoothing takes are by saturated lattices.
 
 Canonical forms matter: kernels and quotient sections are normalized so
 that repeated runs (and golden tests) see byte-identical output.
@@ -330,29 +332,6 @@ def echelon_rows(A: list[list[int]], C: list[list[int]]) -> list[int]:
     return pivots
 
 
-def _hermite(A: list[list[int]], C: list[list[int]]) -> int:
-    """Bring the rows A to row-style Hermite normal form in place; returns the rank.
-
-    Pivots are positive, strictly to the right as rows descend, and
-    entries above a pivot are reduced into [0, pivot); the rows past the
-    rank are zero.  Every row operation is applied to the companion rows C
-    as well, so C = identity rows ends as a unimodular T with T*A0 = A
-    (empty companion rows when no transform is wanted).  Rows are replaced,
-    never written into, so A and C may share row lists with the caller.
-    """
-    # The elimination below a pivot never reads the rows above it, so the
-    # upward reduction can wait until the echelon form is complete.
-    pivots = echelon_rows(A, C)
-    for prow, col in enumerate(pivots):
-        d = A[prow][col]
-        for i in range(prow):
-            q = A[i][col] // d  # floor brings the entry into [0, d)
-            if q:
-                A[i] = [a - q * b for a, b in zip(A[i], A[prow])]
-                C[i] = [a - q * b for a, b in zip(C[i], C[prow])]
-    return len(pivots)
-
-
 def _echelon(vectors) -> list[list[int]]:
     """The nonzero rows of an echelon form of the given vectors."""
     A = [list(v) for v in vectors]
@@ -360,13 +339,26 @@ def _echelon(vectors) -> list[list[int]]:
 
 
 def _hnf_rows(vectors) -> list[list[int]]:
-    """The nonzero HNF rows of the given vectors."""
+    """The nonzero rows of the row-style Hermite normal form of the given vectors.
+
+    Pivots are positive and strictly to the right as rows descend, and the
+    entries above a pivot are reduced into [0, pivot).  The elimination
+    below a pivot never reads the rows above it, so the upward reduction
+    waits until the echelon form is complete.
+    """
     A = [list(v) for v in vectors]
-    return A[: _hermite(A, [[] for _ in A])]
+    pivots = echelon_rows(A, [[] for _ in A])
+    for prow, col in enumerate(pivots):
+        d = A[prow][col]
+        for i in range(prow):
+            q = A[i][col] // d  # floor brings the entry into [0, d)
+            if q:
+                A[i] = [a - q * b for a, b in zip(A[i], A[prow])]
+    return A[: len(pivots)]
 
 
 def hermite_row_form(M: IntMatrix) -> IntMatrix:
-    """Row-style Hermite normal form H of M, zero rows dropped (see ``_hermite``)."""
+    """Row-style Hermite normal form H of M, zero rows dropped (see ``_hnf_rows``)."""
     return IntMatrix.from_rows(_hnf_rows(M.to_rows()), cols=M.cols)
 
 
@@ -404,15 +396,18 @@ def _canonical(vectors) -> list[list[int]]:
 
 
 def _factor(vectors) -> tuple[list[list[int]], list[list[int]]]:
-    """H = T M^t with T unimodular, for M with the given columns: rows (H, T).
+    """H = T M^t with T unimodular and H in echelon form, for M with the given columns.
 
-    One factorization serves three questions: H's rows are a basis of M's
-    image, T's rows past ``len(H)`` span M's saturated kernel, and T's
-    first ``len(H)`` rows are preimages of H's.
+    Returns the rows (H, T).  One factorization serves three questions: H's
+    rows are a basis of M's image, T's rows past ``len(H)`` span M's
+    saturated kernel, and T's first ``len(H)`` rows are preimages of H's.
+    No HNF is taken: its upward reduction would replace the first rows of H
+    and T by R H and R T, R unit upper-triangular, which keeps the kernel
+    rows, the image lattice and every preimage (z H = (z R^-1)(R H)).
     """
     A = [list(v) for v in vectors]
     T = _identity_rows(len(A))
-    return A[: _hermite(A, T)], T
+    return A[: len(echelon_rows(A, T))], T
 
 
 def _kernel(H: list[list[int]], T: list[list[int]]) -> list[list[int]]:
@@ -442,9 +437,9 @@ def kernel_basis(M: IntMatrix) -> IntMatrix:
 def solve_exact(M: IntMatrix, b: Sequence[int]) -> tuple[int, ...] | None:
     """Canonical particular integer solution of M x = b, or None.
 
-    Column-Hermite elimination with free variables set to zero; the
-    gcd pivoting prefers small leading coefficients, which keeps golden
-    outputs stable.
+    Column-echelon elimination (``_factor``) with free variables set to
+    zero; the gcd pivoting prefers small leading coefficients, which keeps
+    golden outputs stable.
     """
     if len(b) != M.rows:
         raise ValueError("rhs length mismatch")
@@ -454,16 +449,16 @@ def solve_exact(M: IntMatrix, b: Sequence[int]) -> tuple[int, ...] | None:
 def _intersect(U, V) -> list[list[int]]:
     """HNF rows of span(U) n span(V), for lists of vectors in one Z^n.
 
-    The HNF of the rows U + (-V), with U and zeros for V carried along as
-    companion rows, turns each companion row past the rank into the common
-    vector of a kernel relation.  These span the intersection, and its HNF
-    depends only on that lattice.
+    An echelon form of the rows U + (-V), with U and zeros for V carried
+    along as companion rows, turns each companion row past the rank into
+    the common vector of a kernel relation.  These span the intersection,
+    and its HNF depends only on that lattice.
     """
     if not U or not V:
         return []
     A = U + [[-e for e in v] for v in V]
     C = U + [[0] * len(U[0]) for _ in V]
-    return _hnf_rows(C[_hermite(A, C) :])
+    return _hnf_rows(C[len(echelon_rows(A, C)) :])
 
 
 def intersect_column_lattices(A: IntMatrix, B: IntMatrix) -> IntMatrix:

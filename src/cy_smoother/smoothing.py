@@ -28,7 +28,8 @@ H^2(Y2).  Every step that reads the lifts (the RG^4 pairing rows, the
 cubic and c2 forms, the reported generators) splits them with
 ``_halves``, which length-checks each half once; the products between
 steps are plain dot products.  ``IntMatrix`` appears only where a public
-``exact_lattice`` call takes one and for the reported Gram.
+``exact_lattice`` call takes one, to map a quotient section back to the
+ambient lattice, and for the reported Gram.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from .exact_lattice import (
     echelon_rows,
     fiber_product,
     kernel_basis,
-    pairing_is_unimodular,
     quotient,
     rank as matrix_rank,
     sign_normalize_column,
@@ -146,11 +146,8 @@ def _quotient_by(basis, relations: IntMatrix, n_diag: int):
             gens = tuple(v for i, v in enumerate(basis) if i != drop)
             return gens, drop
     section = quotient(len(basis), relations)
-    coords = list(zip(*basis))  # row t: coordinate t of every basis vector
-    gens = tuple(
-        sign_normalize_column([_dot(c, t) for t in coords]) for c in section.to_columns()
-    )
-    return gens, -1
+    B = IntMatrix.from_columns(basis)
+    return tuple(sign_normalize_column(B.mul_vector(c)) for c in section.to_columns()), -1
 
 
 # ---------------------------------------------------------------------------
@@ -336,14 +333,16 @@ def compute_rg4_and_consur(model: NormalCrossingModel, rg2: RG2Result) -> RG4Res
         raise InternalInconsistencyError(
             "rank mismatch: RG^2 has rank %d, RG^4 has rank %d" % (len(P), len(gens))
         )
-    # Column operations (changes of the RG^4 basis) bring the Gram to
-    # lower-triangular form with positive pivots; on a unimodular pairing it
+    # Column operations (changes of the RG^4 basis) bring the Gram to an
+    # echelon form of its columns: lower-triangular with positive pivots.
+    # It is unimodular iff there are h11 pivots, all equal to 1, and then it
     # is lower unitriangular, which reproduces the published display for the
     # worked examples.  Gram column j pairs every RG^2 generator with gens[j].
     cols, gv = [[_dot(p, g) for p in P] for g in gens], [list(g) for g in gens]
-    echelon_rows(cols, gv)
+    pivots = echelon_rows(cols, gv)
+    unimodular = len(pivots) == len(P) and all(c[i] == 1 for i, c in enumerate(cols))
     gram = IntMatrix.from_columns(cols, rows=len(P))
-    return RG4Result(tuple(map(tuple, gv)), gram, pairing_is_unimodular(gram))
+    return RG4Result(tuple(map(tuple, gv)), gram, unimodular)
 
 
 # ---------------------------------------------------------------------------

@@ -17,11 +17,12 @@ from cy_smoother.exact_lattice import (
     IntMatrix,
     fiber_product,
     kernel_basis,
+    pairing_is_unimodular,
     sign_normalize_column,
     solve_exact,
 )
 from cy_smoother.invariant_forms import DISTINCT, CubicTensor, forms_distinguishable
-from cy_smoother.schemas import MAX_CENTERS, parse_tensor
+from cy_smoother.schemas import MAX_CENTERS, load_degeneration, parse_tensor
 from cy_smoother.smoothing import (
     InternalInconsistencyError,
     ModelError,
@@ -44,6 +45,8 @@ from test_components import random_quartic_lines_model, random_sextic_model
 
 RANDOM_MODELS = [random_quartic_lines_model, random_sextic_model]
 GOLDEN = Path(__file__).parent / "golden"
+EXAMPLES = Path(smoothing.__file__).parent / "data" / "examples"
+BUNDLED = ["quick", "pair1_a", "pair1_b", "triple_mu", "triple_nu"]
 
 
 def statuses(verdicts):
@@ -208,6 +211,21 @@ class TestRG4Consur:
                  for u in rg4.generators]
                 for g in rg2.generators
             ]
+
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_verdict_read_off_the_triangular_gram(self, name):
+        # the verdict is the echelon Gram's h11 unit pivots; doubling one RG^2
+        # generator doubles a Gram row, so |det| = 2 and the pairing is not
+        # unimodular
+        model = load_degeneration(EXAMPLES / (name + ".json"), load_catalog())
+        rg2 = compute_rg2(model)
+        rg4 = compute_rg4_and_consur(model, rg2)
+        assert rg4.unimodular is True
+        assert rg4.unimodular == pairing_is_unimodular(rg4.gram)
+        doubled = (tuple(2 * e for e in rg2.generators[0]),) + rg2.generators[1:]
+        rg4 = compute_rg4_and_consur(model, rg2._replace(generators=doubled))
+        assert rg4.unimodular is False
+        assert rg4.unimodular == pairing_is_unimodular(rg4.gram)
 
     def test_non_square_gram_raises(self, pair1_a):
         # rank RG^4 = rank RG^2 always, so a surplus RG^2 generator can only
