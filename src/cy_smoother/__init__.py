@@ -10,13 +10,12 @@ from .exact_lattice import (
     quotient,
     smith_normal_form,
 )
-from .surface import K3Model, curve_genus, intersect
+from .surface import K3Model, intersect
 from .components import (
     BlownComponent,
     FanoFamily,
     P3,
     build_component,
-    c2_pair,
     triple_product,
 )
 from .smoothing import (
@@ -54,13 +53,11 @@ __all__ = [
     "quotient",
     "smith_normal_form",
     "K3Model",
-    "curve_genus",
     "intersect",
     "BlownComponent",
     "FanoFamily",
     "P3",
     "build_component",
-    "c2_pair",
     "triple_product",
     "NormalCrossingModel",
     "SmoothingReport",

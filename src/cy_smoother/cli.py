@@ -153,8 +153,6 @@ def _table_lines(payload, pad: str = "") -> list[str]:
                 lines += _table_lines(item, pad)
             else:
                 lines.append("%s- %s" % (pad, item))
-    else:
-        lines.append("%s%s" % (pad, payload))
     return lines
 
 

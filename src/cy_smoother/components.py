@@ -95,10 +95,6 @@ class FanoFamily(
     def H_cubed(self) -> int:
         return self.minus_K_cubed // self.index**3
 
-    @property
-    def euler(self) -> int:
-        return 2 * (self.b2 - self.h12 + 1)
-
 
 P3 = FanoFamily("P3", b2=1, index=4, minus_K_cubed=64, h12=0)
 
@@ -125,10 +121,6 @@ class BlownComponent(
     @property
     def h12(self) -> int:
         return self.base.h12 + sum(self.genera)
-
-    @property
-    def euler(self) -> int:
-        return self.base.euler + sum(2 - 2 * g for g in self.genera)
 
 
 def build_component(base: FanoFamily, D: K3Model, centers) -> BlownComponent:
@@ -252,12 +244,6 @@ def triple_product(Y: BlownComponent, a, b, c) -> int:
     a = _check_vec(Y, a, "first vector")
     cov = _cup(Y, _check_vec(Y, b, "second vector"), _check_vec(Y, c, "third vector"))
     return sum(x * y for x, y in zip(a, cov))
-
-
-def c2_pair(Y: BlownComponent, a) -> int:
-    """a . c2(Y)."""
-    a = _check_vec(Y, a, "vector")
-    return sum(x * y for x, y in zip(a, Y.c2_covector))
 
 
 def _pairing(a: tuple[int, ...]) -> tuple[int, ...]:

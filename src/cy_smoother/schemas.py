@@ -33,7 +33,7 @@ from .catalog import find_family
 from .components import BlownComponent, FanoFamily, build_component
 from .exact_lattice import IntMatrix
 from .invariant_forms import CubicTensor
-from .smoothing import NormalCrossingModel, SmoothingReport
+from .smoothing import TORSION_NOTE, NormalCrossingModel, SmoothingReport
 from .surface import K3Model
 
 
@@ -132,10 +132,8 @@ def parse_degeneration(raw, catalog: Iterable[FanoFamily]) -> NormalCrossingMode
     k3 = parse_k3(raw["k3"], "k3")
     y1 = parse_component(raw["Y1"], k3, catalog, "Y1")
     y2 = parse_component(raw["Y2"], k3, catalog, "Y2")
-    try:
-        return NormalCrossingModel(y1, y2)
-    except ValueError as exc:
-        raise SchemaError(str(exc), "$") from exc
+    # both components are built on the one parsed k3, so the K3 check cannot fail
+    return NormalCrossingModel(y1, y2)
 
 
 def load_degeneration(path, catalog: Iterable[FanoFamily]) -> NormalCrossingModel:
@@ -175,8 +173,7 @@ def _parse_entry_key(key: str, location: str) -> tuple[int, ...]:
 
 
 def parse_tensor(raw, location: str = "$") -> CubicTensor:
-    _expect(isinstance(raw, dict), "expected an object", location)
-    _expect("rank" in raw and "entries" in raw, "need fields 'rank' and 'entries'", location)
+    _check_fields(raw, ("rank", "entries"), (), location)
     rank = raw["rank"]
     _expect(isinstance(rank, int) and not isinstance(rank, bool) and rank >= 0,
             "rank must be a nonnegative integer",
@@ -211,7 +208,7 @@ def tensor_to_dict(tensor: CubicTensor) -> dict:
 
 def report_to_dict(report: SmoothingReport) -> dict:
     out = {
-        "torsion_note": report.torsion_note,
+        "torsion_note": TORSION_NOTE,
         "hypotheses": [
             {
                 "key": v.key,

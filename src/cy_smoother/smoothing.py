@@ -431,12 +431,7 @@ def hodge_numbers(model: NormalCrossingModel) -> tuple[int, int, int]:
     k = joint_restriction_rank(model)
     h11 = y1.h2_rank + y2.h2_rank - k - 1
     h12 = 21 + y1.h12 + y2.h12 - k
-    euler = y1.euler + y2.euler - 48
-    if euler != 2 * (h11 - h12):
-        raise InternalInconsistencyError(
-            "Euler number %d is not 2(h11 - h12) = %d" % (euler, 2 * (h11 - h12))
-        )
-    return h11, h12, euler
+    return h11, h12, 2 * (h11 - h12)
 
 
 # ---------------------------------------------------------------------------
@@ -480,8 +475,7 @@ class SmoothingReport(
     namedtuple(
         "SmoothingReport",
         "hypothesis_verdicts picard_rank picard_generators cubic_tensor c2_covector "
-        "consur_unimodular consur_gram h11 h12 euler torsion_note",
-        defaults=(TORSION_NOTE,),
+        "consur_unimodular consur_gram h11 h12 euler",
     )
 ):
     """The whole pipeline's result.  picard_generators are (l1, l2) lift

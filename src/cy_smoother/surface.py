@@ -116,11 +116,6 @@ def intersect(D: K3Model, a, b) -> int:
     return sum(x * y for x, y in zip(a, gb))
 
 
-def curve_genus(D: K3Model, c) -> int:
-    """Genus of a smooth irreducible curve on a K3: g = c.c/2 + 1."""
-    return genus_from_square(intersect(D, c, c))
-
-
 def genus_from_square(c2: int) -> int:
     """Genus c.c/2 + 1 of a curve class on a K3 with self-intersection c.c."""
     if c2 < -2 or c2 % 2 != 0:

@@ -13,10 +13,10 @@ from cy_smoother.catalog import (
     search_pairs,
     xi_examples,
 )
-from cy_smoother.components import build_component, c2_pair
+from cy_smoother.components import build_component
 from cy_smoother.exact_lattice import IntMatrix
 from cy_smoother.invariant_forms import rr_dimension
-from cy_smoother.smoothing import NormalCrossingModel, analyze
+from cy_smoother.smoothing import NormalCrossingModel, _dot, analyze
 from cy_smoother.surface import K3Model
 
 
@@ -229,4 +229,4 @@ def test_every_rank_one_base_has_chi_one(catalog):
         # a matching K3: h^2 = delta
         D = K3Model(IntMatrix.from_rows([[fam.delta]]), ("h",), (1,))
         y = build_component(fam, D, [])
-        assert c2_pair(y, y.D_class) == 24
+        assert _dot(y.D_class, y.c2_covector) == 24

@@ -365,6 +365,70 @@ def test_unknown_field_exit_2(capsys, tmp_path, part, key, message):
     assert message in err
 
 
+CUBIC = ["invariants", "cubic", "--file", "{path}"]
+WITH_CATALOG = ["smooth", str(EXAMPLES / "quick.json"), "--catalog", "{path}"]
+CSV_HEADER = "id,b2,index,minus_K_cubed,h12\n"
+
+
+@pytest.mark.parametrize(
+    "name, text, argv, message",
+    [
+        ("doc.json", json.dumps(dict(NOT_D_SEMISTABLE, Y1={"base": "P9", "centers": []})),
+         ["smooth", "{path}"], "Y1.base: unknown Fano family id 'P9'"),
+        ("t.json", '{"rank": 3, "entries": {"1a1": 1}}', CUBIC,
+         "$.entries: bad tensor index key '1a1'"),
+        ("t.json", '{"rank": 3, "entries": {"1,1": 1}}', CUBIC,
+         "$.entries: tensor index '1,1' does not have three entries"),
+        ("t.json", '{"rank": 3, "entries": {"112": 2, "121": 3}}', CUBIC,
+         "$: conflicting values for symmetric entry (1, 1, 2)"),
+        ("t.json", '{"rank": 3, "entries": {"111": 1}, "c2": [1, 2, 3]}', CUBIC,
+         "$: unknown field 'c2'"),
+        ("cat.json", '[{"id": "P3", "b2": 1', WITH_CATALOG, "catalog JSON is malformed"),
+        ("cat.json", '{"id": "P3"}', WITH_CATALOG, "catalog JSON must be a list of rows"),
+        ("cat.csv", CSV_HEADER + "A,1,3,18,0\n", WITH_CATALOG,
+         "catalog row 2 is malformed: family 'A': a rank-one base needs index^3 | -K^3"),
+        ("cat.csv", CSV_HEADER + "A,2,1,3,0\nB,2,2,12,0\n",
+         ["fano", "cy", "--v1", "A", "--v2", "B", "--catalog", "{path}"],
+         "pair (A, B): rho^3 = 9/2 is not an integer"),
+    ],
+    ids=["unknown-base", "tensor-key-letter", "tensor-key-two-indices",
+         "tensor-conflicting-symmetric", "tensor-unknown-field", "catalog-truncated-json",
+         "catalog-json-not-a-list", "catalog-rank-one-divisibility", "fano-cy-rho-cubed"],
+)
+def test_bad_input_exit_2(capsys, tmp_path, name, text, argv, message):
+    path = tmp_path / name
+    path.write_text(text)
+    code, out, err = run(capsys, *(a.format(path=path) for a in argv))
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="ROADMAP items 2 and 11: centers are not tested for nefness nor h for ampleness",
+)
+@pytest.mark.parametrize(
+    "gram, y1, y2",
+    [
+        # 3h + 2l meets the line l in -1, so l is a fixed component: h11 = 1, h12 = 77
+        ([[4, 1], [1, -2]], [[3, 2]], [[5, -2]]),
+        # h is orthogonal to the (-2)-root e, so h is not ample: h11 = 2, h12 = 86
+        ([[4, 0], [0, -2]], [[4, 0]], [[4, 0]]),
+    ],
+    ids=["center-not-nef", "polarization-not-ample"],
+)
+def test_known_wrong_report_exit_3(capsys, tmp_path, gram, y1, y2):
+    doc = tmp_path / "wrong.json"
+    doc.write_text(json.dumps({
+        "k3": {"gram": gram, "classes": ["h", "x"], "polarization": [1, 0]},
+        "Y1": {"base": "P3", "centers": y1},
+        "Y2": {"base": "P3", "centers": y2},
+    }))
+    code, _, _ = run(capsys, "smooth", str(doc))
+    assert code == 3
+
+
 class TestMoveTop:
     def test_pipeline(self, capsys, tmp_path):
         code, out, _ = run(capsys, "move-top", str(EXAMPLES / "pair1_a.json"),

@@ -7,14 +7,14 @@ from cy_smoother.components import (
     FanoFamily,
     FullLatticeModeError,
     P3,
+    _check_vec,
     _cup,
     build_component,
-    c2_pair,
     pair_h2_h4,
     triple_product,
 )
 from cy_smoother.exact_lattice import IntMatrix
-from cy_smoother.smoothing import NormalCrossingModel, compute_rg2, cubic_form
+from cy_smoother.smoothing import NormalCrossingModel, _dot, compute_rg2, cubic_form
 from cy_smoother.surface import K3Model, SurfaceError, intersect
 
 from conftest import MU_TABLE, NU_TABLE
@@ -23,7 +23,6 @@ from conftest import MU_TABLE, NU_TABLE
 class TestBase:
     def test_p3(self):
         assert P3.H_cubed == 1
-        assert P3.euler == 4
 
     def test_index_cube_divides(self):
         with pytest.raises(ComponentError):
@@ -37,12 +36,12 @@ class TestBase:
 class TestBuildComponent:
     def test_quick_example_c2(self, quartic):
         y = build_component(P3, quartic, [(8,)])
-        assert c2_pair(y, (1, 0)) == 38  # pi* H . c2
+        assert _dot((1, 0), y.c2_covector) == 38  # pi* H . c2
 
     def test_single_center_cube(self, quartic):
         y = build_component(P3, quartic, [(5,)])
         assert triple_product(y, (5, -1), (5, -1), (5, -1)) == 5
-        assert c2_pair(y, (5, -1)) == 50
+        assert _dot((5, -1), y.c2_covector) == 50
 
     def test_reorder_changes_last_cube(self, quartic):
         y_mu = build_component(P3, quartic, [(5,), (2,), (1,)])
@@ -54,15 +53,7 @@ class TestBuildComponent:
 
     def test_bare_p3_c2(self, quartic):
         y = build_component(P3, quartic, [])
-        assert c2_pair(y, (1,)) == 6
-
-    def test_euler(self, quartic):
-        assert build_component(P3, quartic, []).euler == 4
-        assert build_component(P3, quartic, [(8,)]).euler == -252
-        # an elliptic center contributes nothing: need c^2 = 0 on the lattice
-        D = K3Model(IntMatrix.from_rows([[4, 1], [1, 0]]), ("h", "f"), (1, 0))
-        y = build_component(P3, D, [(0, 1)])  # f^2 = 0, genus 1
-        assert y.euler == P3.euler
+        assert y.c2_covector == (6,)
 
     def test_restriction_of_D_class(self, quartic):
         y = build_component(P3, quartic, [(5,), (2,)])
@@ -88,7 +79,7 @@ class TestBuildComponent:
     def test_minus_k_dot_c2_is_24(self, quartic):
         for centers in ([], [(8,)], [(5,), (2,), (1,)], [(3,), (5,)]):
             y = build_component(P3, quartic, centers)
-            assert c2_pair(y, y.D_class) == 24
+            assert _dot(y.D_class, y.c2_covector) == 24
 
     def test_full_tensor_symmetry(self, quartic):
         y = build_component(P3, quartic, [(5,), (2,), (1,)])
@@ -181,7 +172,7 @@ class TestComponentErrors:
         with pytest.raises(ComponentError):
             triple_product(y, (1,), (1, 0), (1, 0))
         with pytest.raises(ComponentError):
-            c2_pair(y, (1, 0, 0))
+            _check_vec(y, (1, 0, 0), "lift")
 
     def test_rejects_non_integer_vectors(self, quartic):
         y = build_component(P3, quartic, [(5,)])

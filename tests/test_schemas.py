@@ -68,6 +68,19 @@ class TestTensorKeys:
         with pytest.raises(SchemaError, match=r"\$\.rank: rank must be a nonnegative integer"):
             parse_tensor({"rank": rank, "entries": {"111": 1}})
 
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            # a c2 covector beside the tensor used to be ignored
+            ({"rank": 3, "entries": {"111": 1}, "c2": [1, 2, 3]}, "unknown field 'c2'"),
+            ({"rank": 3}, "missing field 'entries'"),
+        ],
+        ids=["unknown", "missing"],
+    )
+    def test_fields_are_checked(self, raw, message):
+        with pytest.raises(SchemaError, match=r"^\$: %s$" % message):
+            parse_tensor(raw)
+
     @settings(max_examples=100, deadline=None)
     @given(st.integers(min_value=1, max_value=14).flatmap(
         lambda n: st.dictionaries(

@@ -1,7 +1,7 @@
 import pytest
 
 from cy_smoother.exact_lattice import IntMatrix
-from cy_smoother.surface import K3Model, SurfaceError, curve_genus, intersect
+from cy_smoother.surface import K3Model, SurfaceError, genus_from_square, intersect
 
 
 class TestIntersect:
@@ -37,32 +37,34 @@ class TestIntersect:
 
 class TestCurveGenus:
     def test_examples(self, quartic):
-        assert curve_genus(quartic, (8,)) == 129
-        assert curve_genus(quartic, (1,)) == 3
+        assert genus_from_square(intersect(quartic, (8,), (8,))) == 129
+        assert genus_from_square(intersect(quartic, (1,), (1,))) == 3
 
     def test_rejects_non_integer_coords(self, quartic):
         with pytest.raises(TypeError):
-            curve_genus(quartic, (1.9,))
+            intersect(quartic, (1.9,), (1.9,))
 
     def test_minus_two_curve(self):
         D = K3Model(IntMatrix.from_rows([[4, 0], [0, -2]]), ("h", "e"), (1, 0))
-        assert curve_genus(D, (0, 1)) == 0
+        assert genus_from_square(intersect(D, (0, 1), (0, 1))) == 0
 
     def test_rejects_non_curve_square(self):
         D = K3Model(IntMatrix.from_rows([[4, 0], [0, -4]]), ("h", "e"), (1, 0))
         with pytest.raises(SurfaceError):
-            curve_genus(D, (0, 1))  # square -4 < -2
+            genus_from_square(intersect(D, (0, 1), (0, 1)))  # square -4 < -2
 
     def test_additivity(self, quartic, rng):
         # g(a+b) = g(a) + g(b) + a.b - 1, whenever all three are curve classes
         D = quartic
+
+        def genus(c):
+            return genus_from_square(intersect(D, c, c))
+
         for _ in range(40):
             a = (rng.randint(1, 6),)
             b = (rng.randint(1, 6),)
             ab = (a[0] + b[0],)
-            assert curve_genus(D, ab) == curve_genus(D, a) + curve_genus(D, b) + intersect(
-                D, a, b
-            ) - 1
+            assert genus(ab) == genus(a) + genus(b) + intersect(D, a, b) - 1
 
 
 class TestK3Validation:
