@@ -34,10 +34,6 @@ from .components import FanoFamily
 from .invariant_forms import CyInvariantTriple
 
 
-class CatalogError(ValueError):
-    pass
-
-
 def default_catalog_path() -> Path:
     return Path(resources.files("cy_smoother").joinpath("data/fano_catalog.csv"))
 
@@ -45,6 +41,8 @@ def default_catalog_path() -> Path:
 def _int_field(row, field: str, from_json: bool) -> int:
     value = row[field]
     if not from_json:
+        if value is None:  # csv.DictReader's filler for a short row
+            raise ValueError("field %r is missing" % field)
         return int(value)  # CSV fields are strings
     # a JSON number arrives typed, and int() would truncate 4.9 to 4, read
     # true as 1 and " 4" as 4
@@ -59,18 +57,23 @@ def load_catalog(path=None) -> tuple[FanoFamily, ...]:
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
-        raise CatalogError("cannot read catalog file %s: %s" % (path, exc.strerror)) from exc
+        raise ValueError("cannot read catalog file %s: %s" % (path, exc.strerror)) from exc
     from_json = path.suffix.lower() == ".json" or text.lstrip().startswith("[")
     if from_json:
         try:
             rows = json.loads(text) if text.strip() else []
-        except json.JSONDecodeError as exc:
-            raise CatalogError("catalog JSON is malformed: %s" % exc) from exc
+        except ValueError as exc:  # JSONDecodeError, or an int past the digit limit
+            raise ValueError("%s: catalog JSON is malformed: %s" % (path, exc)) from exc
         if not isinstance(rows, list):
-            raise CatalogError("catalog JSON must be a list of rows")
+            raise ValueError("catalog JSON must be a list of rows")
         first = 1  # list position
     else:
-        rows = list(csv.DictReader(text.splitlines()))
+        reader = csv.DictReader(text.splitlines())
+        missing = [f for f in ("id", "b2", "index", "minus_K_cubed", "h12")
+                   if f not in (reader.fieldnames or ())]  # provenance, description optional
+        if missing:
+            raise ValueError("%s: catalog header lacks %s" % (path, ", ".join(missing)))
+        rows = list(reader)
         first = 2  # file line, after the header
     families = []
     seen = set()
@@ -86,10 +89,10 @@ def load_catalog(path=None) -> tuple[FanoFamily, ...]:
                 description=str(row.get("description", "") or ""),
             )
         except (KeyError, TypeError, ValueError) as exc:
-            raise CatalogError("catalog row %d is malformed: %s" % (lineno, exc)) from exc
+            raise ValueError("catalog row %d is malformed: %s" % (lineno, exc)) from exc
         # find_family matches ids case-insensitively, so ids equal up to case collide
         if fam.id.lower() in seen:
-            raise CatalogError("catalog row %d: duplicate id %r" % (lineno, fam.id))
+            raise ValueError("catalog row %d: duplicate id %r" % (lineno, fam.id))
         seen.add(fam.id.lower())
         families.append(fam)
     return tuple(families)
@@ -100,7 +103,7 @@ def find_family(catalog: Iterable[FanoFamily], family_id: str) -> FanoFamily:
     for fam in catalog:
         if fam.id.lower() == wanted:
             return fam
-    raise CatalogError("unknown Fano family id %r" % family_id)
+    raise ValueError("unknown Fano family id %r" % family_id)
 
 
 def search_pairs(
@@ -127,7 +130,7 @@ def cy_invariants(v1: FanoFamily, v2: FanoFamily):
     are checked to be exact; a failure indicates bad catalog data.
     """
     if v1.delta != v2.delta:
-        raise CatalogError(
+        raise ValueError(
             "delta mismatch: %s has %d, %s has %d"
             % (v1.id, v1.delta, v2.id, v2.delta)
         )
@@ -144,7 +147,7 @@ def cy_invariants(v1: FanoFamily, v2: FanoFamily):
         q, rem = divmod(num, den)
         if rem:
             g = math.gcd(num, den)
-            raise CatalogError(
+            raise ValueError(
                 "pair (%s, %s): %s = %d/%d is not an integer; catalog data error"
                 % (v1.id, v2.id, name, num // g, den // g)
             )
@@ -200,6 +203,6 @@ def xi_examples(catalog: Iterable[FanoFamily]):
         v2 = find_family(catalog, id2)
         triple, rank_one, _ = cy_invariants(v1, v2)
         if not rank_one:
-            raise CatalogError("example %s is not Picard rank one" % label)
+            raise ValueError("example %s is not Picard rank one" % label)
         out.append((label, triple))
     return tuple(out)

@@ -41,14 +41,6 @@ from .exact_lattice import IntMatrix
 from .surface import K3Model, genus_from_square, intersect  # noqa: F401
 
 
-class ComponentError(ValueError):
-    pass
-
-
-class FullLatticeModeError(ComponentError):
-    """Base has b2 > 1; only numeric invariants are available (fano_catalog)."""
-
-
 class FanoFamily(
     namedtuple("FanoFamily", "id b2 index minus_K_cubed h12 provenance description")
 ):
@@ -63,16 +55,16 @@ class FanoFamily(
     def __new__(cls, id: str, b2: int, index: int, minus_K_cubed: int, h12: int,
                 provenance: str = "", description: str = ""):
         if b2 < 1 or index < 1 or minus_K_cubed <= 0 or h12 < 0:
-            raise ComponentError("invalid numeric data for family %r" % id)
+            raise ValueError("invalid numeric data for family %r" % id)
         r = index
         if minus_K_cubed % r**2 != 0:
-            raise ComponentError(
+            raise ValueError(
                 "family %r: -K^3 = %d is not divisible by index^2 = %d"
                 % (id, minus_K_cubed, r**2)
             )
         # b2 = 1: H generates H^2, so H^3 = -K^3/r^3 and H.c2 = 24/r are integers
         if b2 == 1 and (minus_K_cubed % r**3 or 24 % r):
-            raise ComponentError(
+            raise ValueError(
                 "family %r: a rank-one base needs index^3 | -K^3 and index | 24, "
                 "got index %d and -K^3 = %d" % (id, r, minus_K_cubed)
             )
@@ -126,13 +118,13 @@ class BlownComponent(
 def build_component(base: FanoFamily, D: K3Model, centers) -> BlownComponent:
     """Blow up the base along the given ordered curves on D."""
     if base.b2 != 1:
-        raise FullLatticeModeError(
+        raise ValueError(
             "base %r has b2 = %d; full lattice mode needs b2 = 1 "
             "(use the fano_catalog closed forms instead)" % (base.id, base.b2)
         )
     # D in |r H|, so h.h = H^2.D = r H^3 = delta
     if D.degree != base.delta:
-        raise ComponentError(
+        raise ValueError(
             "K3 degree h.h = %d does not match base %r (r H^3 = %d)"
             % (D.degree, base.id, base.delta)
         )
@@ -141,14 +133,14 @@ def build_component(base: FanoFamily, D: K3Model, centers) -> BlownComponent:
     # H^2(D, Z) with torsion-free cokernel: h is primitive
     g = math.gcd(*h)
     if g != 1:
-        raise ComponentError(
+        raise ValueError(
             "polarization %r is not primitive (divisible by %d), but H|_D is" % (h, g)
         )
     coords = []
     for c in centers:
         v = tuple(map(operator.index, c))
         if len(v) != D.rank:
-            raise ComponentError(
+            raise ValueError(
                 "center %r does not lie in the declared Pic(D) (rank %d)" % (v, D.rank)
             )
         coords.append(v)
@@ -157,13 +149,13 @@ def build_component(base: FanoFamily, D: K3Model, centers) -> BlownComponent:
     r = base.index
 
     restriction = IntMatrix.from_columns([h] + list(centers_t), rows=D.rank)
-    # one Gram image per center (h's is taken once, by the degree check):
-    # every h.c_i and c_i.c_j is a dot product with one
+    # one Gram image per center (h's is taken by the degree check, and by the
+    # (-2)-class check below): every h.c_i and c_i.c_j is a dot product with one
     images = [D.gram.mul_vector(c) for c in centers_t]
     degrees = tuple(sum(map(operator.mul, h, im)) for im in images)
     for i, d in enumerate(degrees):
         if d <= 0:
-            raise ComponentError(
+            raise ValueError(
                 "center %d has degree h.c = %d; a curve needs h.c > 0" % (i + 1, d)
             )
     mutual = tuple(tuple(sum(map(operator.mul, c, im)) for im in images) for c in centers_t)
@@ -171,8 +163,21 @@ def build_component(base: FanoFamily, D: K3Model, centers) -> BlownComponent:
     for i in range(s):
         for j in range(i + 1, s):
             if mutual[i][j] < 0:
-                raise ComponentError(
+                raise ValueError(
                     "centers %d and %d meet negatively (m = %d)" % (i + 1, j + 1, mutual[i][j])
+                )
+    # A declared (-2)-class e with x = h.e != 0 makes sign(x) e effective, so
+    # an irreducible curve c with h.c > |x| meets it nonnegatively.
+    roots = [j for j, g in enumerate(D.gram.entries[:: D.rank + 1]) if g == -2]
+    hx = D.gram.mul_vector(h) if roots else ()
+    for j in roots:
+        x = hx[j]
+        for i, im in enumerate(images):
+            if x and abs(x) < degrees[i] and im[j] * x < 0:
+                raise ValueError(
+                    "center %d has c.%s = %d against h.%s = %d < h.c: the (-2)-class is a "
+                    "fixed component, so the center is not a curve"
+                    % (i + 1, D.class_names[j], im[j], D.class_names[j], x)
                 )
 
     e_cubed = tuple(
@@ -207,7 +212,7 @@ def build_component(base: FanoFamily, D: K3Model, centers) -> BlownComponent:
 def _check_vec(Y: BlownComponent, a, what: str) -> tuple[int, ...]:
     a = tuple(map(operator.index, a))
     if len(a) != Y.h2_rank:
-        raise ComponentError(
+        raise ValueError(
             "%s has length %d, component H^2 rank is %d" % (what, len(a), Y.h2_rank)
         )
     return a
@@ -256,5 +261,5 @@ def pair_h2_h4(Y: BlownComponent, a, u) -> int:
     cov = _pairing(_check_vec(Y, a, "H^2 vector"))
     u = tuple(map(operator.index, u))
     if len(u) != Y.h2_rank:
-        raise ComponentError("H^4 vector length mismatch")
+        raise ValueError("H^4 vector length mismatch")
     return sum(x * y for x, y in zip(cov, u))

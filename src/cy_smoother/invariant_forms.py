@@ -32,18 +32,10 @@ from collections import namedtuple
 from typing import Iterable, Mapping, Sequence
 
 
-class TensorError(ValueError):
-    pass
-
-
-class InvariantError(ValueError):
-    pass
-
-
 def _canonical_key(idx: Sequence[int], rank: int) -> tuple[int, ...]:
     key = tuple(sorted(map(operator.index, idx)))
     if len(key) != 3 or key[0] < 1 or key[2] > rank:
-        raise TensorError("bad tensor index %r for rank %d" % (tuple(idx), rank))
+        raise ValueError("bad tensor index %r for rank %d" % (tuple(idx), rank))
     return key
 
 
@@ -64,13 +56,13 @@ class CubicTensor(namedtuple("CubicTensor", "rank entries")):
 
     def __new__(cls, rank: int, entries: Mapping[tuple[int, int, int], int]):
         if rank < 0:
-            raise TensorError("negative rank")
+            raise ValueError("negative rank")
         canon = {}
         for idx, v in entries.items():
             key = _canonical_key(idx, rank)
             v = operator.index(v)
             if canon.setdefault(key, v) != v:
-                raise TensorError("conflicting values for symmetric entry %r" % (key,))
+                raise ValueError("conflicting values for symmetric entry %r" % (key,))
         return super().__new__(cls, rank, dict(sorted(canon.items())))
 
     @classmethod
@@ -84,7 +76,7 @@ class CubicTensor(namedtuple("CubicTensor", "rank entries")):
         """Tensor of the same form in the basis f_j = sum_i M[i][j] e_i."""
         n = self.rank
         if len(M) != n or any(len(r) != n for r in M):
-            raise TensorError("change-of-basis matrix must be %dx%d" % (n, n))
+            raise ValueError("change-of-basis matrix must be %dx%d" % (n, n))
         R = range(n)
         A = _array(self)
         # three single-index contractions; each moves the contracted index
@@ -106,7 +98,7 @@ class CyInvariantTriple(namedtuple("CyInvariantTriple", "rho_cubed rho_c2 h12"))
 
     def __new__(cls, rho_cubed: int, rho_c2: int, h12: int | None = None):
         if rho_cubed <= 0:
-            raise InvariantError("rho^3 must be positive for an ample generator")
+            raise ValueError("rho^3 must be positive for an ample generator")
         return super().__new__(cls, rho_cubed, rho_c2, h12)
 
     @classmethod
@@ -153,10 +145,7 @@ def aronhold_ST(tensor: CubicTensor) -> tuple[int, int]:
     GL(3,Z) invariants.
     """
     if tensor.rank != 3:
-        raise TensorError(
-            "Aronhold invariants need rank 3; for rank <= 2 compare "
-            "discriminant/content data (forms_distinguishable does this)"
-        )
+        raise ValueError("Aronhold invariants need a rank-3 tensor, got rank %d" % tensor.rank)
     R, A = range(3), _array(tensor)
     # M[p][q][r] = [def]^2 with d, e, f's free indices p, q, r
     M = [
@@ -197,7 +186,7 @@ def forms_distinguishable(t1: CubicTensor, t2: CubicTensor) -> ComparisonResult:
     not prove equivalence).
     """
     if t1.rank != t2.rank:
-        raise TensorError("cannot compare tensors of ranks %d and %d" % (t1.rank, t2.rank))
+        raise ValueError("cannot compare tensors of ranks %d and %d" % (t1.rank, t2.rank))
     if t1.rank == 3:
         s1, v1 = aronhold_ST(t1)
         s2, v2 = aronhold_ST(t2)
@@ -244,11 +233,11 @@ def forms_distinguishable(t1: CubicTensor, t2: CubicTensor) -> ComparisonResult:
 def rr_dimension(inv: CyInvariantTriple, n: int) -> int:
     """chi(O(n rho)) = rho^3 n^3 / 6 + (rho.c2) n / 12 on a Calabi-Yau 3-fold."""
     if not isinstance(n, int):
-        raise InvariantError("n must be an integer")
+        raise ValueError("n must be an integer")
     twelve_chi = 2 * inv.rho_cubed * n**3 + inv.rho_c2 * n
     if twelve_chi % 12:
         g = math.gcd(twelve_chi, 12)
-        raise InvariantError(
+        raise ValueError(
             "chi(O(%d rho)) = %d/%d is not an integer; the invariant pair "
             "(%d, %d) is inconsistent" % (n, twelve_chi // g, 12 // g, inv.rho_cubed, inv.rho_c2)
         )

@@ -18,8 +18,11 @@ Degeneration inputs are capped so that analysis time stays bounded on
 hostile input: at most MAX_CENTERS centers per component, a K3 lattice
 of rank at most MAX_K3_RANK, and integers of absolute value at most
 MAX_ENTRY in the Gram matrix, the polarization and the centers.  Larger
-inputs are rejected with a SchemaError, and so is a field that the schema
-does not name, so that a misspelt key is never silently ignored.
+inputs are rejected, and so is a field that the schema does not name, so
+that a misspelt key is never silently ignored.  Every rejection is a
+ValueError whose message starts with the location: the file path for
+invalid JSON, else a path such as "Y1.centers[0]" ("$" is the top
+level, "Y1" the component that ``build_component`` rejected).
 """
 
 from __future__ import annotations
@@ -42,17 +45,14 @@ MAX_K3_RANK = 20  # a complex K3 has Picard rank at most h^{1,1} = 20
 MAX_ENTRY = 1000
 
 
-class SchemaError(ValueError):
-    """Input does not match the expected schema; message carries the location."""
-
-    def __init__(self, message: str, location: str = ""):
-        self.location = location
-        super().__init__("%s: %s" % (location, message) if location else message)
+def _located(message: str, location: str) -> ValueError:
+    """The error for bad input at location: its message starts "location: "."""
+    return ValueError("%s: %s" % (location, message))
 
 
 def _expect(cond: bool, message: str, location: str):
     if not cond:
-        raise SchemaError(message, location)
+        raise _located(message, location)
 
 
 def _check_fields(raw, required: tuple, optional: tuple, location: str):
@@ -62,7 +62,7 @@ def _check_fields(raw, required: tuple, optional: tuple, location: str):
         _expect(key in raw, "missing field %r" % key, location)
     for key in raw:
         if key not in required and key not in optional:
-            raise SchemaError("unknown field %r" % (key,), location)
+            raise _located("unknown field %r" % (key,), location)
 
 
 def _int_list(raw, location: str) -> list[int]:
@@ -70,10 +70,10 @@ def _int_list(raw, location: str) -> list[int]:
     for i, v in enumerate(raw):
         # the location and message are formatted only for an entry that fails
         if not isinstance(v, int) or isinstance(v, bool):
-            raise SchemaError("expected an integer", "%s[%d]" % (location, i))
+            raise _located("expected an integer", "%s[%d]" % (location, i))
         if abs(v) > MAX_ENTRY:
-            raise SchemaError("|%d| exceeds the entry cap %d" % (v, MAX_ENTRY),
-                              "%s[%d]" % (location, i))
+            raise _located("|%d| exceeds the entry cap %d" % (v, MAX_ENTRY),
+                           "%s[%d]" % (location, i))
     return list(raw)
 
 
@@ -98,7 +98,7 @@ def parse_k3(raw, location: str = "k3") -> K3Model:
     try:
         return K3Model(IntMatrix.from_rows(rows), tuple(classes), tuple(pol))
     except ValueError as exc:
-        raise SchemaError(str(exc), location) from exc
+        raise _located(str(exc), location) from exc
 
 
 def parse_component(
@@ -110,7 +110,7 @@ def parse_component(
     try:
         family = find_family(catalog, raw["base"])
     except ValueError as exc:
-        raise SchemaError(str(exc), location + ".base") from exc
+        raise _located(str(exc), location + ".base") from exc
     centers_raw = raw.get("centers", [])
     _expect(isinstance(centers_raw, list), "centers must be a list of vectors",
             location + ".centers")
@@ -123,7 +123,7 @@ def parse_component(
     try:
         return build_component(family, k3, centers)
     except ValueError as exc:
-        raise SchemaError(str(exc), location) from exc
+        raise _located(str(exc), location) from exc
 
 
 def parse_degeneration(raw, catalog: Iterable[FanoFamily]) -> NormalCrossingModel:
@@ -166,9 +166,9 @@ def _parse_entry_key(key: str, location: str) -> tuple[int, ...]:
         else:
             parts = tuple(int(ch) for ch in key)
     except ValueError as exc:
-        raise SchemaError("bad tensor index key %r" % key, location) from exc
+        raise _located("bad tensor index key %r" % key, location) from exc
     if len(parts) != 3:
-        raise SchemaError("tensor index %r does not have three entries" % key, location)
+        raise _located("tensor index %r does not have three entries" % key, location)
     return parts
 
 
@@ -189,7 +189,7 @@ def parse_tensor(raw, location: str = "$") -> CubicTensor:
     try:
         return CubicTensor(rank, entries)
     except ValueError as exc:
-        raise SchemaError(str(exc), location) from exc
+        raise _located(str(exc), location) from exc
 
 
 def load_tensor(path) -> CubicTensor:
@@ -282,8 +282,8 @@ def _load_json(path):
     try:
         text = p.read_text(encoding="utf-8")
     except OSError as exc:
-        raise SchemaError("cannot read file %s: %s" % (p, exc.strerror), "$") from exc
+        raise _located("cannot read file %s: %s" % (p, exc.strerror), "$") from exc
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError("invalid JSON: %s" % exc, str(p)) from exc
+    except ValueError as exc:  # JSONDecodeError, or an int past the digit limit
+        raise _located("invalid JSON: %s" % exc, str(p)) from exc

@@ -55,10 +55,6 @@ from .invariant_forms import CubicTensor
 TORSION_NOTE = "all results modulo torsion"
 
 
-class ModelError(ValueError):
-    pass
-
-
 class InternalInconsistencyError(RuntimeError):
     """A structural identity failed; upstream hypotheses must be broken."""
 
@@ -70,7 +66,7 @@ class NormalCrossingModel(namedtuple("NormalCrossingModel", "y1 y2")):
 
     def __new__(cls, y1: comp.BlownComponent, y2: comp.BlownComponent):
         if y1.k3 != y2.k3:
-            raise ModelError("components reference different K3 models")
+            raise ValueError("components reference different K3 models")
         return super().__new__(cls, y1, y2)
 
     @classmethod
@@ -453,11 +449,11 @@ def move_top_center(model: NormalCrossingModel, from_index: int) -> NormalCrossi
     transition matrix M gives cubic.change_basis(M) == swapped cubic.
     """
     if from_index not in (1, 2):
-        raise ModelError("from_index must be 1 or 2")
+        raise ValueError("from_index must be 1 or 2")
     src = model.y1 if from_index == 1 else model.y2
     dst = model.y2 if from_index == 1 else model.y1
     if not src.centers:
-        raise ModelError("component %d has no blow-up center to move" % from_index)
+        raise ValueError("component %d has no blow-up center to move" % from_index)
     moved = src.centers[-1]
     new_src = comp.build_component(src.base, model.k3, src.centers[:-1])
     new_dst = comp.build_component(dst.base, model.k3, dst.centers + (moved,))

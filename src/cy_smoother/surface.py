@@ -16,10 +16,6 @@ from .exact_lattice import IntMatrix
 PicardVector = tuple[int, ...]
 
 
-class SurfaceError(ValueError):
-    pass
-
-
 class K3Model(namedtuple("K3Model", "gram class_names polarization")):
     """Picard lattice of a polarized K3 surface.
 
@@ -33,31 +29,31 @@ class K3Model(namedtuple("K3Model", "gram class_names polarization")):
     def __new__(cls, gram: IntMatrix, class_names: tuple[str, ...], polarization: PicardVector):
         self = super().__new__(cls, gram, class_names, polarization)
         if not gram.is_square():
-            raise SurfaceError("Gram matrix must be square")
+            raise ValueError("Gram matrix must be square")
         n, rows = gram.rows, gram.to_rows()
         if len(class_names) != n:
-            raise SurfaceError("need one class name per lattice generator")
+            raise ValueError("need one class name per lattice generator")
         if len(polarization) != n:
-            raise SurfaceError("polarization length does not match lattice rank")
+            raise ValueError("polarization length does not match lattice rank")
         for i, row in enumerate(rows):
             if row[i] % 2 != 0:
-                raise SurfaceError("K3 intersection form must be even")
+                raise ValueError("K3 intersection form must be even")
             for j in range(i + 1, n):
                 if row[j] != rows[j][i]:
-                    raise SurfaceError("Gram matrix must be symmetric")
+                    raise ValueError("Gram matrix must be symmetric")
         # one Gram image of h gives h.h and every x.h below
         h = tuple(map(operator.index, polarization))
         hx = gram.mul_vector(h)
         h2 = sum(map(operator.mul, h, hx))
         if h2 <= 0:  # the form is even, so every square is even
-            raise SurfaceError("polarization must have positive even square, got %d" % h2)
+            raise ValueError("polarization must have positive even square, got %d" % h2)
         # Hodge index: h^perp is negative definite.  x -> h.h x - (x.h) h maps
         # the coordinate vectors other than p (h_p != 0) onto a basis of
         # h^perp and scales the form by h.h, giving h.h x.y - (x.h)(y.h).
         p = next(i for i, x in enumerate(h) if x)
         rest = [i for i in range(n) if i != p]
         if not _negative_definite([[h2 * rows[i][j] - hx[i] * hx[j] for j in rest] for i in rest]):
-            raise SurfaceError(
+            raise ValueError(
                 "Gram matrix is not hyperbolic; a K3 Picard lattice has signature (1, %d)"
                 % (n - 1)
             )
@@ -108,7 +104,7 @@ def intersect(D: K3Model, a, b) -> int:
     a = tuple(map(operator.index, a))
     b = tuple(map(operator.index, b))
     if len(a) != D.gram.rows or len(b) != D.gram.rows:
-        raise SurfaceError(
+        raise ValueError(
             "vector length mismatch: lattice rank %d, got %d and %d"
             % (D.gram.rows, len(a), len(b))
         )
@@ -119,7 +115,7 @@ def intersect(D: K3Model, a, b) -> int:
 def genus_from_square(c2: int) -> int:
     """Genus c.c/2 + 1 of a curve class on a K3 with self-intersection c.c."""
     if c2 < -2 or c2 % 2 != 0:
-        raise SurfaceError(
+        raise ValueError(
             "self-intersection %d is not that of a curve class on a K3" % c2
         )
     return c2 // 2 + 1

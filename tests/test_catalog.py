@@ -4,7 +4,6 @@ from collections import Counter
 import pytest
 
 from cy_smoother.catalog import (
-    CatalogError,
     cy_invariants,
     default_catalog_path,
     find_family,
@@ -46,7 +45,7 @@ class TestLoadCatalog:
             "ok,1,4,64,0,,fine\n"
             "broken,1,two,64,0,,oops\n"
         )
-        with pytest.raises(CatalogError, match="row 3"):
+        with pytest.raises(ValueError, match=r"^catalog row 3 is malformed: invalid literal"):
             load_catalog(bad)
 
     @pytest.mark.parametrize("name", ["cat.json", "cat.txt"])
@@ -54,7 +53,8 @@ class TestLoadCatalog:
         # the format, not the suffix, decides how rows are numbered
         bad = tmp_path / name
         bad.write_text('[{"id": "A", "b2": 1, "index": 0, "minus_K_cubed": 4, "h12": 0}]')
-        with pytest.raises(CatalogError, match="catalog row 1 is malformed"):
+        with pytest.raises(ValueError, match=r"^catalog row 1 is malformed: invalid numeric "
+                           r"data for family 'A'$"):
             load_catalog(bad)
 
     @pytest.mark.parametrize(
@@ -67,7 +67,7 @@ class TestLoadCatalog:
         row = {"id": "P3", "b2": 1, "index": 4, "minus_K_cubed": 64, "h12": 0, field: value}
         bad = tmp_path / "cat.json"
         bad.write_text(json.dumps([row]))
-        with pytest.raises(CatalogError, match=r"^catalog row 1 is malformed: field %r must "
+        with pytest.raises(ValueError, match=r"^catalog row 1 is malformed: field %r must "
                            r"be an integer, got %r$" % (field, value)):
             load_catalog(bad)
 
@@ -81,7 +81,7 @@ class TestLoadCatalog:
             "P3,1,4,64,0,,p3\n"
             "%s,1,4,64,0,,shadowed\n" % second
         )
-        with pytest.raises(CatalogError, match=r"^catalog row 3: duplicate id %r$"
+        with pytest.raises(ValueError, match=r"^catalog row 3: duplicate id %r$"
                            % second.strip()):
             load_catalog(dup)
 
@@ -91,7 +91,8 @@ class TestLoadCatalog:
             "id,b2,index,minus_K_cubed,h12,provenance,description\n"
             "weird,1,3,55,0,,delta is not integral\n"
         )
-        with pytest.raises(CatalogError):
+        with pytest.raises(ValueError, match=r"^catalog row 2 is malformed: family 'weird': "
+                           r"-K\^3 = 55 is not divisible by index\^2 = 9$"):
             load_catalog(bad)
 
     def test_json_catalog(self, tmp_path):
@@ -106,7 +107,7 @@ class TestLoadCatalog:
         assert default_catalog_path().exists()
 
     def test_unknown_family(self, catalog):
-        with pytest.raises(CatalogError):
+        with pytest.raises(ValueError, match=r"^unknown Fano family id 'P4'$"):
             find_family(catalog, "P4")
 
 
@@ -164,7 +165,7 @@ class TestCyInvariants:
         assert rank_one
 
     def test_delta_mismatch(self, catalog):
-        with pytest.raises(CatalogError):
+        with pytest.raises(ValueError, match=r"^delta mismatch: P3 has 4, Q has 6$"):
             cy_invariants(find_family(catalog, "P3"), find_family(catalog, "Q"))
 
     def test_h12_identity_all_pairs(self, catalog):

@@ -149,8 +149,17 @@ class TestSmooth:
                 [],
                 "Y1.centers[0][0]: expected an integer",
             ),
+            (
+                # 3h + 2x meets the line x in -1 while h.x = 1 < h.c = 14, so x is
+                # a fixed component; this used to report h11 = 1, h12 = 77
+                {"gram": [[4, 1], [1, -2]], "classes": ["h", "x"], "polarization": [1, 0]},
+                [[3, 2]],
+                [[5, -2]],
+                "Y1: center 1 has c.x = -1 against h.x = 1 < h.c: the (-2)-class is a fixed "
+                "component",
+            ),
         ],
-        ids=["square-below-minus-2", "float-center"],
+        ids=["square-below-minus-2", "float-center", "center-not-nef"],
     )
     def test_bad_center_exit_2(self, capsys, tmp_path, k3, y1, y2, match):
         doc = tmp_path / "center.json"
@@ -368,6 +377,8 @@ def test_unknown_field_exit_2(capsys, tmp_path, part, key, message):
 CUBIC = ["invariants", "cubic", "--file", "{path}"]
 WITH_CATALOG = ["smooth", str(EXAMPLES / "quick.json"), "--catalog", "{path}"]
 CSV_HEADER = "id,b2,index,minus_K_cubed,h12\n"
+# past the interpreter's 4300-digit limit, json.loads raises a plain ValueError
+HUGE = "9" * 5000
 
 
 @pytest.mark.parametrize(
@@ -383,17 +394,35 @@ CSV_HEADER = "id,b2,index,minus_K_cubed,h12\n"
          "$: conflicting values for symmetric entry (1, 1, 2)"),
         ("t.json", '{"rank": 3, "entries": {"111": 1}, "c2": [1, 2, 3]}', CUBIC,
          "$: unknown field 'c2'"),
-        ("cat.json", '[{"id": "P3", "b2": 1', WITH_CATALOG, "catalog JSON is malformed"),
+        ("t.json", '{"rank": 100000000, "entries": {"111": 1}}', CUBIC,
+         "Aronhold invariants need a rank-3 tensor, got rank 100000000"),
+        ("doc.json", json.dumps(NOT_D_SEMISTABLE).replace("[[7]]", "[[%s]]" % HUGE),
+         ["smooth", "{path}"], "{path}: invalid JSON: "),
+        ("t.json", '{"rank": 3, "entries": {"111": %s}}' % HUGE, CUBIC,
+         "{path}: invalid JSON: "),
+        ("cat.json", '[{"id": "P3", "b2": 1', WITH_CATALOG,
+         "{path}: catalog JSON is malformed"),
+        ("cat.json", '[{"id": "P3", "b2": 1, "index": 4, "minus_K_cubed": %s, "h12": 0}]'
+         % HUGE, ["fano", "cy", "--v1", "P3", "--v2", "P3", "--catalog", "{path}"],
+         "{path}: catalog JSON is malformed: "),
         ("cat.json", '{"id": "P3"}', WITH_CATALOG, "catalog JSON must be a list of rows"),
         ("cat.csv", CSV_HEADER + "A,1,3,18,0\n", WITH_CATALOG,
          "catalog row 2 is malformed: family 'A': a rank-one base needs index^3 | -K^3"),
         ("cat.csv", CSV_HEADER + "A,2,1,3,0\nB,2,2,12,0\n",
          ["fano", "cy", "--v1", "A", "--v2", "B", "--catalog", "{path}"],
          "pair (A, B): rho^3 = 9/2 is not an integer"),
+        ("cat.csv", "id,b2,index,minusKcubed,h12\n", ["fano", "search", "--catalog", "{path}"],
+         "{path}: catalog header lacks minus_K_cubed"),
+        ("cat.csv", "id,b2,index,minusKcubed,h12\nP3,1,4,64,0\n", WITH_CATALOG,
+         "{path}: catalog header lacks minus_K_cubed"),
+        ("cat.csv", CSV_HEADER + "P3,1,4\n", WITH_CATALOG,
+         "catalog row 2 is malformed: field 'minus_K_cubed' is missing"),
     ],
     ids=["unknown-base", "tensor-key-letter", "tensor-key-two-indices",
-         "tensor-conflicting-symmetric", "tensor-unknown-field", "catalog-truncated-json",
-         "catalog-json-not-a-list", "catalog-rank-one-divisibility", "fano-cy-rho-cubed"],
+         "tensor-conflicting-symmetric", "tensor-unknown-field", "aronhold-rank",
+         "smooth-huge-int", "tensor-huge-int", "catalog-truncated-json", "catalog-huge-int",
+         "catalog-json-not-a-list", "catalog-rank-one-divisibility", "fano-cy-rho-cubed",
+         "catalog-header-typo-no-rows", "catalog-header-typo", "catalog-short-row"],
 )
 def test_bad_input_exit_2(capsys, tmp_path, name, text, argv, message):
     path = tmp_path / name
@@ -401,22 +430,20 @@ def test_bad_input_exit_2(capsys, tmp_path, name, text, argv, message):
     code, out, err = run(capsys, *(a.format(path=path) for a in argv))
     assert code == 2
     assert out == ""
-    assert message in err
+    assert message.format(path=path) in err
 
 
 @pytest.mark.xfail(
     strict=True, raises=AssertionError,
-    reason="ROADMAP items 2 and 11: centers are not tested for nefness nor h for ampleness",
+    reason="ROADMAP items 2 and 11: h is not tested for ampleness",
 )
 @pytest.mark.parametrize(
     "gram, y1, y2",
     [
-        # 3h + 2l meets the line l in -1, so l is a fixed component: h11 = 1, h12 = 77
-        ([[4, 1], [1, -2]], [[3, 2]], [[5, -2]]),
         # h is orthogonal to the (-2)-root e, so h is not ample: h11 = 2, h12 = 86
         ([[4, 0], [0, -2]], [[4, 0]], [[4, 0]]),
     ],
-    ids=["center-not-nef", "polarization-not-ample"],
+    ids=["polarization-not-ample"],
 )
 def test_known_wrong_report_exit_3(capsys, tmp_path, gram, y1, y2):
     doc = tmp_path / "wrong.json"
@@ -515,7 +542,7 @@ class TestInvariants:
         small.write_text('{"rank": 2, "entries": {"111": 1, "222": 1}}')
         code, _, err = run(capsys, "invariants", "cubic", "--file", str(small))
         assert code == 2
-        assert "rank 3" in err
+        assert "need a rank-3 tensor, got rank 2" in err
 
     def test_rr(self, capsys):
         code, out, _ = run(capsys, "invariants", "rr", "--rho3", "2",

@@ -3,9 +3,7 @@ import itertools
 import pytest
 
 from cy_smoother.components import (
-    ComponentError,
     FanoFamily,
-    FullLatticeModeError,
     P3,
     _check_vec,
     _cup,
@@ -15,7 +13,7 @@ from cy_smoother.components import (
 )
 from cy_smoother.exact_lattice import IntMatrix
 from cy_smoother.smoothing import NormalCrossingModel, _dot, compute_rg2, cubic_form
-from cy_smoother.surface import K3Model, SurfaceError, intersect
+from cy_smoother.surface import K3Model, intersect
 
 from conftest import MU_TABLE, NU_TABLE
 
@@ -25,7 +23,8 @@ class TestBase:
         assert P3.H_cubed == 1
 
     def test_index_cube_divides(self):
-        with pytest.raises(ComponentError):
+        with pytest.raises(ValueError, match=r"^family 'bad': -K\^3 = 55 is not divisible "
+                           r"by index\^2 = 9$"):
             FanoFamily("bad", 1, 3, 55, 0)
 
     def test_quadric(self):
@@ -107,7 +106,7 @@ class TestBuildComponent:
                 centers = [rng.choice(pool) for _ in range(rng.randint(0, 4))]
                 try:
                     y = build_component(base, D, centers)
-                except ComponentError:  # two centers that meet negatively
+                except ValueError:  # two centers that meet negatively
                     continue
                 for _ in range(5):
                     x, z = (tuple(rng.randint(-3, 3) for _ in range(y.h2_rank)) for _ in "xz")
@@ -124,22 +123,24 @@ class TestBuildComponent:
 class TestComponentErrors:
     def test_rejects_higher_rank_base(self, quartic):
         fat = FanoFamily("MM-12.3-1", 2, 1, 4, 22)
-        with pytest.raises(FullLatticeModeError):
+        with pytest.raises(ValueError, match=r"^base 'MM-12\.3-1' has b2 = 2; full lattice "
+                           r"mode needs b2 = 1"):
             build_component(fat, quartic, [])
 
     def test_rejects_wrong_center_dimension(self, quartic):
-        with pytest.raises(ComponentError):
+        with pytest.raises(ValueError, match=r"^center \(1, 2\) does not lie in the declared "
+                           r"Pic\(D\) \(rank 1\)$"):
             build_component(P3, quartic, [(1, 2)])
 
     def test_check_order(self):
         # degree first, then primitivity, then the length of each center
         X8 = FanoFamily("X8", 1, 2, 32, 0)  # delta 8
         D = K3Model(IntMatrix.from_rows([[2]]), ("v",), (2,))  # h = 2v, h.h = 8
-        with pytest.raises(ComponentError, match="K3 degree h.h = 8 does not match base 'P3'"):
+        with pytest.raises(ValueError, match="K3 degree h.h = 8 does not match base 'P3'"):
             build_component(P3, D, [(1, 2)])
-        with pytest.raises(ComponentError, match="not primitive"):
+        with pytest.raises(ValueError, match="not primitive"):
             build_component(X8, D, [(1, 2)])
-        with pytest.raises(ComponentError, match=r"center \(1, 2\) does not lie"):
+        with pytest.raises(ValueError, match=r"center \(1, 2\) does not lie"):
             build_component(P3, K3Model.quartic(), [(1,), (1, 2)])
 
     def test_center_products_against_intersect(self, rng):
@@ -151,8 +152,10 @@ class TestComponentErrors:
                        for _ in range(rng.randint(0, 3))]
             try:
                 y = build_component(P3, D, centers)
-            except (ComponentError, SurfaceError):
-                continue  # a square below -2, or two centers meeting negatively
+            except ValueError:
+                # a square below -2, two centers meeting negatively, or a center
+                # with a fixed (-2)-class
+                continue
             built += 1
             h = D.polarization
             assert y.degrees == tuple(intersect(D, h, c) for c in centers)
@@ -164,14 +167,26 @@ class TestComponentErrors:
         D = K3Model(IntMatrix.from_rows([[4, 1], [1, -2]]), ("h", "d"), (1, 0))
         rational = (0, 1)  # square -2, degree 1
         other = (1, 2)     # square 0, degree 6; meets the first in -3
-        with pytest.raises(ComponentError, match="meet negatively"):
+        with pytest.raises(ValueError, match="meet negatively"):
             build_component(P3, D, [rational, other])
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_rejects_center_with_a_fixed_minus_two_class(self, sign):
+        # h.l = sign makes sign*l effective.  3h + 2 sign*l meets it in -1 but
+        # has degree 14 > 1, so sign*l is a fixed component; sign*l itself (of
+        # degree 1) is a curve.
+        D = K3Model(IntMatrix.from_rows([[4, sign], [sign, -2]]), ("h", "l"), (1, 0))
+        build_component(P3, D, [(0, sign), (1, 0)])
+        with pytest.raises(ValueError, match=r"^center 2 has c\.l = %d against h\.l = %d < h\.c: "
+                           r"the \(-2\)-class is a fixed component" % (-sign, sign)):
+            build_component(P3, D, [(1, 0), (3, 2 * sign)])
 
     def test_dimension_checked_in_products(self, quartic):
         y = build_component(P3, quartic, [(5,)])
-        with pytest.raises(ComponentError):
+        with pytest.raises(ValueError, match=r"^first vector has length 1, component H\^2 "
+                           r"rank is 2$"):
             triple_product(y, (1,), (1, 0), (1, 0))
-        with pytest.raises(ComponentError):
+        with pytest.raises(ValueError, match=r"^lift has length 3, component H\^2 rank is 2$"):
             _check_vec(y, (1, 0, 0), "lift")
 
     def test_rejects_non_integer_vectors(self, quartic):

@@ -27,3 +27,17 @@ def test_golden_command(entry, capsys, monkeypatch):
     out = capsys.readouterr().out
     assert code == entry["exit"]
     assert out.encode() == (GOLDEN / entry["stdout"]).read_bytes()
+
+
+def test_commands_are_the_makefile_golden_recipe():
+    # `make golden` and this replay must run the same commands in the same order
+    makefile = (Path(__file__).resolve().parent.parent / "Makefile").read_text()
+    recipe = []
+    for line in makefile.split("\ngolden:\n", 1)[1].splitlines():
+        if not line.startswith("\t"):
+            break
+        recipe.append(line.split())
+    want = [["$(CLI)"] + ["$(EXAMPLES)/" + a[len("EXAMPLES/"):] if a.startswith("EXAMPLES/")
+                          else a for a in c["argv"]] for c in COMMANDS]
+    assert len(recipe) == 13
+    assert recipe == want

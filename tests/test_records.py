@@ -10,29 +10,27 @@ CLI process; ``test_cli_import_skips_slow_stdlib_modules`` keeps them out.
 """
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from cy_smoother.components import P3, ComponentError, FanoFamily, build_component
+from cy_smoother.components import P3, FanoFamily, build_component
 from cy_smoother.exact_lattice import IntMatrix
 from cy_smoother.invariant_forms import (
     CubicTensor,
     CyInvariantTriple,
-    InvariantError,
-    TensorError,
     forms_distinguishable,
 )
 from cy_smoother.smoothing import (
-    ModelError,
     analyze,
     check_smoothability,
     compute_rg2,
     compute_rg4_and_consur,
 )
-from cy_smoother.surface import K3Model, SurfaceError
+from cy_smoother.surface import K3Model
 
 from conftest import MU_TABLE, NU_TABLE, make_model
 
@@ -100,25 +98,27 @@ def _other_k3_component():
     return build_component(P3, k3, [])
 
 
-# (record name, fields that fail its checks, the error)
+# (record name, fields that fail its checks, the ValueError message it raises)
 INVALID = [
-    ("K3Model", {"polarization": (0,)}, SurfaceError),
-    ("FanoFamily", {"index": 3}, ComponentError),
-    ("NormalCrossingModel", {"y2": _other_k3_component()}, ModelError),
-    ("CubicTensor", {"entries": {(1, 1, 4): 1}}, TensorError),
-    ("CyInvariantTriple", {"rho_cubed": 0}, InvariantError),
+    ("K3Model", {"polarization": (0,)}, "polarization must have positive even square, got 0"),
+    ("FanoFamily", {"index": 3}, "family 'P3': -K^3 = 64 is not divisible by index^2 = 9"),
+    ("NormalCrossingModel", {"y2": _other_k3_component()},
+     "components reference different K3 models"),
+    ("CubicTensor", {"entries": {(1, 1, 4): 1}}, "bad tensor index (1, 1, 4) for rank 3"),
+    ("CyInvariantTriple", {"rho_cubed": 0}, "rho^3 must be positive for an ample generator"),
 ]
 
 
-@pytest.mark.parametrize("name, bad, error", INVALID, ids=[n for n, _, _ in INVALID])
-def test_validating_record_cannot_be_built_unchecked(name, bad, error):
+@pytest.mark.parametrize("name, bad, message", INVALID, ids=[n for n, _, _ in INVALID])
+def test_validating_record_cannot_be_built_unchecked(name, bad, message):
     rec = RECORDS[name]
     fields = {**rec._asdict(), **bad}
-    with pytest.raises(error):
+    match = "^%s$" % re.escape(message)
+    with pytest.raises(ValueError, match=match):
         type(rec)(**fields)
-    with pytest.raises(error):
+    with pytest.raises(ValueError, match=match):
         rec._replace(**bad)
-    with pytest.raises(error):
+    with pytest.raises(ValueError, match=match):
         type(rec)._make(fields.values())
 
 

@@ -8,7 +8,6 @@ from cy_smoother import smoothing
 from cy_smoother.catalog import find_family, load_catalog
 from cy_smoother.components import (
     P3,
-    ComponentError,
     build_component,
     pair_h2_h4,
     triple_product,
@@ -25,7 +24,6 @@ from cy_smoother.invariant_forms import DISTINCT, CubicTensor, forms_distinguish
 from cy_smoother.schemas import MAX_CENTERS, load_degeneration, parse_tensor
 from cy_smoother.smoothing import (
     InternalInconsistencyError,
-    ModelError,
     NormalCrossingModel,
     RG2Result,
     analyze,
@@ -90,7 +88,7 @@ class TestHypotheses:
 
     def test_mismatched_k3(self, quartic):
         other = K3Model(IntMatrix.from_rows([[4, 1], [1, -2]]), ("h", "d"), (1, 0))
-        with pytest.raises(ModelError):
+        with pytest.raises(ValueError, match=r"^components reference different K3 models$"):
             NormalCrossingModel(
                 build_component(P3, quartic, []), build_component(P3, other, [(4, 0)])
             )
@@ -323,7 +321,7 @@ class TestCubicAndC2:
         # RG^4 reads only the generators
         steps = [cubic_form, c2_form] + [compute_rg4_and_consur] * (which == "generator")
         for step in steps:
-            with pytest.raises(ComponentError, match="lift on Y2 has length"):
+            with pytest.raises(ValueError, match="lift on Y2 has length"):
                 step(pair1_a, bad)
 
     def test_zero_argument_kills_product(self, pair1_a):
@@ -419,7 +417,7 @@ class TestMoveTop:
         assert back.y2.centers == pair1_a.y2.centers
 
     def test_empty_source_errors(self, quick_model):
-        with pytest.raises(ModelError):
+        with pytest.raises(ValueError, match=r"^component 1 has no blow-up center to move$"):
             move_top_center(quick_model, 1)
 
     def test_swap_changes_basis_not_forms(self, quartic):

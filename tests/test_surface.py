@@ -1,7 +1,7 @@
 import pytest
 
 from cy_smoother.exact_lattice import IntMatrix
-from cy_smoother.surface import K3Model, SurfaceError, genus_from_square, intersect
+from cy_smoother.surface import K3Model, genus_from_square, intersect
 
 
 class TestIntersect:
@@ -11,7 +11,8 @@ class TestIntersect:
         assert intersect(quartic, (1,), (1,)) == 4
 
     def test_dimension_mismatch(self, quartic):
-        with pytest.raises(SurfaceError):
+        with pytest.raises(ValueError, match=r"^vector length mismatch: lattice rank 1, "
+                           r"got 2 and 1$"):
             intersect(quartic, (1, 0), (1,))
 
     def test_rejects_non_integer_vectors(self, quartic):
@@ -50,7 +51,8 @@ class TestCurveGenus:
 
     def test_rejects_non_curve_square(self):
         D = K3Model(IntMatrix.from_rows([[4, 0], [0, -4]]), ("h", "e"), (1, 0))
-        with pytest.raises(SurfaceError):
+        with pytest.raises(ValueError, match=r"^self-intersection -4 is not that of a curve "
+                           r"class on a K3$"):
             genus_from_square(intersect(D, (0, 1), (0, 1)))  # square -4 < -2
 
     def test_additivity(self, quartic, rng):
@@ -69,20 +71,20 @@ class TestCurveGenus:
 
 class TestK3Validation:
     def test_rejects_odd_diagonal(self):
-        with pytest.raises(SurfaceError):
+        with pytest.raises(ValueError, match=r"^K3 intersection form must be even$"):
             K3Model(IntMatrix.from_rows([[3]]), ("h",), (1,))
 
     def test_rejects_asymmetric(self):
-        with pytest.raises(SurfaceError):
+        with pytest.raises(ValueError, match=r"^Gram matrix must be symmetric$"):
             K3Model(IntMatrix.from_rows([[2, 1], [0, 2]]), ("a", "b"), (1, 0))
 
     def test_rejects_nonpositive_polarization(self):
-        with pytest.raises(SurfaceError, match=r"^polarization must have positive even "
+        with pytest.raises(ValueError, match=r"^polarization must have positive even "
                            r"square, got -2$"):
             K3Model(IntMatrix.from_rows([[-2]]), ("e",), (1,))
 
     def test_polarization_checks(self, quartic):
-        with pytest.raises(SurfaceError, match="polarization length does not match"):
+        with pytest.raises(ValueError, match="polarization length does not match"):
             K3Model(IntMatrix.from_rows([[4]]), ("h",), (1, 0))
         with pytest.raises(TypeError):
             K3Model(IntMatrix.from_rows([[4]]), ("h",), (1.0,))
@@ -107,7 +109,8 @@ class TestK3Validation:
             try:
                 K3Model(gram, tuple("x%d" % i for i in range(n)), h)
                 accepted = True
-            except SurfaceError:
+            except ValueError as exc:
+                assert str(exc).startswith("Gram matrix is not hyperbolic"), exc
                 accepted = False
             assert accepted == hyperbolic, (rows, h)
             verdicts.add(accepted)
