@@ -38,11 +38,17 @@ def default_catalog_path() -> Path:
     return Path(resources.files("cy_smoother").joinpath("data/fano_catalog.csv"))
 
 
+def _field(row, field: str, from_json: bool):
+    """row[field]; a JSON row without the key and a short CSV row name the field."""
+    # None in a CSV row is csv.DictReader's filler for a short row
+    if field not in row or (row[field] is None and not from_json):
+        raise ValueError("field %r is missing" % field)
+    return row[field]
+
+
 def _int_field(row, field: str, from_json: bool) -> int:
-    value = row[field]
+    value = _field(row, field, from_json)
     if not from_json:
-        if value is None:  # csv.DictReader's filler for a short row
-            raise ValueError("field %r is missing" % field)
         return int(value)  # CSV fields are strings
     # a JSON number arrives typed, and int() would truncate 4.9 to 4, read
     # true as 1 and " 4" as 4
@@ -61,26 +67,29 @@ def load_catalog(path=None) -> tuple[FanoFamily, ...]:
     from_json = path.suffix.lower() == ".json" or text.lstrip().startswith("[")
     if from_json:
         try:
-            rows = json.loads(text) if text.strip() else []
+            rows = json.loads(text)  # a blank file is malformed too
         except ValueError as exc:  # JSONDecodeError, or an int past the digit limit
             raise ValueError("%s: catalog JSON is malformed: %s" % (path, exc)) from exc
         if not isinstance(rows, list):
             raise ValueError("catalog JSON must be a list of rows")
-        first = 1  # list position
+        numbered = enumerate(rows, start=1)  # list position
     else:
         reader = csv.DictReader(text.splitlines())
         missing = [f for f in ("id", "b2", "index", "minus_K_cubed", "h12")
                    if f not in (reader.fieldnames or ())]  # provenance, description optional
         if missing:
             raise ValueError("%s: catalog header lacks %s" % (path, ", ".join(missing)))
-        rows = list(reader)
-        first = 2  # file line, after the header
+        numbered = ((reader.line_num, row) for row in reader)  # file line
     families = []
     seen = set()
-    for lineno, row in enumerate(rows, start=first):
+    for lineno, row in numbered:
+        if from_json and not isinstance(row, dict):
+            raise ValueError("catalog row %d is not an object" % lineno)
+        if None in row:  # csv.DictReader files the extra fields of a long row under None
+            raise ValueError("catalog row %d has more fields than the header" % lineno)
         try:
             fam = FanoFamily(
-                id=str(row["id"]).strip(),
+                id=str(_field(row, "id", from_json)).strip(),
                 b2=_int_field(row, "b2", from_json),
                 index=_int_field(row, "index", from_json),
                 minus_K_cubed=_int_field(row, "minus_K_cubed", from_json),
@@ -88,7 +97,7 @@ def load_catalog(path=None) -> tuple[FanoFamily, ...]:
                 provenance=str(row.get("provenance", "") or ""),
                 description=str(row.get("description", "") or ""),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (TypeError, ValueError) as exc:
             raise ValueError("catalog row %d is malformed: %s" % (lineno, exc)) from exc
         # find_family matches ids case-insensitively, so ids equal up to case collide
         if fam.id.lower() in seen:

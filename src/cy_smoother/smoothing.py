@@ -300,6 +300,22 @@ def compute_rg4_and_consur(model: NormalCrossingModel, rg2: RG2Result) -> RG4Res
     against G^4 is (G^2)^perp.  The stacked pairing diag(1, -1, ..., -1) of
     H^2 against H^4 is unimodular, so RG^4 = G^4 / (G^2)^perp is the group
     of functionals on G^2 that kill (D, -D), that is Hom(RG^2, Z).
+
+    Rank one.  With one RG^2 generator l, its pairing row q_j = l.scan_j
+    against the G^4 basis decides everything: Z^m / ker q is g Z with
+    g = gcd(q), so the Gram is [[g]], the verdict is g == 1, and q = 0 is
+    the rank mismatch.  Let j* be the last index with q_j != 0, and suppose
+    |q_j*| = g and m >= 3, so that the radical is not one relation (which
+    takes ``_quotient_by``'s drop rule).  For every j != j* the radical
+    ker q holds a vector whose first nonzero entry is a 1 at j: e_j when
+    q_j = 0, otherwise e_j - (q_j / q_j*) e_j*, integral as q_j* | q_j.
+    None has its first nonzero entry at j*, since q_j* is the last nonzero
+    pairing.  So every echelon basis of the radical has unit pivots at all
+    j != j* and none at j*, the quotient's section reduced modulo it is
+    +-e_j*, and after the Gram's sign fix the generator is
+    sign(q_j*) scan_j*.  These are the general path's bytes, without the
+    radical or its Smith form.  Two classes, |q_j*| != g and h11 != 1 keep
+    the general path.
     """
     y1, y2 = model.components
     # G^4 = {(u1, u2) : u1.D = u2.D}, in closed form from the degree rows
@@ -315,9 +331,16 @@ def compute_rg4_and_consur(model: NormalCrossingModel, rg2: RG2Result) -> RG4Res
     # kernel_basis returns that lattice's canonical basis.  P's rows are the
     # covectors u -> l.u of the lifts l, both halves side by side.
     P = [comp._pairing(l1) + comp._pairing(l2) for l1, l2 in _halves(model, rg2.generators)]
-    radical = kernel_basis(
-        IntMatrix.from_rows([[_dot(p, u) for u in scan] for p in P], cols=len(scan))
-    )
+    rows = [[_dot(p, u) for u in scan] for p in P]
+    if len(rows) == 1 and len(scan) >= 3:
+        # rank one (see above); q = 0 falls through to the rank mismatch below
+        (q,) = rows
+        g = math.gcd(*q)
+        j = max((i for i, e in enumerate(q) if e), default=0)
+        if g and abs(q[j]) == g:
+            gen = scan[j] if q[j] > 0 else tuple(-e for e in scan[j])
+            return RG4Result((gen,), IntMatrix.from_rows([[g]]), g == 1)
+    radical = kernel_basis(IntMatrix.from_rows(rows, cols=len(scan)))
     gens, drop = _quotient_by(scan, radical, len(diag))
     if drop != -1:
         # output order: verticals first, then what is left of the diagonal block

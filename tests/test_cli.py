@@ -417,12 +417,24 @@ HUGE = "9" * 5000
          "{path}: catalog header lacks minus_K_cubed"),
         ("cat.csv", CSV_HEADER + "P3,1,4\n", WITH_CATALOG,
          "catalog row 2 is malformed: field 'minus_K_cubed' is missing"),
+        ("cat.json", "", ["fano", "search", "--catalog", "{path}"],
+         "{path}: catalog JSON is malformed: Expecting value"),
+        ("cat.json", '[{"id": "P3", "b2": 1, "minus_K_cubed": 64, "h12": 0}]', WITH_CATALOG,
+         "catalog row 1 is malformed: field 'index' is missing"),
+        ("cat.json", '[{"id": "P3", "b2": 1, "index": 4, "minus_K_cubed": 64, "h12": 0}, 7]',
+         WITH_CATALOG, "catalog row 2 is not an object"),
+        # the file line, counting the blank line csv.DictReader skips
+        ("cat.csv", CSV_HEADER + "P3,1,4,64,0\n\nQ,1,3,54,0,extra\n",
+         ["fano", "search", "--catalog", "{path}"],
+         "catalog row 4 has more fields than the header"),
     ],
     ids=["unknown-base", "tensor-key-letter", "tensor-key-two-indices",
          "tensor-conflicting-symmetric", "tensor-unknown-field", "aronhold-rank",
          "smooth-huge-int", "tensor-huge-int", "catalog-truncated-json", "catalog-huge-int",
          "catalog-json-not-a-list", "catalog-rank-one-divisibility", "fano-cy-rho-cubed",
-         "catalog-header-typo-no-rows", "catalog-header-typo", "catalog-short-row"],
+         "catalog-header-typo-no-rows", "catalog-header-typo", "catalog-short-row",
+         "catalog-blank-json", "catalog-json-missing-key", "catalog-json-row-not-object",
+         "catalog-long-row"],
 )
 def test_bad_input_exit_2(capsys, tmp_path, name, text, argv, message):
     path = tmp_path / name

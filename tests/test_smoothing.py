@@ -14,6 +14,7 @@ from cy_smoother.components import (
 )
 from cy_smoother.exact_lattice import (
     IntMatrix,
+    echelon_rows,
     fiber_product,
     kernel_basis,
     pairing_is_unimodular,
@@ -26,6 +27,7 @@ from cy_smoother.smoothing import (
     InternalInconsistencyError,
     NormalCrossingModel,
     RG2Result,
+    RG4Result,
     analyze,
     c2_form,
     check_smoothability,
@@ -232,6 +234,79 @@ class TestRG4Consur:
         bad = rg2._replace(generators=rg2.generators + (rg2.degenerate,))
         with pytest.raises(InternalInconsistencyError, match="rank mismatch"):
             compute_rg4_and_consur(pair1_a, bad)
+
+
+def stacked_pair(model, lift, u):
+    """lift.u: an H^2 class against an H^4 class, both stacked (Y1 | Y2)."""
+    y1, y2 = model.components
+    n1 = y1.h2_rank
+    return pair_h2_h4(y1, lift[:n1], u[:n1]) + pair_h2_h4(y2, lift[n1:], u[n1:])
+
+
+def rank_one_row(model, lift):
+    """(scan, q): the closed-form G^4 basis and the lift's pairing row against it."""
+    y1, y2 = model.components
+    diag, vert1, vert2 = smoothing._g4_basis(
+        y1.base.index, len(y1.centers), y2.base.index, len(y2.centers)
+    )
+    scan = diag + vert1 + vert2
+    return scan, [stacked_pair(model, lift, u) for u in scan]
+
+
+def general_rank_one(model, rg2):
+    """``compute_rg4_and_consur``'s general path at h11 = 1, rebuilt from its
+    steps: the saturated radical of the pairing row, ``_quotient_by`` on it
+    (the drop rule or the generic quotient), then the Gram's sign fix."""
+    (lift,) = rg2.generators
+    scan, q = rank_one_row(model, lift)
+    radical = kernel_basis(IntMatrix.from_rows([q], cols=len(scan)))
+    n_diag = 1  # _g4_basis's diagonal block is one pair of preimages
+    gens, _ = smoothing._quotient_by(scan, radical, n_diag)
+    if len(gens) != 1:
+        raise InternalInconsistencyError("rank mismatch")
+    cols, gv = [[stacked_pair(model, lift, gens[0])]], [list(gens[0])]
+    echelon_rows(cols, gv)
+    return RG4Result((tuple(gv[0]),), IntMatrix.from_rows(cols), cols == [[1]])
+
+
+class TestRG4RankOne:
+    """The h11 = 1 branch (last nonzero pairing equal to +-gcd) against the general path."""
+
+    def test_equals_general_path(self, rng, monkeypatch):
+        calls = []
+        monkeypatch.setattr(smoothing, "kernel_basis", lambda M: calls.append(M) or kernel_basis(M))
+        models = [random_quartic_lines_model(rng) for _ in range(200)]
+        models.append(load_degeneration(EXAMPLES / "quick.json", load_catalog()))
+        fast = 0
+        for model in models:
+            rg2 = compute_rg2(model)
+            assert rg2.rank == 1
+            for k, t in ((1, 0), (-1, 1), (2, -2), (3, 3)):
+                lift = tuple(k * a + t * w for a, w in zip(rg2.generators[0], rg2.degenerate))
+                varied = rg2._replace(generators=(lift,))
+                before = len(calls)
+                assert compute_rg4_and_consur(model, varied) == general_rank_one(model, varied)
+                fast += len(calls) == before  # the branch took no radical
+        # a model with a line has a scan of at least three classes
+        with_lines = sum(len(m.y1.centers) + len(m.y2.centers) > 1 for m in models)
+        assert fast == 4 * with_lines > 600
+
+    @pytest.mark.parametrize(
+        "lift, q",
+        [((2, 0, 3, 0), [0, 2, 3]), ((2, 0, 3, -1), [1, 2, -1]), ((-3, 1, -4, 0), [-1, 1, -4]),
+         ((0, 0, 2, 0), [0, 0, 2]), ((4, -1, -4, 1), [0, 0, 0])],
+        ids=["last-not-gcd", "last-is-minus-gcd", "only-first-is-gcd", "gcd-2", "zero"],
+    )
+    def test_hand_built_pairing_rows(self, pair1_a, lift, q):
+        # pair1_a's scan has three classes; one lift stands in for RG^2
+        assert rank_one_row(pair1_a, lift)[1] == q
+        rg2 = compute_rg2(pair1_a)._replace(generators=(lift,))
+        if not any(q):
+            for rg4 in (compute_rg4_and_consur, general_rank_one):
+                with pytest.raises(InternalInconsistencyError, match="rank mismatch"):
+                    rg4(pair1_a, rg2)
+        else:
+            assert compute_rg4_and_consur(pair1_a, rg2) == general_rank_one(pair1_a, rg2)
 
 
 class TestCubicAndC2:
