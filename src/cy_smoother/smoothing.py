@@ -21,7 +21,12 @@ cup-product radical in place of (D, -D)) fixes the RG^4 generators up to
 a final triangularization of the pairing Gram.  There G^4's basis is a
 closed form of the two degree rows (r, 1, ..., 1), equal to what
 ``fiber_product`` gives on them.  This reproduces the published generator
-tables for all worked examples and keeps golden output stable.
+tables for all worked examples and keeps golden output stable.  At h11 = 1
+the one generator's pairing row q against that basis usually decides RG^4
+alone: the Gram is [[gcd(q)]], and when the last nonzero q_j is +-gcd(q)
+the radical's echelon basis has a unit pivot at every other index, so the
+generator is that basis class, signed to pair positively, with the same
+bytes as the radical-and-quotient path (``compute_rg4_and_consur``).
 
 Lifts.  An RG^2 generator is one stacked vector (l1 | l2) in H^2(Y1) +
 H^2(Y2).  Every step that reads the lifts (the RG^4 pairing rows, the
@@ -302,20 +307,20 @@ def compute_rg4_and_consur(model: NormalCrossingModel, rg2: RG2Result) -> RG4Res
     of functionals on G^2 that kill (D, -D), that is Hom(RG^2, Z).
 
     Rank one.  With one RG^2 generator l, its pairing row q_j = l.scan_j
-    against the G^4 basis decides everything: Z^m / ker q is g Z with
-    g = gcd(q), so the Gram is [[g]], the verdict is g == 1, and q = 0 is
-    the rank mismatch.  Let j* be the last index with q_j != 0, and suppose
-    |q_j*| = g and m >= 3, so that the radical is not one relation (which
-    takes ``_quotient_by``'s drop rule).  For every j != j* the radical
-    ker q holds a vector whose first nonzero entry is a 1 at j: e_j when
-    q_j = 0, otherwise e_j - (q_j / q_j*) e_j*, integral as q_j* | q_j.
-    None has its first nonzero entry at j*, since q_j* is the last nonzero
-    pairing.  So every echelon basis of the radical has unit pivots at all
-    j != j* and none at j*, the quotient's section reduced modulo it is
-    +-e_j*, and after the Gram's sign fix the generator is
-    sign(q_j*) scan_j*.  These are the general path's bytes, without the
-    radical or its Smith form.  Two classes, |q_j*| != g and h11 != 1 keep
-    the general path.
+    against the m classes scan_j of the G^4 basis decides everything:
+    Z^m / ker q is g Z with g = gcd(q), so the Gram is [[g]], the verdict
+    is g == 1, and q = 0 is the rank mismatch.  Let j* be the last index
+    with q_j != 0, and suppose |q_j*| = g and m >= 3, so that the radical
+    is not one relation (which takes ``_quotient_by``'s drop rule).  For
+    every j != j* the radical ker q holds a vector whose first nonzero
+    entry is a 1 at j: e_j when q_j = 0, otherwise e_j - (q_j / q_j*) e_j*,
+    integral as q_j* divides q_j.  None has its first nonzero entry at j*,
+    since q_j* is the last nonzero pairing.  So every echelon basis of the
+    radical has unit pivots at all j != j* and none at j*, the quotient's
+    section reduced modulo it is +-e_j*, and after the Gram's sign fix the
+    generator is sign(q_j*) scan_j*.  These are the general path's bytes,
+    without the radical or its Smith form.  Two classes, |q_j*| != g and
+    h11 != 1 keep the general path.
     """
     y1, y2 = model.components
     # G^4 = {(u1, u2) : u1.D = u2.D}, in closed form from the degree rows

@@ -1,6 +1,6 @@
 """Bytecode instructions per benchmark op: a cost that host noise does not move.
 
-    python3 tools/op_count.py --workload quartic-lines --seed 1 [--root DIR] [--limit N]
+    python3 tools/op_count.py --workload quartic-lines --seed 1 [--root DIR]
 
 Runs the in-process op of ``bench/workloads.py`` (parse, ``analyze`` and the
 JSON serializer) on each case of one workload's ``bench/families.py`` seed
@@ -58,14 +58,14 @@ def count_ops(root: Path, workload: str, seed: int, limit: int | None = None) ->
 
     for case in cases:
         op(case)
-    counts = []
+    counts, previous = [], sys.gettrace()
     for case in cases:
         count = 0
         sys.settrace(tracer)
         try:
             op(case)
         finally:
-            sys.settrace(None)
+            sys.settrace(previous)
         counts.append(count)
     return counts
 
@@ -84,11 +84,8 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True, choices=WORKLOADS)
     parser.add_argument("--seed", required=True, type=int)
     parser.add_argument("--root", type=Path, default=ROOT, help="checkout to count")
-    parser.add_argument("--limit", type=int, help="count only the first LIMIT cases (>= 2)")
     args = parser.parse_args(argv)
-    if args.limit is not None and args.limit < 2:
-        parser.error("--limit must be at least 2")
-    counts = count_ops(args.root.resolve(), args.workload, args.seed, args.limit)
+    counts = count_ops(args.root.resolve(), args.workload, args.seed)
     print(json.dumps(dict(root=str(args.root), workload=args.workload, seed=args.seed,
                           **summary(counts))))
     return 0
