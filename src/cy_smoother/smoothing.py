@@ -21,12 +21,11 @@ cup-product radical in place of (D, -D)) fixes the RG^4 generators up to
 a final triangularization of the pairing Gram.  There G^4's basis is a
 closed form of the two degree rows (r, 1, ..., 1), equal to what
 ``fiber_product`` gives on them.  This reproduces the published generator
-tables for all worked examples and keeps golden output stable.  At h11 = 1
-the one generator's pairing row q against that basis usually decides RG^4
-alone: the Gram is [[gcd(q)]], and when the last nonzero q_j is +-gcd(q)
-the radical's echelon basis has a unit pivot at every other index, so the
-generator is that basis class, signed to pair positively, with the same
-bytes as the radical-and-quotient path (``compute_rg4_and_consur``).
+tables for all worked examples and keeps golden output stable.  A
+quotient of corank one whose relations have unit echelon pivots is read
+off without a Smith form: it is the one basis class with no pivot
+(``_quotient_by``).  At h11 = 1 that is RG^4 whenever the last nonzero
+pairing of the generator against G^4's basis is +-gcd of them all.
 
 Lifts.  An RG^2 generator is one stacked vector (l1 | l2) in H^2(Y1) +
 H^2(Y2).  Every step that reads the lifts (the RG^4 pairing rows, the
@@ -140,12 +139,25 @@ def _quotient_by(basis, relations: IntMatrix, n_diag: int):
     a unit coordinate the element chosen by _choose_drop is removed.
     Otherwise each column of the generic quotient's section is mapped back
     to the ambient lattice as that combination of the basis (index -1).
+
+    Corank one.  When the relations span a lattice of rank n - 1 whose
+    echelon basis has every pivot equal to 1, the quotient is free of rank
+    one and the section is +-e_j at the one column j without a pivot: a
+    section column reduced modulo that basis is 0 at every pivot, so it is
+    c e_j, and c = +-1 as it spans the quotient.  Its image, sign-normalized,
+    is basis[j], with no Smith form taken.
     """
     if relations.cols == 1:
         drop = _choose_drop(basis, relations.column(0), n_diag)
         if drop is not None:
             gens = tuple(v for i, v in enumerate(basis) if i != drop)
             return gens, drop
+    if relations.cols == len(basis) - 1:
+        A = [list(c) for c in relations.to_columns()]
+        pivots = echelon_rows(A, [[] for _ in A])
+        if len(pivots) == len(A) and all(A[i][c] == 1 for i, c in enumerate(pivots)):
+            (j,) = set(range(len(basis))).difference(pivots)
+            return (sign_normalize_column(basis[j]),), -1
     section = quotient(len(basis), relations)
     B = IntMatrix.from_columns(basis)
     return tuple(sign_normalize_column(B.mul_vector(c)) for c in section.to_columns()), -1
@@ -307,20 +319,15 @@ def compute_rg4_and_consur(model: NormalCrossingModel, rg2: RG2Result) -> RG4Res
     of functionals on G^2 that kill (D, -D), that is Hom(RG^2, Z).
 
     Rank one.  With one RG^2 generator l, its pairing row q_j = l.scan_j
-    against the m classes scan_j of the G^4 basis decides everything:
-    Z^m / ker q is g Z with g = gcd(q), so the Gram is [[g]], the verdict
-    is g == 1, and q = 0 is the rank mismatch.  Let j* be the last index
-    with q_j != 0, and suppose |q_j*| = g and m >= 3, so that the radical
-    is not one relation (which takes ``_quotient_by``'s drop rule).  For
-    every j != j* the radical ker q holds a vector whose first nonzero
-    entry is a 1 at j: e_j when q_j = 0, otherwise e_j - (q_j / q_j*) e_j*,
-    integral as q_j* divides q_j.  None has its first nonzero entry at j*,
-    since q_j* is the last nonzero pairing.  So every echelon basis of the
-    radical has unit pivots at all j != j* and none at j*, the quotient's
-    section reduced modulo it is +-e_j*, and after the Gram's sign fix the
-    generator is sign(q_j*) scan_j*.  These are the general path's bytes,
-    without the radical or its Smith form.  Two classes, |q_j*| != g and
-    h11 != 1 keep the general path.
+    against the m classes scan_j of the G^4 basis has kernel the radical,
+    and Z^m / ker q is g Z with g = gcd(q): the Gram is [[g]] and q = 0 is
+    the rank mismatch.  Let j* be the last index with q_j != 0.  When
+    |q_j*| = g and m >= 3, ``_quotient_by``'s corank-one rule takes RG^4
+    without a Smith form: for every j != j* the radical holds a vector
+    whose first nonzero entry is a 1 at j (e_j when q_j = 0, otherwise
+    e_j - (q_j / q_j*) e_j*), and none starts at j*, so its echelon basis
+    has unit pivots at all j != j* and none at j*.  The generator is then
+    scan_j*, signed by the Gram fix below to pair positively.
     """
     y1, y2 = model.components
     # G^4 = {(u1, u2) : u1.D = u2.D}, in closed form from the degree rows
@@ -336,16 +343,9 @@ def compute_rg4_and_consur(model: NormalCrossingModel, rg2: RG2Result) -> RG4Res
     # kernel_basis returns that lattice's canonical basis.  P's rows are the
     # covectors u -> l.u of the lifts l, both halves side by side.
     P = [comp._pairing(l1) + comp._pairing(l2) for l1, l2 in _halves(model, rg2.generators)]
-    rows = [[_dot(p, u) for u in scan] for p in P]
-    if len(rows) == 1 and len(scan) >= 3:
-        # rank one (see above); q = 0 falls through to the rank mismatch below
-        (q,) = rows
-        g = math.gcd(*q)
-        j = max((i for i, e in enumerate(q) if e), default=0)
-        if g and abs(q[j]) == g:
-            gen = scan[j] if q[j] > 0 else tuple(-e for e in scan[j])
-            return RG4Result((gen,), IntMatrix.from_rows([[g]]), g == 1)
-    radical = kernel_basis(IntMatrix.from_rows(rows, cols=len(scan)))
+    radical = kernel_basis(
+        IntMatrix.from_rows([[_dot(p, u) for u in scan] for p in P], cols=len(scan))
+    )
     gens, drop = _quotient_by(scan, radical, len(diag))
     if drop != -1:
         # output order: verticals first, then what is left of the diagonal block

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -18,6 +19,7 @@ from cy_smoother.exact_lattice import (
     fiber_product,
     kernel_basis,
     pairing_is_unimodular,
+    quotient,
     sign_normalize_column,
     solve_exact,
 )
@@ -254,14 +256,20 @@ def rank_one_row(model, lift):
 
 
 def general_rank_one(model, rg2):
-    """``compute_rg4_and_consur``'s general path at h11 = 1, rebuilt from its
-    steps: the saturated radical of the pairing row, ``_quotient_by`` on it
-    (the drop rule or the generic quotient), then the Gram's sign fix."""
+    """``compute_rg4_and_consur``'s path at h11 = 1 without the corank-one rule,
+    rebuilt from its steps: the saturated radical of the pairing row, the
+    one-relation drop rule or the Smith-form ``quotient``, then the Gram's
+    sign fix."""
     (lift,) = rg2.generators
     scan, q = rank_one_row(model, lift)
     radical = kernel_basis(IntMatrix.from_rows([q], cols=len(scan)))
     n_diag = 1  # _g4_basis's diagonal block is one pair of preimages
-    gens, _ = smoothing._quotient_by(scan, radical, n_diag)
+    drop = smoothing._choose_drop(scan, radical.column(0), n_diag) if radical.cols == 1 else None
+    if drop is not None:
+        gens = [v for i, v in enumerate(scan) if i != drop]
+    else:
+        B = IntMatrix.from_columns(scan)
+        gens = [B.mul_vector(c) for c in quotient(len(scan), radical).to_columns()]
     if len(gens) != 1:
         raise InternalInconsistencyError("rank mismatch")
     cols, gv = [[stacked_pair(model, lift, gens[0])]], [list(gens[0])]
@@ -269,12 +277,18 @@ def general_rank_one(model, rg2):
     return RG4Result((tuple(gv[0]),), IntMatrix.from_rows(cols), cols == [[1]])
 
 
+def counting_quotient(monkeypatch):
+    """Count ``_quotient_by``'s calls of the Smith-form quotient."""
+    calls = []
+    monkeypatch.setattr(smoothing, "quotient", lambda n, R: calls.append(R) or quotient(n, R))
+    return calls
+
+
 class TestRG4RankOne:
-    """The h11 = 1 branch (last nonzero pairing equal to +-gcd) against the general path."""
+    """h11 = 1 (corank-one rule when the last nonzero pairing is +-gcd) against the Smith path."""
 
     def test_equals_general_path(self, rng, monkeypatch):
-        calls = []
-        monkeypatch.setattr(smoothing, "kernel_basis", lambda M: calls.append(M) or kernel_basis(M))
+        calls = counting_quotient(monkeypatch)
         models = [random_quartic_lines_model(rng) for _ in range(200)]
         models.append(load_degeneration(EXAMPLES / "quick.json", load_catalog()))
         fast = 0
@@ -286,10 +300,11 @@ class TestRG4RankOne:
                 varied = rg2._replace(generators=(lift,))
                 before = len(calls)
                 assert compute_rg4_and_consur(model, varied) == general_rank_one(model, varied)
-                fast += len(calls) == before  # the branch took no radical
-        # a model with a line has a scan of at least three classes
+                fast += len(calls) == before  # no Smith form was taken
+        # a two-class scan takes the drop rule; with a line the scan has at
+        # least three classes, and the corank-one rule decides every case
         with_lines = sum(len(m.y1.centers) + len(m.y2.centers) > 1 for m in models)
-        assert fast == 4 * with_lines > 600
+        assert fast == 4 * len(models) and with_lines > 150
 
     @pytest.mark.parametrize(
         "lift, q",
@@ -307,6 +322,38 @@ class TestRG4RankOne:
                     rg4(pair1_a, rg2)
         else:
             assert compute_rg4_and_consur(pair1_a, rg2) == general_rank_one(pair1_a, rg2)
+
+
+class TestQuotientCorankOne:
+    """``_quotient_by``'s corank-one rule against the Smith-form section."""
+
+    def test_equals_smith_section(self, rng, monkeypatch):
+        calls = counting_quotient(monkeypatch)
+        fired = 0
+        for _ in range(300):
+            m = rng.randint(3, 6)
+            q = [rng.choice((0, 0, 1, -1, 2, -3, 4)) for _ in range(m)]
+            if not any(q):
+                continue
+            # another basis of the saturated kernel of q, and a basis to map it to
+            R = kernel_basis(IntMatrix.from_rows([q], cols=m)).to_columns()
+            k = rng.randint(-2, 2)
+            R[0] = tuple(a + k * b for a, b in zip(R[0], R[-1]))
+            relations = IntMatrix.from_columns(R, rows=m)
+            basis = [tuple(rng.randint(-3, 3) for _ in range(m + 1)) for _ in range(m)]
+            B = IntMatrix.from_columns(basis)
+            smith = quotient(m, relations).to_columns()
+            expected = tuple(sign_normalize_column(B.mul_vector(c)) for c in smith)
+            before = len(calls)
+            assert smoothing._quotient_by(basis, relations, 0) == (expected, -1)
+            last = max(i for i, e in enumerate(q) if e)
+            assert (len(calls) == before) == (abs(q[last]) == math.gcd(*q))
+            fired += len(calls) == before
+            # an index-2 sublattice has a pivot 2: the rule passes, Smith finds the torsion
+            R[0] = tuple(2 * a for a in R[0])
+            with pytest.raises(ValueError, match="torsion"):
+                smoothing._quotient_by(basis, IntMatrix.from_columns(R, rows=m), 0)
+        assert fired > 100
 
 
 class TestCubicAndC2:

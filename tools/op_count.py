@@ -7,7 +7,8 @@ JSON serializer) on each case of one workload's ``bench/families.py`` seed
 pool, and counts the bytecode instructions each op runs with ``sys.settrace``
 and ``f_trace_opcodes``.  ``--root`` names the checkout whose ``src`` and
 ``bench`` are imported (default: the one holding this script), so one copy of
-the script counts a parent and a change alike.  One untraced pass over the
+the script counts a parent and a change alike, one checkout per process: a
+count of a second checkout in the same process raises.  One untraced pass over the
 cases comes first, as the benchmark warms up before it times.  Prints one JSON
 line with the count's p50, p90 (``statistics.quantiles``, as ``bench/run.py``
 reads latencies) and mean per op.
@@ -33,11 +34,18 @@ WORKLOADS = ("sextic-wide", "quartic-lines")
 def count_ops(root: Path, workload: str, seed: int, limit: int | None = None) -> list[int]:
     """Instructions run by each op on the first ``limit`` cases of the pool (all by default)."""
     sys.path[:0] = [p for p in (str(root / "src"), str(root / "bench")) if p not in sys.path]
+    import cy_smoother
+    import families
     from cy_smoother.catalog import load_catalog
     from cy_smoother.schemas import dump_json, parse_degeneration, report_to_dict
     from cy_smoother.smoothing import analyze
     from families import GENERATORS
 
+    # a module imported earlier in this process stays cached, whatever root says
+    for module, tree in ((cy_smoother, root / "src"), (families, root / "bench")):
+        if not Path(module.__file__).resolve().is_relative_to(tree.resolve()):
+            raise RuntimeError("%s is already imported from %s, not from %s: count one "
+                               "checkout per process" % (module.__name__, module.__file__, tree))
     catalog = load_catalog()
     cases = GENERATORS[workload](seed)[:limit]
 
