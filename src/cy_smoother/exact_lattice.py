@@ -430,7 +430,25 @@ def _preimage(H: list[list[int]], T: list[list[int]], b: Sequence[int]) -> tuple
 
 
 def kernel_basis(M: IntMatrix) -> IntMatrix:
-    """Canonical basis (as columns) of the saturated kernel {x : Mx = 0}."""
+    """Canonical basis (as columns) of the saturated kernel {x : Mx = 0}.
+
+    One row q whose first nonzero entry q_k divides every entry has its
+    basis in closed form: e_c for c < k and e_c - (q_c / q_k) e_k for
+    c > k, in that order.  These span the kernel, each ends in a 1 at its
+    own c, and no other vector is nonzero there, so they are the
+    reversed-order HNF that ``_canonical`` computes.
+    """
+    if M.rows == 1:
+        q = M.entries
+        k = next((i for i, e in enumerate(q) if e), -1)
+        if k >= 0 and all(e % q[k] == 0 for e in q):
+            basis = []
+            for c in range(M.cols):
+                if c != k:
+                    v = [0] * M.cols
+                    v[c], v[k] = 1, -(q[c] // q[k])
+                    basis.append(v)
+            return IntMatrix.from_columns(basis, rows=M.cols)
     return IntMatrix.from_columns(_kernel(*_factor(M.to_columns())), rows=M.cols)
 
 

@@ -153,7 +153,10 @@ def _quotient_by(basis, relations: IntMatrix, n_diag: int):
             gens = tuple(v for i, v in enumerate(basis) if i != drop)
             return gens, drop
     if relations.cols == len(basis) - 1:
-        A = [list(c) for c in relations.to_columns()]
+        # last first: kernel_basis lists its classes by the column they end
+        # in, and a unit pivot that ends last leaves its fill past the
+        # pivots of the rows it clears
+        A = [list(c) for c in reversed(relations.to_columns())]
         pivots = echelon_rows(A, [[] for _ in A])
         if len(pivots) == len(A) and all(A[i][c] == 1 for i, c in enumerate(pivots)):
             (j,) = set(range(len(basis))).difference(pivots)
@@ -278,8 +281,9 @@ def _degree_row_kernel(r: int, s: int) -> list[tuple[int, ...]]:
     """
     if s == 0:
         return []
-    return [(1, -r) + (0,) * (s - 1)] + [
-        (1, 1 - r) + tuple(-(i == j) for i in range(2, s + 1)) for j in range(2, s + 1)
+    zeros = (0,) * (s - 1)
+    return [(1, -r) + zeros] + [
+        (1, 1 - r) + zeros[: j - 2] + (-1,) + zeros[j - 1 :] for j in range(2, s + 1)
     ]
 
 

@@ -18,6 +18,7 @@ from cy_smoother.exact_lattice import (
     solve_exact,
     _canonical,
     _factor,
+    _kernel,
     _smith,
 )
 
@@ -319,6 +320,17 @@ class TestKernelBasis:
 
     def test_full_rank(self):
         assert kernel_basis(IntMatrix.identity(3)).cols == 0
+
+    def test_one_row_closed_form_equals_elimination(self, rng):
+        closed = 0
+        for _ in range(2000):
+            q = [rng.choice((0, 0, 1, -1, 2, -2, 3, -4, 6)) for _ in range(rng.randint(1, 8))]
+            M = IntMatrix.from_rows([q])
+            oracle = IntMatrix.from_columns(_kernel(*_factor(M.to_columns())), rows=len(q))
+            assert kernel_basis(M) == oracle, q
+            first = next((e for e in q if e), 0)
+            closed += bool(first) and all(e % first == 0 for e in q)
+        assert 300 < closed < 1700
 
     def test_randomized_saturation(self, rng):
         for _ in range(80):
