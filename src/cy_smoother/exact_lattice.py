@@ -11,12 +11,14 @@ its two maps once, and a lattice intersection eliminates the stacked
 generators once.  Ranks and the unimodularity test read the echelon form
 alone.  The row-style Hermite normal form (HNF, ``_hnf_rows``) is taken
 only where a canonical basis is read: ``_canonical`` (kernels), the
-result of an intersection and ``hermite_row_form``.  One Smith normal
-form (SNF) elimination, ``_smith``, carries U^-1 along and is behind both
-``smith_normal_form`` and ``quotient``: a canonical section of the free
-quotient of Z^n by a relation lattice, read from U^-1's trailing columns.
-A quotient with torsion raises; every result is modulo torsion, and both
-quotients the smoothing takes are by saturated lattices.
+result of an intersection and ``hermite_row_form``; the kernel of one row
+whose first nonzero entry divides the row is that HNF in closed form.
+One Smith normal form (SNF) elimination, ``_smith``, carries U^-1 along
+and is behind both ``smith_normal_form`` and ``quotient``: a canonical
+section of the free quotient of Z^n by a relation lattice, read from
+U^-1's trailing columns.  A quotient with torsion raises; every result is
+modulo torsion, and both quotients the smoothing takes are by saturated
+lattices.
 
 Canonical forms matter: kernels and quotient sections are normalized so
 that repeated runs (and golden tests) see byte-identical output.
