@@ -6,7 +6,6 @@ __version__ = "0.1.0"
 from .exact_lattice import (
     IntMatrix,
     kernel_basis,
-    pairing_is_unimodular,
     quotient,
     smith_normal_form,
 )
@@ -35,7 +34,6 @@ from .invariant_forms import (
     CyInvariantTriple,
     aronhold_ST,
     deformation_group,
-    forms_distinguishable,
     rr_dimension,
 )
 from .catalog import (
@@ -49,7 +47,6 @@ from .catalog import (
 __all__ = [
     "IntMatrix",
     "kernel_basis",
-    "pairing_is_unimodular",
     "quotient",
     "smith_normal_form",
     "K3Model",
@@ -73,7 +70,6 @@ __all__ = [
     "CyInvariantTriple",
     "aronhold_ST",
     "deformation_group",
-    "forms_distinguishable",
     "rr_dimension",
     "cy_invariants",
     "known_cy_table",

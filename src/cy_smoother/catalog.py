@@ -38,23 +38,27 @@ def default_catalog_path() -> Path:
     return Path(resources.files("cy_smoother").joinpath("data/fano_catalog.csv"))
 
 
-def _field(row, field: str, from_json: bool):
-    """row[field]; a JSON row without the key and a short CSV row name the field."""
+def _field(row, field: str, from_json: bool, kind=int):
+    """row[field] as ``kind``; a JSON row without the key and a short CSV row name the field."""
     # None in a CSV row is csv.DictReader's filler for a short row
     if field not in row or (row[field] is None and not from_json):
         raise ValueError("field %r is missing" % field)
-    return row[field]
-
-
-def _int_field(row, field: str, from_json: bool) -> int:
-    value = _field(row, field, from_json)
+    value = row[field]
     if not from_json:
-        return int(value)  # CSV fields are strings
-    # a JSON number arrives typed, and int() would truncate 4.9 to 4, read
-    # true as 1 and " 4" as 4
-    if type(value) is not int:
-        raise TypeError("field %r must be an integer, got %r" % (field, value))
+        return kind(value)  # CSV fields are strings
+    # a JSON value arrives typed: int() would truncate 4.9 to 4, read true as
+    # 1 and " 4" as 4, and str() would read null as "None"
+    if type(value) is not kind:
+        raise TypeError("field %r must be %s, got %r"
+                        % (field, "an integer" if kind is int else "a string", value))
     return value
+
+
+def _reject_unknown(fields, where: str) -> None:
+    """A field other than FanoFamily's seven is a misspelling; it is never dropped silently."""
+    unknown = [f for f in fields if f not in FanoFamily._fields]
+    if unknown:
+        raise ValueError("%s has unknown field %r" % (where, unknown[0]))
 
 
 def load_catalog(path=None) -> tuple[FanoFamily, ...]:
@@ -75,25 +79,31 @@ def load_catalog(path=None) -> tuple[FanoFamily, ...]:
         numbered = enumerate(rows, start=1)  # list position
     else:
         reader = csv.DictReader(text.splitlines())
-        missing = [f for f in ("id", "b2", "index", "minus_K_cubed", "h12")
-                   if f not in (reader.fieldnames or ())]  # provenance, description optional
+        header = reader.fieldnames or ()
+        missing = [f for f in FanoFamily._fields[:5] if f not in header]  # the last two optional
         if missing:
             raise ValueError("%s: catalog header lacks %s" % (path, ", ".join(missing)))
+        _reject_unknown(header, "%s: catalog header" % path)
         numbered = ((reader.line_num, row) for row in reader)  # file line
     families = []
     seen = set()
     for lineno, row in numbered:
-        if from_json and not isinstance(row, dict):
-            raise ValueError("catalog row %d is not an object" % lineno)
+        if from_json:
+            if not isinstance(row, dict):
+                raise ValueError("catalog row %d is not an object" % lineno)
+            _reject_unknown(row, "catalog row %d" % lineno)
         if None in row:  # csv.DictReader files the extra fields of a long row under None
             raise ValueError("catalog row %d has more fields than the header" % lineno)
         try:
+            family_id = _field(row, "id", from_json, str).strip()
+            if not family_id:
+                raise ValueError("field 'id' is blank")
             fam = FanoFamily(
-                id=str(_field(row, "id", from_json)).strip(),
-                b2=_int_field(row, "b2", from_json),
-                index=_int_field(row, "index", from_json),
-                minus_K_cubed=_int_field(row, "minus_K_cubed", from_json),
-                h12=_int_field(row, "h12", from_json),
+                id=family_id,
+                b2=_field(row, "b2", from_json),
+                index=_field(row, "index", from_json),
+                minus_K_cubed=_field(row, "minus_K_cubed", from_json),
+                h12=_field(row, "h12", from_json),
                 provenance=str(row.get("provenance", "") or ""),
                 description=str(row.get("description", "") or ""),
             )

@@ -211,6 +211,8 @@ def _invariants_cubic(args):
 
 
 def _invariants_rr(args):
+    if args.n < 1:  # h^0 = chi needs n rho ample (Kodaira vanishing)
+        raise ValueError("--n must be at least 1, got %d" % args.n)
     chi = rr_dimension(CyInvariantTriple(args.rho3, args.rhoc2), args.n)
     return {
         "rho_cubed": args.rho3,

@@ -8,11 +8,11 @@ factorization and the RG^4 Gram display.  One echelon form with a
 unimodular transform per map (``_factor``) gives its saturated kernel,
 canonical solving and its image basis; ``fiber_product`` factors each of
 its two maps once, and a lattice intersection eliminates the stacked
-generators once.  Ranks and the unimodularity test read the echelon form
-alone.  The row-style Hermite normal form (HNF, ``_hnf_rows``) is taken
-only where a canonical basis is read: ``_canonical`` (kernels), the
-result of an intersection and ``hermite_row_form``; the kernel of one row
-whose first nonzero entry divides the row is that HNF in closed form.
+generators once.  Ranks read the echelon form alone.  The row-style
+Hermite normal form (HNF, ``_hnf_rows``) is taken only where a canonical
+basis is read: ``_canonical`` (kernels), the result of an intersection
+and ``hermite_row_form``; the kernel of one row whose first nonzero entry
+divides the row is that HNF in closed form.
 One Smith normal form (SNF) elimination, ``_smith``, carries U^-1 along
 and is behind both ``smith_normal_form`` and ``quotient``: a canonical
 section of the free quotient of Z^n by a relation lattice, read from
@@ -80,14 +80,6 @@ class IntMatrix:
             rows = 0 if rows is None else rows
         return cls(rows, len(cols), [cols[j][i] for i in range(rows) for j in range(len(cols))])
 
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, [1 if i == j else 0 for i in range(n) for j in range(n)])
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls(rows, cols, [0] * (rows * cols))
-
     # -- access ----------------------------------------------------------------
 
     def __getitem__(self, idx: tuple[int, int]) -> int:
@@ -119,26 +111,7 @@ class IntMatrix:
     def is_square(self) -> bool:
         return self.rows == self.cols
 
-    def is_zero(self) -> bool:
-        return all(e == 0 for e in self.entries)
-
     # -- arithmetic --------------------------------------------------------------
-
-    def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch %s @ %s" % (self.shape, other.shape))
-        out = []
-        orows = other.to_rows()
-        for i in range(self.rows):
-            r = self.row(i)
-            acc = [0] * other.cols
-            for k, a in enumerate(r):
-                if a:
-                    ork = orows[k]
-                    for j in range(other.cols):
-                        acc[j] += a * ork[j]
-            out.extend(acc)
-        return IntMatrix(self.rows, other.cols, out)
 
     def mul_vector(self, vec: Sequence[int]) -> tuple[int, ...]:
         if len(vec) != self.cols:
@@ -150,17 +123,11 @@ class IntMatrix:
                 out = [a + v * e for a, e in zip(out, self.entries[k :: self.cols])]
         return tuple(out)
 
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(self.cols, self.rows, [e for c in self.to_columns() for e in c])
-
     def hstack(self, other: "IntMatrix") -> "IntMatrix":
         if self.rows != other.rows:
             raise ValueError("row mismatch in hstack")
         rows = [a + b for a, b in zip(self.to_rows(), other.to_rows())]
         return IntMatrix.from_rows(rows, cols=self.cols + other.cols)
-
-    def __neg__(self) -> "IntMatrix":
-        return IntMatrix(self.rows, self.cols, [-e for e in self.entries])
 
     def __eq__(self, other) -> bool:
         return (
@@ -539,24 +506,6 @@ def quotient(ambient_rank: int, relations: IntMatrix) -> IntMatrix:
     rel_basis = _echelon(relations.to_columns())
     section_cols = [_reduce(c, rel_basis)[1] for c in inverse_cols[len(diag) :]]
     return IntMatrix.from_columns(section_cols, rows=ambient_rank)
-
-
-def pairing_is_unimodular(G: IntMatrix) -> bool:
-    """True iff the pairing Gram matrix G is unimodular (|det G| = 1).
-
-    A square integer matrix is unimodular iff its row-HNF is the identity,
-    that is iff an echelon form has a pivot in every row and each pivot is
-    1; a 0x0 pairing is vacuously unimodular.  Non-square input signals that
-    the two paired lattices have different ranks, which can only come from
-    a degenerate-subgroup computation bug upstream.
-    """
-    if not G.is_square():
-        raise ValueError(
-            "pairing Gram is %dx%d; the paired lattices have different ranks"
-            % (G.rows, G.cols)
-        )
-    E = _echelon(G.to_rows())
-    return len(E) == G.rows and all(E[i][i] == 1 for i in range(G.rows))
 
 
 def sign_normalize_column(col: Sequence[int]) -> tuple[int, ...]:

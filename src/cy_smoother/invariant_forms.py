@@ -1,8 +1,7 @@
 """Classical invariants of the cubic cup-product form and deformation grouping.
 
 The Aronhold S (degree 4) and T (degree 6) invariants of a ternary cubic
-distinguish GL-inequivalent forms; equal invariants prove nothing, so
-comparisons return DISTINCT or INCONCLUSIVE, never "equivalent".
+distinguish GL-inequivalent forms; equal invariants prove nothing.
 
 Normalization.  Write the cubic symbolically, T_ijk = a_i a_j a_k =
 b_i b_j b_k = ... (so F(x) = sum T_ijk x_i x_j x_k), and let [abc] be the
@@ -87,9 +86,6 @@ class CubicTensor(namedtuple("CubicTensor", "rank entries")):
             n, {(a + 1, b + 1, c + 1): A[a][b][c] for a in R for b in R[a:] for c in R[b:]}
         )
 
-    def content(self) -> int:
-        return math.gcd(*self.entries.values()) if self.entries else 0
-
 
 class CyInvariantTriple(namedtuple("CyInvariantTriple", "rho_cubed rho_c2 h12")):
     """The numerical invariants of a Picard-rank-one Calabi-Yau 3-fold (h12 may be None)."""
@@ -163,71 +159,6 @@ def aronhold_ST(tensor: CubicTensor) -> tuple[int, int]:
         for p in R
     ]
     return -_abc_ab_ac_bc(A, A) // 24, _abc_ab_ac_bc(A, M)
-
-
-DISTINCT = "DISTINCT"
-INCONCLUSIVE = "INCONCLUSIVE"
-
-
-class ComparisonResult(namedtuple("ComparisonResult", "verdict reason details")):
-    """verdict is DISTINCT or INCONCLUSIVE; details is a dict of the invariants compared."""
-
-    __slots__ = ()
-
-    def __bool__(self):  # truthy iff provably distinct
-        return self.verdict == DISTINCT
-
-
-def forms_distinguishable(t1: CubicTensor, t2: CubicTensor) -> ComparisonResult:
-    """Compare two cubic forms by invariants.
-
-    DISTINCT means no unimodular change of basis can carry one to the
-    other; INCONCLUSIVE means every computed invariant agrees (which does
-    not prove equivalence).
-    """
-    if t1.rank != t2.rank:
-        raise ValueError("cannot compare tensors of ranks %d and %d" % (t1.rank, t2.rank))
-    if t1.rank == 3:
-        s1, v1 = aronhold_ST(t1)
-        s2, v2 = aronhold_ST(t2)
-        details = {
-            "S": (s1, s2),
-            "T": (v1, v2),
-            "s_zero": (s1 == 0, s2 == 0),
-        }
-        if (s1 == 0) and (s2 == 0) and v1 and v2:
-            # imported here: no CLI command compares forms, and fractions loads decimal
-            from fractions import Fraction
-
-            details["t_ratio"] = Fraction(v1, v2)
-        if (s1 == 0) != (s2 == 0):
-            return ComparisonResult(DISTINCT, "exactly one form has S = 0", details)
-        if (s1, v1) != (s2, v2):
-            which = "S" if s1 != s2 else "T"
-            return ComparisonResult(DISTINCT, "%s invariants differ" % which, details)
-        return ComparisonResult(INCONCLUSIVE, "all computed invariants agree", details)
-    if t1.rank == 2:
-        # discriminant of the binary cubic p x^3 + q x^2 y + r x y^2 + s y^3
-        discs = []
-        for t in (t1, t2):
-            p, s = t.value(1, 1, 1), t.value(2, 2, 2)
-            q, r = 3 * t.value(1, 1, 2), 3 * t.value(1, 2, 2)
-            discs.append(
-                18 * p * q * r * s - 4 * q**3 * s + q**2 * r**2 - 4 * p * r**3 - 27 * p**2 * s**2
-            )
-        d1, d2 = discs
-        c1, c2 = t1.content(), t2.content()
-        details = {"discriminant": (d1, d2), "content": (c1, c2)}
-        if d1 != d2 or c1 != c2:
-            return ComparisonResult(DISTINCT, "discriminant/content data differ", details)
-        return ComparisonResult(INCONCLUSIVE, "all computed invariants agree", details)
-    # rank <= 1: the content and the single coefficient are complete data
-    e1 = t1.value(1, 1, 1) if t1.rank == 1 else 0
-    e2 = t2.value(1, 1, 1) if t2.rank == 1 else 0
-    details = {"coefficient": (e1, e2)}
-    if abs(e1) != abs(e2):
-        return ComparisonResult(DISTINCT, "coefficients differ up to sign", details)
-    return ComparisonResult(INCONCLUSIVE, "all computed invariants agree", details)
 
 
 def rr_dimension(inv: CyInvariantTriple, n: int) -> int:

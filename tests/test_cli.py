@@ -376,6 +376,7 @@ def test_unknown_field_exit_2(capsys, tmp_path, part, key, message):
 
 CUBIC = ["invariants", "cubic", "--file", "{path}"]
 WITH_CATALOG = ["smooth", str(EXAMPLES / "quick.json"), "--catalog", "{path}"]
+SEARCH = ["fano", "search", "--catalog", "{path}"]
 CSV_HEADER = "id,b2,index,minus_K_cubed,h12\n"
 # past the interpreter's 4300-digit limit, json.loads raises a plain ValueError
 HUGE = "9" * 5000
@@ -427,6 +428,17 @@ HUGE = "9" * 5000
         ("cat.csv", CSV_HEADER + "P3,1,4,64,0\n\nQ,1,3,54,0,extra\n",
          ["fano", "search", "--catalog", "{path}"],
          "catalog row 4 has more fields than the header"),
+        ("cat.json", '[{"id": null, "b2": 1, "index": 4, "minus_K_cubed": 64, "h12": 0}]',
+         SEARCH, "catalog row 1 is malformed: field 'id' must be a string, got None"),
+        ("cat.json", '[{"id": "  ", "b2": 1, "index": 4, "minus_K_cubed": 64, "h12": 0}]',
+         SEARCH, "catalog row 1 is malformed: field 'id' is blank"),
+        ("cat.csv", CSV_HEADER + ",1,4,64,0\n", SEARCH,
+         "catalog row 2 is malformed: field 'id' is blank"),
+        ("cat.csv", "id,b2,index,minus_K_cubed,h12,provenance,descripton\nP3,1,4,64,0,,p3\n",
+         SEARCH, "{path}: catalog header has unknown field 'descripton'"),
+        ("cat.json",
+         '[{"id": "P3", "b2": 1, "index": 4, "minus_K_cubed": 64, "h12": 0, "extra": 1}]',
+         SEARCH, "catalog row 1 has unknown field 'extra'"),
     ],
     ids=["unknown-base", "tensor-key-letter", "tensor-key-two-indices",
          "tensor-conflicting-symmetric", "tensor-unknown-field", "aronhold-rank",
@@ -434,7 +446,8 @@ HUGE = "9" * 5000
          "catalog-json-not-a-list", "catalog-rank-one-divisibility", "fano-cy-rho-cubed",
          "catalog-header-typo-no-rows", "catalog-header-typo", "catalog-short-row",
          "catalog-blank-json", "catalog-json-missing-key", "catalog-json-row-not-object",
-         "catalog-long-row"],
+         "catalog-long-row", "catalog-json-null-id", "catalog-json-blank-id",
+         "catalog-csv-blank-id", "catalog-csv-unknown-column", "catalog-json-unknown-key"],
 )
 def test_bad_input_exit_2(capsys, tmp_path, name, text, argv, message):
     path = tmp_path / name
@@ -572,7 +585,15 @@ class TestInvariants:
         assert exc.value.code == 2
 
     def test_rr_n_zero(self, capsys):
-        code, out, _ = run(capsys, "invariants", "rr", "--rho3", "2",
-                           "--rhoc2", "44", "--n", "0")
-        assert code == 0
-        assert json.loads(out)["chi"] == 0
+        # chi(O(0)) = 0 counts no sections: h^0 = chi needs n rho ample
+        code, out, err = run(capsys, "invariants", "rr", "--rho3", "2",
+                             "--rhoc2", "44", "--n", "0")
+        assert (code, out) == (2, "")
+        assert "--n must be at least 1, got 0" in err
+
+    def test_rr_negative_n(self, capsys):
+        # it used to print "embedding_dimension_N": -21 with exit 0
+        code, out, err = run(capsys, "invariants", "rr", "--rho3", "2",
+                             "--rhoc2", "44", "--n", "-3")
+        assert (code, out) == (2, "")
+        assert "--n must be at least 1, got -3" in err

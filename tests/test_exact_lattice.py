@@ -1,5 +1,13 @@
+"""The exact lattice engine, checked against the naive algebra of ``reference.py``.
+
+The oracles share no code with ``exact_lattice``: products, determinants,
+ranks, Smith invariants, saturation and lattice equality all come from
+``reference``'s minors.  The pinned digests and the byte-for-byte tests of
+one engine path against another check canonical bytes, which a lattice
+oracle does not fix.
+"""
+
 import hashlib
-import itertools
 import random
 
 import pytest
@@ -10,67 +18,57 @@ from cy_smoother.exact_lattice import (
     hermite_row_form,
     intersect_column_lattices,
     kernel_basis,
-    pairing_is_unimodular,
     quotient,
     rank,
     sign_normalize_column,
     smith_normal_form,
     solve_exact,
-    _canonical,
     _factor,
     _kernel,
     _smith,
 )
 
-
-def brute_det(M: IntMatrix) -> int:
-    """Leibniz-formula determinant; the independent oracle for small sizes."""
-    assert M.is_square()
-    n = M.rows
-    total = 0
-    for perm in itertools.permutations(range(n)):
-        sign = 1
-        seen = list(perm)
-        for i in range(n):
-            for j in range(i + 1, n):
-                if seen[i] > seen[j]:
-                    sign = -sign
-        term = sign
-        for i in range(n):
-            term *= M[i, perm[i]]
-        total += term
-    return total if n else 1
+import reference as ref
 
 
 def random_matrix(rng, rows, cols, bound=9):
     return IntMatrix(rows, cols, [rng.randint(-bound, bound) for _ in range(rows * cols)])
 
 
-def smith_invariants(M: IntMatrix) -> tuple[int, ...]:
-    """The nonzero Smith invariants of M, in chain order."""
-    _, S, _ = smith_normal_form(M)
-    return tuple(d for d in (S[t, t] for t in range(min(S.rows, S.cols))) if d)
+def times(*factors: IntMatrix) -> IntMatrix:
+    """The product of the factors, by the reference's schoolbook product."""
+    rows = factors[0].to_rows()
+    for F in factors[1:]:
+        rows = ref.matmul(rows, F.to_rows())
+    return IntMatrix.from_rows(rows, cols=factors[-1].cols)
 
 
-def canonical_columns(M: IntMatrix) -> IntMatrix:
-    """The canonical basis of M's column lattice, as columns."""
-    return IntMatrix.from_columns(_canonical(M.to_columns()), rows=M.rows)
+def is_zero(rows) -> bool:
+    return not any(any(row) for row in rows)
+
+
+def is_canonical(K: IntMatrix) -> bool:
+    """True iff K's columns are in the engine's canonical shape for a lattice
+    basis: the row-HNF in reversed coordinate order (``_canonical``)."""
+    return ref.is_hnf([k[::-1] for k in reversed(K.to_columns())])
 
 
 def check_quotient(n: int, R: IntMatrix) -> IntMatrix | None:
     """quotient(n, R) against its contract: the section, or None when it raised.
 
     A free quotient's section has n - rank(R) columns, and together with
-    R's they span Z^n (their HNF is I), so it maps a basis of Z^n / R onto
-    the quotient.  A Smith invariant of 2 or more must raise instead.
+    R's they span Z^n (the gcd of their n x n minors is 1), so it maps a
+    basis of Z^n / R onto the quotient.  A Smith invariant of 2 or more
+    must raise instead.  Ranks and invariants come from ``reference``.
     """
-    if any(d >= 2 for d in smith_invariants(R)):
+    rows = R.to_rows()
+    if any(d >= 2 for d in ref.smith_invariants(rows)):
         with pytest.raises(ValueError, match="has torsion"):
             quotient(n, R)
         return None
     sec = quotient(n, R)
-    assert sec.shape == (n, n - rank(R))
-    assert hermite_row_form(R.hstack(sec).transpose()) == IntMatrix.identity(n)
+    assert sec.shape == (n, n - ref.rank(rows))
+    assert ref.spans(ref.hstack(rows, sec.to_rows()))
     return sec
 
 
@@ -88,12 +86,12 @@ def singular_or_not(rng, rows, cols):
 
 def random_unimodular(rng, n, steps=6):
     """A product of elementary matrices: |det| = 1 but rarely triangular."""
-    E = IntMatrix.identity(n)
+    E = IntMatrix.from_rows(ref.identity(n), cols=n)
     for _ in range(steps if n else 0):
-        step = IntMatrix.identity(n).to_rows()
+        step = ref.identity(n)
         i, j = rng.randrange(n), rng.randrange(n)
         step[i][j] = rng.randint(-3, 3) if i != j else -1
-        E = E @ IntMatrix.from_rows(step)
+        E = times(E, IntMatrix.from_rows(step))
     return E
 
 
@@ -124,16 +122,12 @@ class TestIntMatrixEntries:
             N = IntMatrix.from_columns(np.array([[1, 2, 0], [3, 1, 5]], dtype=np.int64))
             # N's Smith invariants are (1, 5); the quotient needs free relations
             R = IntMatrix.from_columns(np.array([[2, 3, 5]], dtype=np.int64))
-        H = hermite_row_form(M.transpose())
+        H = hermite_row_form(M)
         section = check_quotient(3, R)
         derived = [
             M,
             N,
-            M @ N,
-            M.transpose(),
             M.hstack(M),
-            -M,
-            IntMatrix.identity(2) @ M,
             H,
             kernel_basis(M),
             *smith_normal_form(M),
@@ -172,9 +166,14 @@ class TestIntMatrixAccess:
         for _ in range(100):
             M = random_matrix(rng, rng.randint(0, 5), rng.randint(0, 5), bound=3)
             v = [rng.choice((0, 0, 1, -2, 7)) for _ in range(M.cols)]
-            assert M.mul_vector(v) == (M @ IntMatrix.from_columns([v], rows=M.cols)).column(0)
+            if v:
+                product = ref.matmul(M.to_rows(), ref.from_columns([v], M.cols))
+                expected = tuple(r[0] for r in product)
+            else:  # a product with no inner index has no columns in the reference
+                expected = (0,) * M.rows
+            assert M.mul_vector(v) == expected
         with pytest.raises(ValueError, match="vector length 1, expected 2"):
-            IntMatrix.zeros(3, 2).mul_vector((1,))
+            IntMatrix(3, 2, [0] * 6).mul_vector((1,))
 
 
 class TestSmithNormalForm:
@@ -195,16 +194,19 @@ class TestSmithNormalForm:
         assert [X.to_rows() for X in smith_normal_form(IntMatrix.from_rows(rows))] == [U, S, V]
 
     def test_carried_inverse(self, rng):
-        # _smith's W holds U^-1's columns, with or without companion rows and
-        # the same Smith form either way
+        # _smith's W holds the columns of U^-1 for a Smith form S = U M V:
+        # without companion rows it reaches the same S, and W S = M V with
+        # |det W| = 1, by the reference's product and determinant
         for _ in range(150):
             bound = rng.choice((1, 4, 50))
             M = random_matrix(rng, rng.randint(0, 6), rng.randint(0, 6), bound=bound)
-            U, S, _ = smith_normal_form(M)
+            _, S, V = smith_normal_form(M)
             R = M.to_rows()
             W = _smith(R, M.rows, M.cols)
             assert IntMatrix.from_rows(R, cols=M.cols) == S
-            assert U @ IntMatrix.from_columns(W, rows=M.rows) == IntMatrix.identity(M.rows)
+            inverse = ref.from_columns(W, M.rows)
+            assert abs(ref.det(inverse)) == 1
+            assert ref.matmul(inverse, S.to_rows()) == ref.matmul(M.to_rows(), V.to_rows())
 
     def test_digest_of_transforms_and_sections(self):
         # (U, S, V) and the quotient's section (or its torsion error) of 2000
@@ -259,24 +261,24 @@ class TestSmithNormalForm:
         )
 
     def test_identity(self):
-        I2 = IntMatrix.identity(2)
+        I2 = IntMatrix.from_rows(ref.identity(2))
         U, S, V = smith_normal_form(I2)
-        assert S == I2 and U @ I2 @ V == S
+        assert S == I2 and times(U, I2, V) == S
 
     def test_zero(self):
-        Z = IntMatrix.zeros(2, 3)
+        Z = IntMatrix(2, 3, [0] * 6)
         U, S, V = smith_normal_form(Z)
         assert S == Z
-        assert abs(brute_det(U)) == 1 and abs(brute_det(V)) == 1
+        assert abs(ref.det(U.to_rows())) == 1 and abs(ref.det(V.to_rows())) == 1
 
     def test_2x2_example(self):
         M = IntMatrix.from_rows([[2, 4], [6, 8]])
         U, S, V = smith_normal_form(M)
         assert [S[0, 0], S[1, 1]] == [2, 4]
         assert S[0, 1] == S[1, 0] == 0
-        assert U @ M @ V == S
+        assert times(U, M, V) == S
         # |det| preserved through unimodular transforms
-        assert abs(brute_det(S)) == abs(brute_det(M)) == 8
+        assert abs(ref.det(S.to_rows())) == abs(ref.det(M.to_rows())) == 8
 
     def test_randomized_contract(self, rng):
         for _ in range(60):
@@ -284,10 +286,11 @@ class TestSmithNormalForm:
             cols = rng.randint(1, 5)
             M = random_matrix(rng, rows, cols)
             U, S, V = smith_normal_form(M)
-            assert U @ M @ V == S
-            assert abs(brute_det(U)) == 1
-            assert abs(brute_det(V)) == 1
+            assert times(U, M, V) == S
+            assert abs(ref.det(U.to_rows())) == 1
+            assert abs(ref.det(V.to_rows())) == 1
             diag = [S[t, t] for t in range(min(rows, cols))]
+            assert tuple(d for d in diag if d) == ref.smith_invariants(M.to_rows())
             for i in range(rows):
                 for j in range(cols):
                     if i != j:
@@ -306,7 +309,9 @@ class TestSmithNormalForm:
         for _ in range(200):
             M = random_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
             oracle = invariant_factors(sympy.Matrix(M.to_rows()), domain=sympy.ZZ)
-            assert smith_invariants(M) == tuple(abs(int(d)) for d in oracle if d)
+            _, S, _ = smith_normal_form(M)
+            diag = (S[t, t] for t in range(min(S.rows, S.cols)))
+            assert tuple(d for d in diag if d) == tuple(abs(int(d)) for d in oracle if d)
 
 
 class TestKernelBasis:
@@ -319,7 +324,7 @@ class TestKernelBasis:
         assert K.to_columns() == [[1, 1, 0], [8, 0, 1]]
 
     def test_full_rank(self):
-        assert kernel_basis(IntMatrix.identity(3)).cols == 0
+        assert kernel_basis(IntMatrix.from_rows(ref.identity(3))).cols == 0
 
     def test_one_row_closed_form_equals_elimination(self, rng):
         closed = 0
@@ -333,27 +338,20 @@ class TestKernelBasis:
         assert 300 < closed < 1700
 
     def test_randomized_saturation(self, rng):
+        # K is the canonical basis of the saturated kernel: a saturated
+        # lattice inside the kernel with the kernel's rank is the kernel, and
+        # a lattice has one basis of the canonical shape
         for _ in range(80):
             rows = rng.randint(0, 4)
             cols = rng.randint(0, 5)
             M = random_matrix(rng, rows, cols)
             K = kernel_basis(M)
-            assert (M @ K).is_zero()
-            if K.cols:
-                # saturated: the Smith invariants of the basis are all 1
-                assert all(d == 1 for d in smith_invariants(K))
-            # rank bookkeeping, against the Smith rank
-            diag = smith_invariants(M)
-            assert rank(M) == len(diag)
-            assert K.cols == cols - len(diag)
-            # the columns of V past the Smith rank span the same saturated
-            # kernel, and a lattice has one canonical basis
-            _, _, V = smith_normal_form(M)
-            oracle = IntMatrix.from_columns(
-                [V.column(j) for j in range(len(diag), cols)], rows=cols
-            )
-            if oracle.cols:
-                assert K == canonical_columns(oracle)
+            assert is_zero(ref.matmul(M.to_rows(), K.to_rows()))
+            assert ref.is_saturated_basis(K.to_rows())
+            r = ref.rank(M.to_rows())
+            assert rank(M) == r
+            assert K.cols == cols - r
+            assert is_canonical(K)
 
 
 class TestQuotient:
@@ -392,9 +390,10 @@ class TestQuotient:
             quotient(3, IntMatrix.from_columns([[1, 2]]))
 
     def test_quotient_section_is_reduced_inverse(self, rng):
-        # Oracle: U^-1 from sympy.  A section column is U^-1's column shifted
-        # by a relation, reduced at the pivots of the relation HNF.
-        sympy = pytest.importorskip("sympy")
+        # The section lifts a basis of the quotient (``check_quotient``), so
+        # it is the trailing columns of U^-1 for some Smith transform U.  Each
+        # column is reduced: at every pivot of the relation lattice's HNF, read
+        # from the reference's leading-block minors, it lies in [0, pivot).
         checked = raised = 0
         for _ in range(120):
             n, k = rng.randint(1, 5), rng.randint(0, 4)
@@ -409,63 +408,28 @@ class TestQuotient:
                 raised += 1
                 continue
             checked += 1
-            U, _, _ = smith_normal_form(R)
-            inv = sympy.Matrix(U.to_rows()).inv()
-            t = n - sec.cols
-            rel = hermite_row_form(R.transpose()).to_rows()
-            for j in range(sec.cols):
-                col = sec.column(j)
-                diff = [c - int(inv[i, t + j]) for i, c in enumerate(col)]
-                assert solve_exact(R, diff) is not None
-                for h in rel:
-                    p = next(i for i, e in enumerate(h) if e)
-                    assert 0 <= col[p] < h[p]
+            pivots = ref.hnf_pivots(R.to_columns(), n)
+            assert len(pivots) == n - sec.cols
+            for col in sec.to_columns():
+                assert all(0 <= col[p] < h for p, h in pivots), (R, col)
         assert checked and raised
-
-
-class TestPairingUnimodular:
-    def test_examples(self):
-        assert pairing_is_unimodular(IntMatrix.from_rows([[1, 0], [1, 1]]))
-        assert not pairing_is_unimodular(IntMatrix.from_rows([[2]]))
-        assert pairing_is_unimodular(IntMatrix.zeros(0, 0))
-
-    def test_non_square_is_error(self):
-        for shape in ((2, 3), (3, 2), (0, 1), (1, 0)):
-            with pytest.raises(ValueError, match="different ranks"):
-                pairing_is_unimodular(IntMatrix.zeros(*shape))
-
-    def test_against_hermite_identity(self, rng):
-        # the echelon reading against the definition: unimodular iff HNF = I
-        for _ in range(200):
-            n = rng.randint(0, 6)
-            G = singular_or_not(rng, n, n)
-            assert pairing_is_unimodular(G) == (hermite_row_form(G) == IntMatrix.identity(n))
-
-    def test_against_determinant_oracle(self, rng):
-        for _ in range(80):
-            n = rng.randint(1, 5)
-            M = random_matrix(rng, n, n, bound=4)
-            # unimodular but rarely triangular: the inputs whose HNF must reach I
-            E = random_unimodular(rng, n)
-            # scaling one row of E by 2 gives |det| = 2
-            E2 = IntMatrix.from_rows([[2 * e for e in E.row(0)]] + E.to_rows()[1:])
-            for G in (M, E, E2):
-                assert pairing_is_unimodular(G) == (abs(brute_det(G)) == 1)
 
 
 class TestRank:
     def test_examples(self):
-        assert rank(IntMatrix.zeros(0, 0)) == 0
-        assert rank(IntMatrix.zeros(3, 0)) == rank(IntMatrix.zeros(0, 3)) == 0
+        assert rank(IntMatrix(0, 0, [])) == 0
+        assert rank(IntMatrix(3, 0, [])) == rank(IntMatrix(0, 3, [])) == 0
         assert rank(IntMatrix.from_rows([[2, 4], [1, 2]])) == 1
         assert rank(IntMatrix.from_rows([[2, 4, 6]])) == 1
         assert rank(IntMatrix.from_columns([[2, 4, 6]])) == 1
 
     def test_against_hermite_row_count(self, rng):
-        # square, wide, tall and singular inputs, read from either side
+        # square, wide, tall and singular inputs, read from either side,
+        # against the size of the largest nonzero minor
         for _ in range(300):
             M = singular_or_not(rng, rng.randint(0, 6), rng.randint(0, 6))
-            assert rank(M) == hermite_row_form(M).rows == rank(M.transpose())
+            transposed = IntMatrix.from_columns(M.to_rows(), rows=M.cols)
+            assert rank(M) == ref.rank(M.to_rows()) == hermite_row_form(M).rows == rank(transposed)
 
 
 class TestSolveAndHermite:
@@ -491,24 +455,19 @@ class TestSolveAndHermite:
         for _ in range(30):
             M = random_matrix(rng, rng.randint(1, 4), rng.randint(1, 4))
             H_rows, T_rows = _factor(M.to_rows())
-            H, T = IntMatrix.from_rows(H_rows, cols=M.cols), IntMatrix.from_rows(T_rows)
-            assert abs(brute_det(T)) == 1
-            TM = T @ M
-            assert IntMatrix.from_rows(TM.to_rows()[: H.rows], cols=M.cols) == H
-            for row in TM.to_rows()[H.rows :]:
-                assert all(e == 0 for e in row)
+            assert abs(ref.det(T_rows)) == 1
+            TM = ref.matmul(T_rows, M.to_rows())
+            assert TM[: len(H_rows)] == H_rows
+            assert is_zero(TM[len(H_rows) :])
 
     def test_hermite_shape_and_uniqueness(self, rng):
         # the row-HNF depends only on the row lattice, so U M has the same one
         for _ in range(150):
             M = random_matrix(rng, rng.randint(0, 5), rng.randint(0, 6))
             H = hermite_row_form(M)
-            pivots = [next(j for j, e in enumerate(row) if e) for row in H.to_rows()]
-            assert all(a < b for a, b in zip(pivots, pivots[1:]))
-            for i, p in enumerate(pivots):
-                assert H[i, p] > 0
-                assert all(0 <= H[k, p] < H[i, p] for k in range(i))
-            assert hermite_row_form(random_unimodular(rng, M.rows) @ M) == H
+            assert ref.is_hnf(H.to_rows())
+            assert ref.same_lattice(H.to_columns(), M.to_columns())
+            assert hermite_row_form(times(random_unimodular(rng, M.rows), M)) == H
 
     def test_lattice_intersection(self):
         A = IntMatrix.from_rows([[1, 5]])
@@ -538,7 +497,9 @@ class TestFiberProduct:
         assert (diag, vert1, vert2) == ([(1, 0, 4)], [], [(0, 1, -4)])
 
     def test_random_against_stacked_kernel(self, rng):
-        # Oracle: {(x, y) : A x = B y} is the kernel of (A | -B).
+        # Oracle: {(x, y) : A x = B y} is the kernel of (A | -B).  Vectors of
+        # that kernel, as many as its rank, spanning a saturated lattice, are
+        # a basis of it.
         for _ in range(60):
             n = rng.randint(1, 3)
             A = random_matrix(rng, n, rng.randint(1, 3), bound=4)
@@ -549,18 +510,19 @@ class TestFiberProduct:
                 assert A.mul_vector(v[: A.cols]) == B.mul_vector(v[A.cols :])
             assert all(not any(v[A.cols :]) for v in vert1)
             assert all(not any(v[: A.cols]) for v in vert2)
-            oracle = kernel_basis(A.hstack(-B))
-            assert len(vecs) == oracle.cols
-            if vecs:
-                got = canonical_columns(IntMatrix.from_columns(vecs))
-                assert got == canonical_columns(oracle)
+            stacked = ref.hstack(A.to_rows(), ref.neg(B.to_rows()))
+            K = ref.from_columns(vecs, A.cols + B.cols)
+            assert is_zero(ref.matmul(stacked, K))
+            assert len(vecs) == A.cols + B.cols - ref.rank(stacked)
+            assert ref.is_saturated_basis(K)
 
     @staticmethod
     def _pair(rng, n):
         """Random A, B with n rows: some zero, some with repeated columns."""
         def side():
             if rng.random() < 0.1:
-                return IntMatrix.zeros(n, rng.randint(1, 6))
+                cols = rng.randint(1, 6)
+                return IntMatrix(n, cols, [0] * (n * cols))
             bound, cols = rng.randint(0, 9), []
             for _ in range(rng.randint(1, 6)):
                 if cols and rng.random() < 0.3:
@@ -586,9 +548,14 @@ class TestFiberProduct:
             assert fiber_product(A, B) == (diag, vert1, vert2)
 
     def test_intersection_depends_only_on_the_lattices(self, rng):
-        # the image basis (HNF rows) spans the same lattice as the columns
+        # other generators of each lattice: a unimodular change of the
+        # columns and one more column that is a combination of them
+        def regenerate(M):
+            M = times(M, random_unimodular(rng, M.cols))
+            extra = [rng.randint(-2, 2) for _ in range(M.cols)]
+            return IntMatrix.from_columns(M.to_columns() + [M.mul_vector(extra)], rows=M.rows)
+
         for _ in range(300):
             A, B = self._pair(rng, rng.randint(1, 5))
-            image_a = hermite_row_form(A.transpose()).transpose()
-            image_b = hermite_row_form(B.transpose()).transpose()
-            assert intersect_column_lattices(image_a, image_b) == intersect_column_lattices(A, B)
+            L = intersect_column_lattices(A, B)
+            assert intersect_column_lattices(regenerate(A), regenerate(B)) == L

@@ -46,3 +46,12 @@ def test_finds_an_unused_import():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_reference_imports_nothing_from_the_package():
+    # the tests' oracle must share no code with what it checks
+    tree = ast.parse((ROOT / "tests" / "reference.py").read_text(encoding="utf-8"))
+    modules = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names]
+    modules += [node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    assert modules and not [m for m in modules if m.split(".")[0] in ("cy_smoother", "")]

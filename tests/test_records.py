@@ -19,11 +19,7 @@ import pytest
 
 from cy_smoother.components import P3, FanoFamily, build_component
 from cy_smoother.exact_lattice import IntMatrix
-from cy_smoother.invariant_forms import (
-    CubicTensor,
-    CyInvariantTriple,
-    forms_distinguishable,
-)
+from cy_smoother.invariant_forms import CubicTensor, CyInvariantTriple
 from cy_smoother.smoothing import (
     analyze,
     check_smoothability,
@@ -32,7 +28,7 @@ from cy_smoother.smoothing import (
 )
 from cy_smoother.surface import K3Model
 
-from conftest import MU_TABLE, NU_TABLE, make_model
+from conftest import MU_TABLE, make_model
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -42,7 +38,7 @@ def _records():
     k3 = K3Model.quartic()
     model = make_model(k3, [(5,)], [(3,)])
     rg2 = compute_rg2(model)
-    mu, nu = CubicTensor(3, MU_TABLE), CubicTensor(3, NU_TABLE)
+    mu = CubicTensor(3, MU_TABLE)
     recs = [
         k3,
         P3,
@@ -54,7 +50,6 @@ def _records():
         analyze(model),
         mu,
         CyInvariantTriple(2, 44),
-        forms_distinguishable(mu, nu),
     ]
     return {type(r).__name__: r for r in recs}
 
@@ -66,7 +61,7 @@ def test_every_record_type_is_covered():
     assert sorted(RECORDS) == sorted([
         "K3Model", "FanoFamily", "BlownComponent", "NormalCrossingModel",
         "HypothesisVerdict", "RG2Result", "RG4Result", "SmoothingReport",
-        "CubicTensor", "CyInvariantTriple", "ComparisonResult",
+        "CubicTensor", "CyInvariantTriple",
     ])
 
 

@@ -18,12 +18,11 @@ from cy_smoother.exact_lattice import (
     echelon_rows,
     fiber_product,
     kernel_basis,
-    pairing_is_unimodular,
     quotient,
     sign_normalize_column,
     solve_exact,
 )
-from cy_smoother.invariant_forms import DISTINCT, CubicTensor, forms_distinguishable
+from cy_smoother.invariant_forms import CubicTensor, aronhold_ST
 from cy_smoother.schemas import MAX_CENTERS, load_degeneration, parse_tensor
 from cy_smoother.smoothing import (
     InternalInconsistencyError,
@@ -42,6 +41,7 @@ from cy_smoother.smoothing import (
 )
 from cy_smoother.surface import K3Model, genus_from_square, intersect
 
+import reference as ref
 from conftest import MU_TABLE, NU_TABLE, make_model, without_lifts
 from test_components import random_quartic_lines_model, random_sextic_model
 
@@ -155,11 +155,17 @@ INDICES = (1, 2, 3, 4, 6, 8, 12, 24)  # every Fano index r divides 24
 class TestG4ClosedForm:
     @pytest.mark.parametrize("r", INDICES)
     def test_kernel_against_engine(self, r):
+        # the engine pins the bytes; the reference checks, up to s = 6, that
+        # the closed form is a basis of the saturated kernel
         for s in range(MAX_CENTERS + 1):
-            engine = kernel_basis(IntMatrix.from_rows([(r,) + (1,) * s]))
-            assert smoothing._degree_row_kernel(r, s) == [
-                sign_normalize_column(k) for k in engine.to_columns()
-            ]
+            row = [(r,) + (1,) * s]
+            closed = smoothing._degree_row_kernel(r, s)
+            engine = kernel_basis(IntMatrix.from_rows(row))
+            assert closed == [sign_normalize_column(k) for k in engine.to_columns()]
+            if s <= 6:
+                K = ref.from_columns(closed, s + 1)
+                assert len(closed) == s and ref.is_saturated_basis(K)
+                assert ref.matmul(row, K) == [[0] * s]
 
     @pytest.mark.parametrize("r1", INDICES)
     def test_fiber_product_against_engine(self, r1):
@@ -218,16 +224,16 @@ class TestRG4Consur:
     def test_verdict_read_off_the_triangular_gram(self, name):
         # the verdict is the echelon Gram's h11 unit pivots; doubling one RG^2
         # generator doubles a Gram row, so |det| = 2 and the pairing is not
-        # unimodular
+        # unimodular.  The determinant is the reference's.
         model = load_degeneration(EXAMPLES / (name + ".json"), load_catalog())
         rg2 = compute_rg2(model)
         rg4 = compute_rg4_and_consur(model, rg2)
         assert rg4.unimodular is True
-        assert rg4.unimodular == pairing_is_unimodular(rg4.gram)
+        assert abs(ref.det(rg4.gram.to_rows())) == 1
         doubled = (tuple(2 * e for e in rg2.generators[0]),) + rg2.generators[1:]
         rg4 = compute_rg4_and_consur(model, rg2._replace(generators=doubled))
         assert rg4.unimodular is False
-        assert rg4.unimodular == pairing_is_unimodular(rg4.gram)
+        assert abs(ref.det(rg4.gram.to_rows())) == 2
 
     def test_non_square_gram_raises(self, pair1_a):
         # rank RG^4 = rank RG^2 always, so a surplus RG^2 generator can only
@@ -596,7 +602,7 @@ class TestMoveTop:
         for idx in (1, 2):
             moved = analyze(move_top_center(model, idx))
             assert scalars(moved) == scalars(rep)
-            assert forms_distinguishable(rep.cubic_tensor, moved.cubic_tensor).verdict != DISTINCT
+            assert aronhold_ST(moved.cubic_tensor) == aronhold_ST(rep.cubic_tensor)
             payloads.append(without_lifts(moved))
         assert payloads[0] != without_lifts(rep)
 

@@ -2,15 +2,16 @@
 
     python3 tools/traffic_coverage.py        (or: make traffic-coverage)
 
-Runs, under a ``sys.settrace`` line tracer, the same 2700 reports as
-``tools/report_hash.py`` (``bench/families.py`` seeds 1-5, parse, ``analyze``
-and the JSON serializer) and then the commands of ``tests/golden/commands.json``
-through ``cli.main`` in-process, checking each command's exit code.  It prints,
-for each module, how many of its executable lines never ran and which.  The
-tracer is installed before the package is imported, so module-level lines
-count.  Only the standard library is used; a run takes about four times as long
-as ``make report-hash``.  A line listed here is not necessarily dead: most of
-them are input checks, which valid traffic is not supposed to reach.
+Runs, under a ``sys.settrace`` line tracer, the report loop of
+``tools/report_hash.py`` (its 2700 reports: ``bench/families.py`` seeds 1-5,
+parse, ``analyze`` and the JSON serializer) and then the commands of
+``tests/golden/commands.json`` through ``cli.main`` in-process, checking each
+command's exit code.  It prints, for each module, how many of its executable
+lines never ran and which.  The tracer is installed before ``report_hash``
+imports the package, so module-level lines count.  Only the standard library
+is used; a run takes about four times as long as ``make report-hash``.  A line
+listed here is not necessarily dead: most of them are input checks, which
+valid traffic is not supposed to reach.
 """
 
 from __future__ import annotations
@@ -25,8 +26,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "cy_smoother"
 GOLDEN = ROOT / "tests" / "golden"
-SEEDS = range(1, 6)
-FAMILIES = ("sextic-wide", "quartic-lines")
 
 
 def executable_lines(path: Path) -> set[int]:
@@ -76,19 +75,12 @@ def ranges(lines) -> str:
 
 def _traffic() -> tuple[int, int]:
     """Run the bench reports and the golden commands; return how many of each."""
-    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
-    from cy_smoother.catalog import load_catalog
-    from cy_smoother.cli import CATALOG_ENV, main
-    from cy_smoother.schemas import dump_json, parse_degeneration, report_to_dict
-    from cy_smoother.smoothing import analyze
-    from families import GENERATORS
+    sys.path.insert(0, str(ROOT / "tools"))
+    from report_hash import reports  # puts src/ and bench/ on the path
 
-    catalog, reports = load_catalog(), 0
-    for seed in SEEDS:
-        for family in FAMILIES:
-            for case in GENERATORS[family](seed):
-                dump_json(report_to_dict(analyze(parse_degeneration(case.doc, catalog))))
-                reports += 1
+    from cy_smoother.cli import CATALOG_ENV, main
+
+    count = sum(1 for _ in reports())
     os.environ.pop(CATALOG_ENV, None)
     examples = str(PACKAGE / "data" / "examples")
     commands = json.loads((GOLDEN / "commands.json").read_text(encoding="utf-8"))
@@ -99,7 +91,7 @@ def _traffic() -> tuple[int, int]:
             code = main(argv)
         if code != entry["exit"]:
             raise SystemExit("%s exited %d, expected %d" % (" ".join(argv), code, entry["exit"]))
-    return reports, len(commands)
+    return count, len(commands)
 
 
 def main() -> int:
