@@ -164,7 +164,7 @@ def test_criterion_8_property_suites(rng, quartic):
     """Randomized property checks with independent oracles."""
     # SNF / kernel / quotient correctness against the naive reference
     # algebra, which shares no code with the engine
-    from test_exact_lattice import check_quotient, random_matrix, times
+    from test_exact_lattice import check_quotient, is_zero, random_matrix, times
 
     for _ in range(30):
         M = random_matrix(rng, rng.randint(1, 5), rng.randint(1, 5), bound=6)
@@ -174,7 +174,7 @@ def test_criterion_8_property_suites(rng, quartic):
         diag = (S[t, t] for t in range(min(S.rows, S.cols)))
         assert tuple(d for d in diag if d) == ref.smith_invariants(M.to_rows())
         K = kernel_basis(M)
-        assert not any(any(row) for row in ref.matmul(M.to_rows(), K.to_rows()))
+        assert is_zero(ref.matmul(M.to_rows(), K.to_rows()))
         assert ref.is_saturated_basis(K.to_rows())
         assert K.cols == M.cols - ref.rank(M.to_rows())
         check_quotient(M.rows, M)
