@@ -55,23 +55,36 @@ def _field(row, field: str, from_json: bool, kind=int):
 
 
 def _reject_unknown(fields, where: str) -> None:
-    """A field other than FanoFamily's seven is a misspelling; it is never dropped silently."""
-    unknown = [f for f in fields if f not in FanoFamily._fields]
-    if unknown:
-        raise ValueError("%s has unknown field %r" % (where, unknown[0]))
+    """A field other than FanoFamily's seven (a misspelling), or named twice, is never dropped."""
+    seen = set()
+    for f in fields:
+        if f not in FanoFamily._fields:
+            raise ValueError("%s has unknown field %r" % (where, f))
+        if f in seen:
+            raise ValueError("%s names field %r twice" % (where, f))
+        seen.add(f)
+
+
+def unique_keys(pairs) -> dict:
+    """``object_pairs_hook`` for ``json.loads``: a repeated key raises, not keeps one value."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        raise ValueError("duplicate key %r" % next(k for k, _ in pairs if k in seen or seen.add(k)))
+    return obj
 
 
 def load_catalog(path=None) -> tuple[FanoFamily, ...]:
     """Load and validate a catalog file (CSV or JSON list of rows)."""
     path = Path(path) if path is not None else default_catalog_path()
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")  # a leading BOM is dropped
     except OSError as exc:
         raise ValueError("cannot read catalog file %s: %s" % (path, exc.strerror)) from exc
     from_json = path.suffix.lower() == ".json" or text.lstrip().startswith("[")
     if from_json:
         try:
-            rows = json.loads(text)  # a blank file is malformed too
+            rows = json.loads(text, object_pairs_hook=unique_keys)  # a blank file is malformed too
         except ValueError as exc:  # JSONDecodeError, or an int past the digit limit
             raise ValueError("%s: catalog JSON is malformed: %s" % (path, exc)) from exc
         if not isinstance(rows, list):

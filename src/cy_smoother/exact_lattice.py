@@ -108,9 +108,6 @@ class IntMatrix:
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
 
-    def is_square(self) -> bool:
-        return self.rows == self.cols
-
     # -- arithmetic --------------------------------------------------------------
 
     def mul_vector(self, vec: Sequence[int]) -> tuple[int, ...]:
@@ -122,12 +119,6 @@ class IntMatrix:
             if v:
                 out = [a + v * e for a, e in zip(out, self.entries[k :: self.cols])]
         return tuple(out)
-
-    def hstack(self, other: "IntMatrix") -> "IntMatrix":
-        if self.rows != other.rows:
-            raise ValueError("row mismatch in hstack")
-        rows = [a + b for a, b in zip(self.to_rows(), other.to_rows())]
-        return IntMatrix.from_rows(rows, cols=self.cols + other.cols)
 
     def __eq__(self, other) -> bool:
         return (
@@ -502,8 +493,10 @@ def quotient(ambient_rank: int, relations: IntMatrix) -> IntMatrix:
         raise ValueError("the quotient has torsion: Smith invariants %r" % (tuple(diag),))
     # canonical representatives: reduce modulo the relation lattice.  Any
     # echelon basis will do: two vectors in [0, pivot) at every pivot that
-    # differ by a relation are equal, so the upward reduction is not needed
-    rel_basis = _echelon(relations.to_columns())
+    # differ by a relation are equal, so the upward reduction is not needed.
+    # Last first, as in smoothing._quotient_by: kernel_basis orders its classes
+    # by the column they end in, and the forward order spreads fill to every row
+    rel_basis = _echelon(relations.to_columns()[::-1])
     section_cols = [_reduce(c, rel_basis)[1] for c in inverse_cols[len(diag) :]]
     return IntMatrix.from_columns(section_cols, rows=ambient_rank)
 

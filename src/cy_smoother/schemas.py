@@ -19,7 +19,8 @@ hostile input: at most MAX_CENTERS centers per component, a K3 lattice
 of rank at most MAX_K3_RANK, and integers of absolute value at most
 MAX_ENTRY in the Gram matrix, the polarization and the centers.  Larger
 inputs are rejected, and so is a field that the schema does not name, so
-that a misspelt key is never silently ignored.  Every rejection is a
+that a misspelt key is never silently ignored, and a key repeated in one
+object, whose last value would win.  Every rejection is a
 ValueError whose message starts with the location: the file path for
 invalid JSON, else a path such as "Y1.centers[0]" ("$" is the top
 level, "Y1" the component that ``build_component`` rejected).
@@ -32,7 +33,7 @@ from json.encoder import encode_basestring_ascii as _encode_str
 from pathlib import Path
 from typing import Iterable
 
-from .catalog import find_family
+from .catalog import find_family, unique_keys
 from .components import BlownComponent, FanoFamily, build_component
 from .exact_lattice import IntMatrix
 from .invariant_forms import CubicTensor
@@ -185,7 +186,9 @@ def parse_tensor(raw, location: str = "$") -> CubicTensor:
         idx = _parse_entry_key(str(key), location + ".entries")
         _expect(isinstance(val, int) and not isinstance(val, bool),
                 "entry %r must be an integer" % key, location + ".entries")
-        entries[idx] = val
+        if entries.setdefault(idx, val) != val:  # one index spelt two ways
+            raise _located("conflicting values for symmetric entry %r" % (tuple(sorted(idx)),),
+                           location)
     try:
         return CubicTensor(rank, entries)
     except ValueError as exc:
@@ -280,10 +283,10 @@ def _json_text(obj, newline: str) -> str:
 def _load_json(path):
     p = Path(path)
     try:
-        text = p.read_text(encoding="utf-8")
+        text = p.read_text(encoding="utf-8-sig")  # a leading BOM is dropped
     except OSError as exc:
         raise _located("cannot read file %s: %s" % (p, exc.strerror), "$") from exc
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=unique_keys)
     except ValueError as exc:  # JSONDecodeError, or an int past the digit limit
         raise _located("invalid JSON: %s" % exc, str(p)) from exc

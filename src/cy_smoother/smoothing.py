@@ -192,9 +192,9 @@ def check_smoothability(model: NormalCrossingModel) -> tuple[HypothesisVerdict, 
 
     v3 = _kahler_verdict(model)
 
-    # D_{Y1}|_D + D_{Y2}|_D, one row of the joint restriction map at a time
-    joint, D_pair = y1.restriction.hstack(y2.restriction), y1.D_class + y2.D_class
-    rsum = [_dot(row, D_pair) for row in joint.to_rows()]
+    # D_{Y1}|_D + D_{Y2}|_D, each side restricted by its own map, one row at a time
+    rsum = [_dot(a, y1.D_class) + _dot(b, y2.D_class)
+            for a, b in zip(y1.restriction.to_rows(), y2.restriction.to_rows())]
     dss = all(x == 0 for x in rsum)
     v4 = HypothesisVerdict(
         "d_semistability",
@@ -448,15 +448,12 @@ def _check_riemann_roch(tensor: CubicTensor, c2: tuple[int, ...]) -> None:
         )
 
 
-def joint_restriction_rank(model: NormalCrossingModel) -> int:
-    """Rank of the image of H^2(Y1) + H^2(Y2) -> Pic(D)."""
-    return matrix_rank(model.y1.restriction.hstack(model.y2.restriction))
-
-
 def hodge_numbers(model: NormalCrossingModel) -> tuple[int, int, int]:
     """(h11, h12, euler) of the smoothing."""
     y1, y2 = model.components
-    k = joint_restriction_rank(model)
+    # k: rank of the image of H^2(Y1) + H^2(Y2) -> Pic(D).  Both restriction
+    # maps send H to h and e_i to the center c_i, so the image is spanned by these
+    k = matrix_rank(IntMatrix.from_rows([model.k3.polarization, *y1.centers, *y2.centers]))
     h11 = y1.h2_rank + y2.h2_rank - k - 1
     h12 = 21 + y1.h12 + y2.h12 - k
     return h11, h12, 2 * (h11 - h12)

@@ -28,7 +28,7 @@ class K3Model(namedtuple("K3Model", "gram class_names polarization")):
 
     def __new__(cls, gram: IntMatrix, class_names: tuple[str, ...], polarization: PicardVector):
         self = super().__new__(cls, gram, class_names, polarization)
-        if not gram.is_square():
+        if gram.rows != gram.cols:
             raise ValueError("Gram matrix must be square")
         n, rows = gram.rows, gram.to_rows()
         if len(class_names) != n:

@@ -50,7 +50,7 @@ def matmul(A, B):
     return [[sum(a * B[k][j] for k, a in enumerate(row)) for j in range(cols)] for row in A]
 
 
-def hstack(A, B):
+def augment(A, B):
     """(A | B): the rows of A and B side by side."""
     return [list(a) + list(b) for a, b in zip(A, B)]
 
@@ -121,7 +121,7 @@ def spans(M):
 
 def same_lattice(A, B):
     """True iff the columns of A and of B (one row count) span the same lattice."""
-    AB = hstack(A, B)
+    AB = augment(A, B)
     r = rank(AB)
     return rank(A) == rank(B) == r and minors_gcd(A, r) == minors_gcd(B, r) == minors_gcd(AB, r)
 

@@ -439,6 +439,24 @@ HUGE = "9" * 5000
         ("cat.json",
          '[{"id": "P3", "b2": 1, "index": 4, "minus_K_cubed": 64, "h12": 0, "extra": 1}]',
          SEARCH, "catalog row 1 has unknown field 'extra'"),
+        # JSON keeps the last value of a repeated key: each of these used to exit 0
+        ("doc.json", '{"k3": {"gram": [[4]], "classes": ["h"], "polarization": [1]}, '
+         '"Y1": {"base": "P3", "centers": [[5]], "centers": [[3]]}, '
+         '"Y2": {"base": "P3", "centers": [[3]]}}', ["smooth", "{path}"],
+         "{path}: invalid JSON: duplicate key 'centers'"),
+        ("cat.json", '[{"id": "P3", "b2": 1, "index": 4, "minus_K_cubed": 64, "h12": 7, '
+         '"h12": 0}]', SEARCH, "{path}: catalog JSON is malformed: duplicate key 'h12'"),
+        ("t.json", '{"rank": 3, "entries": {"111": 1, "111": 2}}', CUBIC,
+         "{path}: invalid JSON: duplicate key '111'"),
+        ("cat.csv", CSV_HEADER.replace("\n", ",h12\n") + "P3,1,4,64,7,0\n", SEARCH,
+         "{path}: catalog header names field 'h12' twice"),
+        ("t.json", '{"rank": 3, "entries": {"123": 1, "1,2,3": 5}}', CUBIC,
+         "$: conflicting values for symmetric entry (1, 2, 3)"),
+        # a byte order mark is skipped, so the header and rows are read
+        ("cat.csv", "\ufeff" + CSV_HEADER + "A,1,3,18,0\n", WITH_CATALOG,
+         "catalog row 2 is malformed: family 'A': a rank-one base needs index^3 | -K^3"),
+        ("t.json", '\ufeff{"rank": 3, "entries": {"1a1": 1}}', CUBIC,
+         "$.entries: bad tensor index key '1a1'"),
     ],
     ids=["unknown-base", "tensor-key-letter", "tensor-key-two-indices",
          "tensor-conflicting-symmetric", "tensor-unknown-field", "aronhold-rank",
@@ -447,15 +465,41 @@ HUGE = "9" * 5000
          "catalog-header-typo-no-rows", "catalog-header-typo", "catalog-short-row",
          "catalog-blank-json", "catalog-json-missing-key", "catalog-json-row-not-object",
          "catalog-long-row", "catalog-json-null-id", "catalog-json-blank-id",
-         "catalog-csv-blank-id", "catalog-csv-unknown-column", "catalog-json-unknown-key"],
+         "catalog-csv-blank-id", "catalog-csv-unknown-column", "catalog-json-unknown-key",
+         "smooth-repeated-key", "catalog-json-repeated-key", "tensor-repeated-key",
+         "catalog-csv-repeated-column", "tensor-index-spelt-two-ways", "catalog-csv-bom",
+         "tensor-bom"],
 )
 def test_bad_input_exit_2(capsys, tmp_path, name, text, argv, message):
     path = tmp_path / name
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     code, out, err = run(capsys, *(a.format(path=path) for a in argv))
     assert code == 2
     assert out == ""
     assert message.format(path=path) in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["smooth", str(EXAMPLES / "pair1_a.json")],
+        ["invariants", "cubic", "--file", str(EXAMPLES / "mu_tensor.json")],
+        ["fano", "search", "--catalog", str(resources.files("cy_smoother")
+                                            .joinpath("data/fano_catalog.csv"))],
+        ["fano", "search", "--catalog", "cat.json"],
+    ],
+    ids=["degeneration", "tensor", "catalog-csv", "catalog-json"],
+)
+def test_bom_file_reads_as_its_plain_copy(capsys, tmp_path, argv):
+    # spreadsheet exports start with a UTF-8 byte order mark (RFC 8259 section 8.1)
+    (tmp_path / "cat.json").write_text(
+        '[{"id": "P3", "b2": 1, "index": 4, "minus_K_cubed": 64, "h12": 0}]', encoding="utf-8")
+    plain = tmp_path / argv[-1]  # an absolute argv[-1] replaces tmp_path
+    bom = tmp_path / ("bom" + plain.suffix)
+    bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    expected = run(capsys, *argv[:-1], str(plain))
+    assert expected[0] == 0
+    assert run(capsys, *argv[:-1], str(bom)) == expected
 
 
 @pytest.mark.xfail(

@@ -68,7 +68,7 @@ def check_quotient(n: int, R: IntMatrix) -> IntMatrix | None:
         return None
     sec = quotient(n, R)
     assert sec.shape == (n, n - ref.rank(rows))
-    assert ref.spans(ref.hstack(rows, sec.to_rows()))
+    assert ref.spans(ref.augment(rows, sec.to_rows()))
     return sec
 
 
@@ -127,7 +127,6 @@ class TestIntMatrixEntries:
         derived = [
             M,
             N,
-            M.hstack(M),
             H,
             kernel_basis(M),
             *smith_normal_form(M),
@@ -510,7 +509,7 @@ class TestFiberProduct:
                 assert A.mul_vector(v[: A.cols]) == B.mul_vector(v[A.cols :])
             assert all(not any(v[A.cols :]) for v in vert1)
             assert all(not any(v[: A.cols]) for v in vert2)
-            stacked = ref.hstack(A.to_rows(), ref.neg(B.to_rows()))
+            stacked = ref.augment(A.to_rows(), ref.neg(B.to_rows()))
             K = ref.from_columns(vecs, A.cols + B.cols)
             assert is_zero(ref.matmul(stacked, K))
             assert len(vecs) == A.cols + B.cols - ref.rank(stacked)

@@ -26,7 +26,7 @@ def test_products_and_shapes():
     assert ref.matmul(A, [[1, 0, -1], [0, 1, 2]]) == [[1, 2, 3], [3, 4, 5], [5, 6, 7]]
     assert ref.matmul(A, ref.identity(2)) == A
     assert ref.matmul([[], []], []) == [[], []]  # 2 x 0 times 0 x 0
-    assert ref.hstack(A, [[7], [8], [9]]) == [[1, 2, 7], [3, 4, 8], [5, 6, 9]]
+    assert ref.augment(A, [[7], [8], [9]]) == [[1, 2, 7], [3, 4, 8], [5, 6, 9]]
     assert ref.neg(A) == [[-1, -2], [-3, -4], [-5, -6]]
 
 

@@ -62,6 +62,14 @@ class TestTensorKeys:
         assert parse_tensor(tensor_to_dict(t)) == t
         assert parse_tensor(json.loads(dump_json(tensor_to_dict(t)))) == t
 
+    def test_one_index_spelt_two_ways(self):
+        # digits and commas name one index, as permutations do: equal values agree
+        t = parse_tensor({"rank": 3, "entries": {"123": 5, "1,2,3": 5, "3,2,1": 5}})
+        assert t.entries == {(1, 2, 3): 5}
+        with pytest.raises(ValueError, match=r"^\$: conflicting values for symmetric entry "
+                                             r"\(1, 2, 3\)$"):
+            parse_tensor({"rank": 3, "entries": {"123": 1, "1,2,3": 5}})
+
     @pytest.mark.parametrize("rank", [True, False, -1, 3.0, "3"])
     def test_rank_must_be_a_nonnegative_integer(self, rank):
         # bool is an int subclass, rejected like the entry values

@@ -36,7 +36,6 @@ from cy_smoother.smoothing import (
     compute_rg4_and_consur,
     cubic_form,
     hodge_numbers,
-    joint_restriction_rank,
     move_top_center,
 )
 from cy_smoother.surface import K3Model, genus_from_square, intersect
@@ -120,7 +119,7 @@ class TestRG2:
         for centers1, centers2 in ([], [(8,)]), ([(5,)], [(3,)]), ([(2,)], [(5,), (1,)]):
             m = make_model(quartic, centers1, centers2)
             rg2 = compute_rg2(m)
-            k = joint_restriction_rank(m)
+            k = ref.rank(ref.augment(m.y1.restriction.to_rows(), m.y2.restriction.to_rows()))
             assert rg2.rank == m.y1.h2_rank + m.y2.h2_rank - k - 1
 
     def test_generic_fallback_without_unit_coordinate(self):
@@ -532,6 +531,16 @@ class TestHodge:
         assert hodge_numbers(pair1_a) == (2, 90, -176)
         assert hodge_numbers(pair1_b) == (2, 90, -176)
         assert hodge_numbers(triple_mu) == (3, 83, -160)
+
+    @pytest.mark.parametrize("make", RANDOM_MODELS)
+    def test_random_models_against_reference(self, rng, make):
+        # k is the rank of the joint restriction (R1 | R2), read by the reference
+        for _ in range(12):
+            m = make(rng)
+            k = ref.rank(ref.augment(m.y1.restriction.to_rows(), m.y2.restriction.to_rows()))
+            h11, h12, euler = hodge_numbers(m)
+            assert h11 == m.y1.h2_rank + m.y2.h2_rank - k - 1 == compute_rg2(m).rank
+            assert (h12, euler) == (21 + m.y1.h12 + m.y2.h12 - k, 2 * (h11 - h12))
 
 
 class TestMoveTop:
