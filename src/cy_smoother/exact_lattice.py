@@ -1,9 +1,10 @@
 """Exact integer linear algebra over finitely generated abelian groups.
 
 Everything here works with Python's arbitrary-precision integers; no
-floating point is ever involved.  The private steps take and return plain
-row lists; an ``IntMatrix`` is built only where a public function returns
-one.  One gcd row elimination, ``echelon_rows``, is behind every
+floating point is ever involved.  ``IntMatrix`` is the validated argument
+type of the public functions and nothing else: the steps pass plain row
+lists, and every result is plain values (a basis is a list of its
+vectors).  One gcd row elimination, ``echelon_rows``, is behind every
 factorization and the RG^4 Gram display.  One echelon form with a
 unimodular transform per map (``_factor``) gives its saturated kernel,
 canonical solving and its image basis; ``fiber_product`` factors each of
@@ -82,31 +83,12 @@ class IntMatrix:
 
     # -- access ----------------------------------------------------------------
 
-    def __getitem__(self, idx: tuple[int, int]) -> int:
-        i, j = idx
-        if not (0 <= i < self.rows and 0 <= j < self.cols):
-            raise IndexError(idx)
-        return self.entries[i * self.cols + j]
-
-    def row(self, i: int) -> tuple[int, ...]:
-        if not 0 <= i < self.rows:
-            raise IndexError(i)
-        return self.entries[i * self.cols : (i + 1) * self.cols]
-
-    def column(self, j: int) -> tuple[int, ...]:
-        if not 0 <= j < self.cols:
-            raise IndexError(j)
-        return self.entries[j :: self.cols]
-
     def to_rows(self) -> list[list[int]]:
-        return [list(self.row(i)) for i in range(self.rows)]
+        m = self.cols
+        return [list(self.entries[i * m : (i + 1) * m]) for i in range(self.rows)]
 
     def to_columns(self) -> list[list[int]]:
-        return [list(self.column(j)) for j in range(self.cols)]
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.rows, self.cols)
+        return [list(self.entries[j :: self.cols]) for j in range(self.cols)]
 
     # -- arithmetic --------------------------------------------------------------
 
@@ -123,7 +105,7 @@ class IntMatrix:
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, IntMatrix)
-            and self.shape == other.shape
+            and (self.rows, self.cols) == (other.rows, other.cols)
             and self.entries == other.entries
         )
 
@@ -217,8 +199,8 @@ def _smith(R: list[list[int]], n: int, m: int) -> list[list[int]]:
     return W
 
 
-def smith_normal_form(M: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """Smith normal form with transforms: returns (U, S, V) with S = U*M*V.
+def smith_normal_form(M: IntMatrix) -> tuple[list[list[int]], ...]:
+    """Smith normal form with transforms: returns the rows of (U, S, V) with S = U*M*V.
 
     U and V are unimodular, S is diagonal with nonnegative entries in a
     divisibility chain d_i | d_{i+1}.  Total function; deterministic pivot
@@ -231,11 +213,7 @@ def smith_normal_form(M: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     n, m = M.rows, M.cols
     R = [a + u for a, u in zip(M.to_rows(), _identity_rows(n))] + _identity_rows(m)
     _smith(R, n, m)
-    return (
-        IntMatrix.from_rows([r[m:] for r in R[:n]], cols=n),
-        IntMatrix.from_rows([r[:m] for r in R[:n]], cols=m),
-        IntMatrix.from_rows(R[n:], cols=m),
-    )
+    return [r[m:] for r in R[:n]], [r[:m] for r in R[:n]], R[n:]
 
 
 # ---------------------------------------------------------------------------
@@ -317,9 +295,9 @@ def _hnf_rows(vectors) -> list[list[int]]:
     return A[: len(pivots)]
 
 
-def hermite_row_form(M: IntMatrix) -> IntMatrix:
-    """Row-style Hermite normal form H of M, zero rows dropped (see ``_hnf_rows``)."""
-    return IntMatrix.from_rows(_hnf_rows(M.to_rows()), cols=M.cols)
+def hermite_row_form(M: IntMatrix) -> list[list[int]]:
+    """Rows of the row-style Hermite normal form H of M, zero rows dropped (see ``_hnf_rows``)."""
+    return _hnf_rows(M.to_rows())
 
 
 def rank(M: IntMatrix) -> int:
@@ -389,8 +367,8 @@ def _preimage(H: list[list[int]], T: list[list[int]], b: Sequence[int]) -> tuple
     return tuple(x)
 
 
-def kernel_basis(M: IntMatrix) -> IntMatrix:
-    """Canonical basis (as columns) of the saturated kernel {x : Mx = 0}.
+def kernel_basis(M: IntMatrix) -> list[list[int]]:
+    """Canonical basis of the saturated kernel {x : Mx = 0}, a list of vectors.
 
     One row q whose first nonzero entry q_k divides every entry has its
     basis in closed form: e_c for c < k and e_c - (q_c / q_k) e_k for
@@ -408,8 +386,8 @@ def kernel_basis(M: IntMatrix) -> IntMatrix:
                     v = [0] * M.cols
                     v[c], v[k] = 1, -(q[c] // q[k])
                     basis.append(v)
-            return IntMatrix.from_columns(basis, rows=M.cols)
-    return IntMatrix.from_columns(_kernel(*_factor(M.to_columns())), rows=M.cols)
+            return basis
+    return _kernel(*_factor(M.to_columns()))
 
 
 def solve_exact(M: IntMatrix, b: Sequence[int]) -> tuple[int, ...] | None:
@@ -439,11 +417,11 @@ def _intersect(U, V) -> list[list[int]]:
     return _hnf_rows(C[len(echelon_rows(A, C)) :])
 
 
-def intersect_column_lattices(A: IntMatrix, B: IntMatrix) -> IntMatrix:
-    """Canonical basis (columns) of (column span of A) n (column span of B)."""
+def intersect_column_lattices(A: IntMatrix, B: IntMatrix) -> list[list[int]]:
+    """Canonical basis of (column span of A) n (column span of B), a list of vectors."""
     if A.rows != B.rows:
         raise ValueError("ambient dimension mismatch")
-    return IntMatrix.from_columns(_intersect(A.to_columns(), B.to_columns()), rows=A.rows)
+    return _intersect(A.to_columns(), B.to_columns())
 
 
 def fiber_product(A: IntMatrix, B: IntMatrix):
@@ -472,19 +450,15 @@ def fiber_product(A: IntMatrix, B: IntMatrix):
 # ---------------------------------------------------------------------------
 
 
-def quotient(ambient_rank: int, relations: IntMatrix) -> IntMatrix:
-    """Canonical section of Z^ambient_rank modulo the column span of ``relations``.
+def quotient(relations: IntMatrix) -> list[list[int]]:
+    """Canonical section of Z^n modulo the column span of ``relations``, n = relations.rows.
 
     The quotient must be free: a Smith invariant above 1 raises
-    ``ValueError`` naming the invariants.  The section's columns lift a
-    basis of the quotient to the ambient lattice, and together with the
-    relations they span it.  Each column is reduced modulo the relation
-    lattice, so the lift is canonical.
+    ``ValueError`` naming the invariants.  The section is a list of
+    vectors that lift a basis of the quotient to the ambient lattice, and
+    together with the relations they span it.  Each is reduced modulo the
+    relation lattice, so the lift is canonical.
     """
-    if relations.rows != ambient_rank:
-        raise ValueError(
-            "relations have %d rows, ambient rank is %d" % (relations.rows, ambient_rank)
-        )
     S = relations.to_rows()
     # no companions: only U^-1's columns are read, not U or V
     inverse_cols = _smith(S, relations.rows, relations.cols)
@@ -497,8 +471,7 @@ def quotient(ambient_rank: int, relations: IntMatrix) -> IntMatrix:
     # Last first, as in smoothing._quotient_by: kernel_basis orders its classes
     # by the column they end in, and the forward order spreads fill to every row
     rel_basis = _echelon(relations.to_columns()[::-1])
-    section_cols = [_reduce(c, rel_basis)[1] for c in inverse_cols[len(diag) :]]
-    return IntMatrix.from_columns(section_cols, rows=ambient_rank)
+    return [_reduce(c, rel_basis)[1] for c in inverse_cols[len(diag) :]]
 
 
 def sign_normalize_column(col: Sequence[int]) -> tuple[int, ...]:

@@ -234,7 +234,7 @@ def report_to_dict(report: SmoothingReport) -> dict:
         else tensor_to_dict(report.cubic_tensor),
         "c2_covector": None if report.c2_covector is None else list(report.c2_covector),
         "consur_unimodular": report.consur_unimodular,
-        "consur_gram": None if report.consur_gram is None else report.consur_gram.to_rows(),
+        "consur_gram": None if report.consur_gram is None else list(map(list, report.consur_gram)),
     }
     return out
 

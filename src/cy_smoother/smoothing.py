@@ -31,9 +31,11 @@ Lifts.  An RG^2 generator is one stacked vector (l1 | l2) in H^2(Y1) +
 H^2(Y2).  Every step that reads the lifts (the RG^4 pairing rows, the
 cubic and c2 forms, the reported generators) splits them with
 ``_halves``, which length-checks each half once; the products between
-steps are plain dot products.  ``IntMatrix`` appears only where a public
-``exact_lattice`` call takes one, to map a quotient section back to the
-ambient lattice, and for the reported Gram.
+steps are plain dot products.  ``IntMatrix`` appears only as the argument
+of an ``exact_lattice`` call (``kernel_basis``, ``solve_exact``,
+``quotient``, ``rank``), whose results are plain lists of vectors; a
+quotient section is mapped back to the ambient lattice by dot products with
+the basis's coordinate rows, and the reported Gram is a tuple of rows.
 """
 
 from __future__ import annotations
@@ -132,12 +134,12 @@ def _choose_drop(basis, w_coords, n_diag):
     return candidates[-1]
 
 
-def _quotient_by(basis, relations: IntMatrix, n_diag: int):
-    """Generators of span(basis) modulo relations given in basis coordinates.
+def _quotient_by(basis, relations, n_diag: int):
+    """Generators of span(basis) modulo relations, a list of vectors in basis coordinates.
 
     Returns (generators, dropped index).  With one relation that has
     a unit coordinate the element chosen by _choose_drop is removed.
-    Otherwise each column of the generic quotient's section is mapped back
+    Otherwise each vector of the generic quotient's section is mapped back
     to the ambient lattice as that combination of the basis (index -1).
 
     Corank one.  When the relations span a lattice of rank n - 1 whose
@@ -147,23 +149,23 @@ def _quotient_by(basis, relations: IntMatrix, n_diag: int):
     c e_j, and c = +-1 as it spans the quotient.  Its image, sign-normalized,
     is basis[j], with no Smith form taken.
     """
-    if relations.cols == 1:
-        drop = _choose_drop(basis, relations.column(0), n_diag)
+    if len(relations) == 1:
+        drop = _choose_drop(basis, relations[0], n_diag)
         if drop is not None:
             gens = tuple(v for i, v in enumerate(basis) if i != drop)
             return gens, drop
-    if relations.cols == len(basis) - 1:
+    if len(relations) == len(basis) - 1:
         # last first: kernel_basis lists its classes by the column they end
         # in, and a unit pivot that ends last leaves its fill past the
         # pivots of the rows it clears
-        A = [list(c) for c in reversed(relations.to_columns())]
+        A = [list(c) for c in reversed(relations)]
         pivots = echelon_rows(A, [[] for _ in A])
         if len(pivots) == len(A) and all(A[i][c] == 1 for i, c in enumerate(pivots)):
             (j,) = set(range(len(basis))).difference(pivots)
             return (sign_normalize_column(basis[j]),), -1
-    section = quotient(len(basis), relations)
-    B = IntMatrix.from_columns(basis)
-    return tuple(sign_normalize_column(B.mul_vector(c)) for c in section.to_columns()), -1
+    section = quotient(IntMatrix.from_columns(relations, rows=len(basis)))
+    coords = list(zip(*basis))
+    return tuple(sign_normalize_column([_dot(r, c) for r in coords]) for c in section), -1
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +258,7 @@ def compute_rg2(model: NormalCrossingModel) -> RG2Result:
         raise InternalInconsistencyError(
             "(D, -D) is not a fiber-product class; d-semistability must be violated"
         )
-    gens, drop = _quotient_by(basis, IntMatrix.from_columns([wc]), len(diag))
+    gens, drop = _quotient_by(basis, [wc], len(diag))
     return RG2Result(gens, tuple(basis), w, drop)
 
 
@@ -266,8 +268,8 @@ def compute_rg2(model: NormalCrossingModel) -> RG2Result:
 
 
 class RG4Result(namedtuple("RG4Result", "generators gram unimodular")):
-    """generators: stacked (H^4(Y1) | H^4(Y2)); gram: the RG^2 x RG^4 pairing
-    (IntMatrix); unimodular: whether it has determinant +-1."""
+    """generators: stacked (H^4(Y1) | H^4(Y2)); gram: the RG^2 x RG^4 pairing,
+    one tuple row per RG^2 generator; unimodular: whether it has determinant +-1."""
 
     __slots__ = ()
 
@@ -369,8 +371,7 @@ def compute_rg4_and_consur(model: NormalCrossingModel, rg2: RG2Result) -> RG4Res
     cols, gv = [[_dot(p, g) for p in P] for g in gens], [list(g) for g in gens]
     pivots = echelon_rows(cols, gv)
     unimodular = len(pivots) == len(P) and all(c[i] == 1 for i, c in enumerate(cols))
-    gram = IntMatrix.from_columns(cols, rows=len(P))
-    return RG4Result(tuple(map(tuple, gv)), gram, unimodular)
+    return RG4Result(tuple(map(tuple, gv)), tuple(zip(*cols)), unimodular)
 
 
 # ---------------------------------------------------------------------------
@@ -504,9 +505,9 @@ class SmoothingReport(
     )
 ):
     """The whole pipeline's result.  picard_generators are (l1, l2) lift
-    pairs; cubic_tensor (CubicTensor), c2_covector, consur_unimodular and
-    consur_gram (IntMatrix) are None when d-semistability fails, and
-    picard_rank is then -1."""
+    pairs and consur_gram is a tuple of rows; cubic_tensor (CubicTensor),
+    c2_covector, consur_unimodular and consur_gram are None when
+    d-semistability fails, and picard_rank is then -1."""
 
     __slots__ = ()
 

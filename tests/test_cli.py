@@ -235,6 +235,9 @@ class TestSmooth:
         # a blank line separates the dict items of a list at every depth
         (["smooth", "{examples}/quick.json"], 0,
          ["\n  key:          h1_vanishing", "euler:              -296"]),
+        # the Gram is a list of lists: each row is an item, a blank line between rows
+        (["smooth", "{examples}/pair1_a.json"], 0,
+         ["consur_gram:\n  - 1\n  - 0\n\n  - 1\n  - 1"]),
         (["move-top", "{examples}/pair1_a.json", "--from", "2"], 0, ["    - 5"]),
         (["fano", "search", "--rank-one"], 0, ["count:          26"]),
         (["fano", "cy", "--v1", "X22", "--v2", "MM-12.3-15"], 0, ["h12:              68"]),
@@ -248,8 +251,8 @@ class TestSmooth:
         (["smooth", "{doc}"], 3,
          ["hypotheses_ok:      False", "smoothing hypotheses failed: d_semistability"]),
     ],
-    ids=["smooth", "move-top", "fano-search", "fano-cy", "fano-groups", "invariants-cubic",
-         "invariants-rr", "smooth-exit-3"],
+    ids=["smooth", "smooth-gram", "move-top", "fano-search", "fano-cy", "fano-groups",
+         "invariants-cubic", "invariants-rr", "smooth-exit-3"],
 )
 def test_table_format_every_subcommand(monkeypatch, tmp_path, argv, code, lines):
     doc = tmp_path / "not_d_semistable.json"
@@ -504,15 +507,21 @@ def test_bom_file_reads_as_its_plain_copy(capsys, tmp_path, argv):
 
 @pytest.mark.xfail(
     strict=True, raises=AssertionError,
-    reason="ROADMAP items 2 and 11: h is not tested for ampleness",
+    reason="ROADMAP items 2, 11 and 14: neither the ampleness of h nor an isotropic class "
+           "of h-degree 1 or 2 is tested",
 )
 @pytest.mark.parametrize(
     "gram, y1, y2",
     [
         # h is orthogonal to the (-2)-root e, so h is not ample: h11 = 2, h12 = 86
         ([[4, 0], [0, -2]], [[4, 0]], [[4, 0]]),
+        # x.x = 0 and h.x = 2: x would be an elliptic curve of degree 2 in P3,
+        # and there is none: h11 = 1, h12 = 133
+        ([[4, 2], [2, 0]], [[0, 1]], [[8, -1]]),
+        # the same with h.x = 1, a unigonal quartic: h11 = 1, h12 = 141
+        ([[4, 1], [1, 0]], [[0, 1]], [[8, -1]]),
     ],
-    ids=["polarization-not-ample"],
+    ids=["polarization-not-ample", "hyperelliptic-quartic", "unigonal-quartic"],
 )
 def test_known_wrong_report_exit_3(capsys, tmp_path, gram, y1, y2):
     doc = tmp_path / "wrong.json"
