@@ -36,9 +36,8 @@ import math
 import operator
 from collections import namedtuple
 
-from .exact_lattice import IntMatrix
 # bench/test_bench.py checks that its tracer rebinds ``intersect`` here
-from .surface import K3Model, genus_from_square, intersect  # noqa: F401
+from .surface import K3Model, genus_from_square, gram_image, intersect  # noqa: F401
 
 
 class FanoFamily(
@@ -94,17 +93,22 @@ P3 = FanoFamily("P3", b2=1, index=4, minus_K_cubed=64, h12=0)
 class BlownComponent(
     namedtuple(
         "BlownComponent",
-        "base k3 centers degrees genera mutual e_cubed c2_covector D_class restriction",
+        "base k3 centers degrees genera mutual e_cubed c2_covector D_class",
     )
 ):
     """One component Y of the normal crossing, fully populated.
 
     Fields: base (FanoFamily), k3 (K3Model), centers (PicardVector per
     center), degrees h.c_i, genera g_i, mutual c_i.c_j, e_cubed e_i^3,
-    c2_covector, D_class and restriction (IntMatrix H^2(Y) -> Pic(D)).
+    c2_covector and D_class.
     """
 
     __slots__ = ()
+
+    @property
+    def restriction(self) -> tuple[tuple[int, ...], ...]:
+        """The restriction map H^2(Y) -> Pic(D) as its columns (h, c_1, ..., c_s)."""
+        return (self.k3.polarization,) + self.centers
 
     @property
     def h2_rank(self) -> int:
@@ -148,10 +152,9 @@ def build_component(base: FanoFamily, D: K3Model, centers) -> BlownComponent:
     s = len(centers_t)
     r = base.index
 
-    restriction = IntMatrix.from_columns([h] + list(centers_t), rows=D.rank)
     # one Gram image per center (h's is taken by the degree check, and by the
     # (-2)-class check below): every h.c_i and c_i.c_j is a dot product with one
-    images = [D.gram.mul_vector(c) for c in centers_t]
+    images = [gram_image(D.gram, c) for c in centers_t]
     degrees = tuple(sum(map(operator.mul, h, im)) for im in images)
     for i, d in enumerate(degrees):
         if d <= 0:
@@ -168,8 +171,8 @@ def build_component(base: FanoFamily, D: K3Model, centers) -> BlownComponent:
                 )
     # A declared (-2)-class e with x = h.e != 0 makes sign(x) e effective, so
     # an irreducible curve c with h.c > |x| meets it nonnegatively.
-    roots = [j for j, g in enumerate(D.gram.entries[:: D.rank + 1]) if g == -2]
-    hx = D.gram.mul_vector(h) if roots else ()
+    roots = [j for j, row in enumerate(D.gram) if row[j] == -2]
+    hx = gram_image(D.gram, h) if roots else ()
     for j in roots:
         x = hx[j]
         for i, im in enumerate(images):
@@ -205,7 +208,6 @@ def build_component(base: FanoFamily, D: K3Model, centers) -> BlownComponent:
         e_cubed=e_cubed,
         c2_covector=tuple(c2),
         D_class=D_class,
-        restriction=restriction,
     )
 
 

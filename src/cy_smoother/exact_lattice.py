@@ -1,119 +1,33 @@
 """Exact integer linear algebra over finitely generated abelian groups.
 
-Everything here works with Python's arbitrary-precision integers; no
-floating point is ever involved.  ``IntMatrix`` is the validated argument
-type of the public functions and nothing else: the steps pass plain row
-lists, and every result is plain values (a basis is a list of its
-vectors).  One gcd row elimination, ``echelon_rows``, is behind every
-factorization and the RG^4 Gram display.  One echelon form with a
-unimodular transform per map (``_factor``) gives its saturated kernel,
-canonical solving and its image basis; ``fiber_product`` factors each of
-its two maps once, and a lattice intersection eliminates the stacked
-generators once.  Ranks read the echelon form alone.  The row-style
-Hermite normal form (HNF, ``_hnf_rows``) is taken only where a canonical
-basis is read: ``_canonical`` (kernels), the result of an intersection
-and ``hermite_row_form``; the kernel of one row whose first nonzero entry
-divides the row is that HNF in closed form.
-One Smith normal form (SNF) elimination, ``_smith``, carries U^-1 along
-and is behind both ``smith_normal_form`` and ``quotient``: a canonical
-section of the free quotient of Z^n by a relation lattice, read from
-U^-1's trailing columns.  A quotient with torsion raises; every result is
-modulo torsion, and both quotients the smoothing takes are by saturated
-lattices.
+Python ints only, no floating point.  Matrices are plain lists of vectors
+in and out: a map as its columns, a matrix to normalize as its rows, a
+basis as its vectors.  Vectors of unequal length raise ``ValueError``
+(``_rows``); an empty list has no length, so ``smith_normal_form`` takes
+its column count and ``quotient`` its ambient rank.  Callers make entries
+ints where input enters.
 
-Canonical forms matter: kernels and quotient sections are normalized so
-that repeated runs (and golden tests) see byte-identical output.
+One gcd row elimination, ``echelon_rows``, is behind every factorization
+and the RG^4 Gram display.  One echelon form with a unimodular transform
+per map (``_factor``) gives its saturated kernel, canonical solving and
+its image basis; ``fiber_product`` factors each of its two maps once, and
+a lattice intersection eliminates the stacked generators once.  Ranks
+read the echelon form alone.  The row-style Hermite normal form (HNF,
+``_hnf_rows``) is taken only where a canonical basis is read: kernels
+(``_canonical``), the result of an intersection and ``hermite_row_form``;
+the kernel of one row whose first nonzero entry divides the row is that
+HNF in closed form.  One Smith normal form elimination, ``_smith``,
+carries U^-1 along and is behind ``smith_normal_form`` and ``quotient``:
+a canonical section of the free quotient of Z^n by a relation lattice,
+read from U^-1's trailing columns.  A quotient with torsion raises; every
+result is modulo torsion, and both quotients the smoothing takes are by
+saturated lattices.  Canonical forms keep repeated runs (and golden
+tests) byte-identical.
 """
 
 from __future__ import annotations
 
-import operator
-from typing import Iterable, Sequence
-
-
-class IntMatrix:
-    """Immutable integer matrix, row-major entries, exact arithmetic only.
-
-    Invariant: every entry is an ``int``.  The constructor passes each
-    entry through ``operator.index``, so integer-like values (``bool``,
-    numpy integers) become ``int`` and floats or strings raise
-    ``TypeError``.
-    """
-
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, rows: int, cols: int, entries: Iterable[int]):
-        entries = tuple(map(operator.index, entries))
-        if rows < 0 or cols < 0:
-            raise ValueError("negative matrix dimensions")
-        if len(entries) != rows * cols:
-            raise ValueError(
-                "entry count %d does not match %dx%d" % (len(entries), rows, cols)
-            )
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", entries)
-
-    def __setattr__(self, name, value):  # pragma: no cover - immutability guard
-        raise AttributeError("IntMatrix is immutable")
-
-    # -- construction helpers -------------------------------------------------
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]], cols: int | None = None) -> "IntMatrix":
-        rows = [list(r) for r in rows]
-        if rows:
-            cols = len(rows[0])
-            if any(len(r) != cols for r in rows):
-                raise ValueError("ragged rows")
-        else:
-            cols = 0 if cols is None else cols
-        return cls(len(rows), cols, [e for r in rows for e in r])
-
-    @classmethod
-    def from_columns(cls, cols: Sequence[Sequence[int]], rows: int | None = None) -> "IntMatrix":
-        cols = [list(c) for c in cols]
-        if cols:
-            rows = len(cols[0])
-            if any(len(c) != rows for c in cols):
-                raise ValueError("ragged columns")
-        else:
-            rows = 0 if rows is None else rows
-        return cls(rows, len(cols), [cols[j][i] for i in range(rows) for j in range(len(cols))])
-
-    # -- access ----------------------------------------------------------------
-
-    def to_rows(self) -> list[list[int]]:
-        m = self.cols
-        return [list(self.entries[i * m : (i + 1) * m]) for i in range(self.rows)]
-
-    def to_columns(self) -> list[list[int]]:
-        return [list(self.entries[j :: self.cols]) for j in range(self.cols)]
-
-    # -- arithmetic --------------------------------------------------------------
-
-    def mul_vector(self, vec: Sequence[int]) -> tuple[int, ...]:
-        if len(vec) != self.cols:
-            raise ValueError("vector length %d, expected %d" % (len(vec), self.cols))
-        # a combination of M's columns: a zero coordinate costs nothing
-        out = [0] * self.rows
-        for k, v in enumerate(vec):
-            if v:
-                out = [a + v * e for a, e in zip(out, self.entries[k :: self.cols])]
-        return tuple(out)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, IntMatrix)
-            and (self.rows, self.cols) == (other.rows, other.cols)
-            and self.entries == other.entries
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self.entries))
-
-    def __repr__(self) -> str:
-        return "IntMatrix(%d, %d, %r)" % (self.rows, self.cols, list(self.entries))
+from typing import Sequence
 
 
 # ---------------------------------------------------------------------------
@@ -123,6 +37,15 @@ class IntMatrix:
 
 def _identity_rows(n: int) -> list[list[int]]:
     return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def _rows(vectors, length: int | None = None) -> list[list[int]]:
+    """The vectors as new lists; a length other than ``length`` (or the first one's) raises."""
+    A = [list(v) for v in vectors]
+    lengths = set(map(len, A))
+    if A and lengths != {len(A[0]) if length is None else length}:
+        raise ValueError("vectors of unequal length: %s" % sorted(lengths | {length} - {None}))
+    return A
 
 
 def _smith_pivot(R: list[list[int]], t: int, n: int, m: int) -> tuple[int, int] | None:
@@ -199,8 +122,8 @@ def _smith(R: list[list[int]], n: int, m: int) -> list[list[int]]:
     return W
 
 
-def smith_normal_form(M: IntMatrix) -> tuple[list[list[int]], ...]:
-    """Smith normal form with transforms: returns the rows of (U, S, V) with S = U*M*V.
+def smith_normal_form(rows: Sequence[Sequence[int]], m: int) -> tuple[list[list[int]], ...]:
+    """Smith normal form of the n x m matrix M with the given rows: (U, S, V) with S = U*M*V.
 
     U and V are unimodular, S is diagonal with nonnegative entries in a
     divisibility chain d_i | d_{i+1}.  Total function; deterministic pivot
@@ -210,8 +133,9 @@ def smith_normal_form(M: IntMatrix) -> tuple[list[list[int]], ...]:
     of U, followed by V's m rows: row operations reach M and U, column
     operations M and V.
     """
-    n, m = M.rows, M.cols
-    R = [a + u for a, u in zip(M.to_rows(), _identity_rows(n))] + _identity_rows(m)
+    rows = _rows(rows, m)
+    n = len(rows)
+    R = [[*a, *u] for a, u in zip(rows, _identity_rows(n))] + _identity_rows(m)
     _smith(R, n, m)
     return [r[m:] for r in R[:n]], [r[:m] for r in R[:n]], R[n:]
 
@@ -272,7 +196,7 @@ def echelon_rows(A: list[list[int]], C: list[list[int]]) -> list[int]:
 
 def _echelon(vectors) -> list[list[int]]:
     """The nonzero rows of an echelon form of the given vectors."""
-    A = [list(v) for v in vectors]
+    A = _rows(vectors)
     return A[: len(echelon_rows(A, [[] for _ in A]))]
 
 
@@ -284,7 +208,7 @@ def _hnf_rows(vectors) -> list[list[int]]:
     below a pivot never reads the rows above it, so the upward reduction
     waits until the echelon form is complete.
     """
-    A = [list(v) for v in vectors]
+    A = _rows(vectors)
     pivots = echelon_rows(A, [[] for _ in A])
     for prow, col in enumerate(pivots):
         d = A[prow][col]
@@ -295,14 +219,15 @@ def _hnf_rows(vectors) -> list[list[int]]:
     return A[: len(pivots)]
 
 
-def hermite_row_form(M: IntMatrix) -> list[list[int]]:
-    """Rows of the row-style Hermite normal form H of M, zero rows dropped (see ``_hnf_rows``)."""
-    return _hnf_rows(M.to_rows())
+def hermite_row_form(rows) -> list[list[int]]:
+    """The row-style Hermite normal form of the given rows, zero rows dropped (``_hnf_rows``)."""
+    return _hnf_rows(rows)
 
 
-def rank(M: IntMatrix) -> int:
-    """Rank of M: the pivot count of an echelon form of its shorter side."""
-    return len(_echelon(M.to_rows() if M.rows <= M.cols else M.to_columns()))
+def rank(vectors) -> int:
+    """Rank of the given vectors: the pivot count of an echelon form of the shorter side."""
+    A = _rows(vectors)
+    return len(_echelon(zip(*A) if A and len(A) > len(A[0]) else A))
 
 
 def _reduce(v: Sequence[int], rows) -> tuple[list[int], list[int]]:
@@ -333,8 +258,8 @@ def _canonical(vectors) -> list[list[int]]:
     return [h[::-1] for h in reversed(_hnf_rows(v[::-1] for v in vectors))]
 
 
-def _factor(vectors) -> tuple[list[list[int]], list[list[int]]]:
-    """H = T M^t with T unimodular and H in echelon form, for M with the given columns.
+def _factor(A: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:
+    """H = T M^t with T unimodular and H in echelon form, for M with the columns A (overwritten).
 
     Returns the rows (H, T).  One factorization serves three questions: H's
     rows are a basis of M's image, T's rows past ``len(H)`` span M's
@@ -343,14 +268,8 @@ def _factor(vectors) -> tuple[list[list[int]], list[list[int]]]:
     and T by R H and R T, R unit upper-triangular, which keeps the kernel
     rows, the image lattice and every preimage (z H = (z R^-1)(R H)).
     """
-    A = [list(v) for v in vectors]
     T = _identity_rows(len(A))
     return A[: len(echelon_rows(A, T))], T
-
-
-def _kernel(H: list[list[int]], T: list[list[int]]) -> list[list[int]]:
-    """Canonical kernel basis from the factorization (H, T) of M."""
-    return _canonical(T[len(H) :])
 
 
 def _preimage(H: list[list[int]], T: list[list[int]], b: Sequence[int]) -> tuple[int, ...] | None:
@@ -367,8 +286,8 @@ def _preimage(H: list[list[int]], T: list[list[int]], b: Sequence[int]) -> tuple
     return tuple(x)
 
 
-def kernel_basis(M: IntMatrix) -> list[list[int]]:
-    """Canonical basis of the saturated kernel {x : Mx = 0}, a list of vectors.
+def kernel_basis(columns) -> list[list[int]]:
+    """Canonical basis of the saturated kernel {x : Mx = 0} of M with the given columns.
 
     One row q whose first nonzero entry q_k divides every entry has its
     basis in closed form: e_c for c < k and e_c - (q_c / q_k) e_k for
@@ -376,30 +295,31 @@ def kernel_basis(M: IntMatrix) -> list[list[int]]:
     own c, and no other vector is nonzero there, so they are the
     reversed-order HNF that ``_canonical`` computes.
     """
-    if M.rows == 1:
-        q = M.entries
+    A = _rows(columns)
+    if A and len(A[0]) == 1:
+        q = [e for (e,) in A]
         k = next((i for i, e in enumerate(q) if e), -1)
         if k >= 0 and all(e % q[k] == 0 for e in q):
+            m = len(q)
             basis = []
-            for c in range(M.cols):
+            for c in range(m):
                 if c != k:
-                    v = [0] * M.cols
+                    v = [0] * m
                     v[c], v[k] = 1, -(q[c] // q[k])
                     basis.append(v)
             return basis
-    return _kernel(*_factor(M.to_columns()))
+    H, T = _factor(A)
+    return _canonical(T[len(H) :])
 
 
-def solve_exact(M: IntMatrix, b: Sequence[int]) -> tuple[int, ...] | None:
-    """Canonical particular integer solution of M x = b, or None.
+def solve_exact(columns, b: Sequence[int]) -> tuple[int, ...] | None:
+    """Canonical particular solution of M x = b for M with the given columns, or None.
 
     Column-echelon elimination (``_factor``) with free variables set to
     zero; the gcd pivoting prefers small leading coefficients, which keeps
     golden outputs stable.
     """
-    if len(b) != M.rows:
-        raise ValueError("rhs length mismatch")
-    return _preimage(*_factor(M.to_columns()), b)
+    return _preimage(*_factor(_rows(columns, len(b))), b)
 
 
 def _intersect(U, V) -> list[list[int]]:
@@ -417,15 +337,14 @@ def _intersect(U, V) -> list[list[int]]:
     return _hnf_rows(C[len(echelon_rows(A, C)) :])
 
 
-def intersect_column_lattices(A: IntMatrix, B: IntMatrix) -> list[list[int]]:
-    """Canonical basis of (column span of A) n (column span of B), a list of vectors."""
-    if A.rows != B.rows:
-        raise ValueError("ambient dimension mismatch")
-    return _intersect(A.to_columns(), B.to_columns())
+def intersect_column_lattices(U, V) -> list[list[int]]:
+    """Canonical basis of span(U) n span(V) for two lists of vectors, a list of vectors."""
+    U = _rows(U)
+    return _intersect(U, _rows(V, len(U[0]) if U else None))
 
 
-def fiber_product(A: IntMatrix, B: IntMatrix):
-    """Canonical basis of {(x, y) : A x = B y}, stacked as columns (x | y).
+def fiber_product(A_columns, B_columns):
+    """Canonical basis of {(x, y) : A x = B y}, stacked as (x | y), for A and B given by columns.
 
     Returns (diag, vert1, vert2), each a list of sign-normalized stacked
     vectors: diag pairs the canonical preimages of the canonical basis of
@@ -434,14 +353,16 @@ def fiber_product(A: IntMatrix, B: IntMatrix):
     the intersection is taken of their image bases, which span the same
     lattices as their columns.
     """
-    (HA, TA), (HB, TB) = _factor(A.to_columns()), _factor(B.to_columns())
+    A = _rows(A_columns)
+    B = _rows(B_columns, len(A[0]) if A else None)
+    zeros_a, zeros_b = (0,) * len(A), (0,) * len(B)
+    (HA, TA), (HB, TB) = _factor(A), _factor(B)
     diag = [
         sign_normalize_column(_preimage(HA, TA, u) + _preimage(HB, TB, u))
         for u in _intersect(HA, HB)
     ]
-    zeros_a, zeros_b = (0,) * A.cols, (0,) * B.cols
-    vert1 = [sign_normalize_column(tuple(k) + zeros_b) for k in _kernel(HA, TA)]
-    vert2 = [sign_normalize_column(zeros_a + tuple(k)) for k in _kernel(HB, TB)]
+    vert1 = [sign_normalize_column(tuple(k) + zeros_b) for k in _canonical(TA[len(HA) :])]
+    vert2 = [sign_normalize_column(zeros_a + tuple(k)) for k in _canonical(TB[len(HB) :])]
     return diag, vert1, vert2
 
 
@@ -450,8 +371,8 @@ def fiber_product(A: IntMatrix, B: IntMatrix):
 # ---------------------------------------------------------------------------
 
 
-def quotient(relations: IntMatrix) -> list[list[int]]:
-    """Canonical section of Z^n modulo the column span of ``relations``, n = relations.rows.
+def quotient(relations, n: int) -> list[list[int]]:
+    """Canonical section of Z^n modulo the span of the vectors ``relations``.
 
     The quotient must be free: a Smith invariant above 1 raises
     ``ValueError`` naming the invariants.  The section is a list of
@@ -459,10 +380,12 @@ def quotient(relations: IntMatrix) -> list[list[int]]:
     together with the relations they span it.  Each is reduced modulo the
     relation lattice, so the lift is canonical.
     """
-    S = relations.to_rows()
-    # no companions: only U^-1's columns are read, not U or V
-    inverse_cols = _smith(S, relations.rows, relations.cols)
-    diag = [S[t][t] for t in range(min(relations.rows, relations.cols)) if S[t][t]]
+    relations = _rows(relations, n)
+    # the relations are the columns of the n x k matrix S; no companions:
+    # only U^-1's columns are read, not U or V
+    S = [[c[i] for c in relations] for i in range(n)]
+    inverse_cols = _smith(S, n, len(relations))
+    diag = [S[t][t] for t in range(min(n, len(relations))) if S[t][t]]
     if any(d > 1 for d in diag):
         raise ValueError("the quotient has torsion: Smith invariants %r" % (tuple(diag),))
     # canonical representatives: reduce modulo the relation lattice.  Any
@@ -470,7 +393,7 @@ def quotient(relations: IntMatrix) -> list[list[int]]:
     # differ by a relation are equal, so the upward reduction is not needed.
     # Last first, as in smoothing._quotient_by: kernel_basis orders its classes
     # by the column they end in, and the forward order spreads fill to every row
-    rel_basis = _echelon(relations.to_columns()[::-1])
+    rel_basis = _echelon(relations[::-1])
     return [_reduce(c, rel_basis)[1] for c in inverse_cols[len(diag) :]]
 
 

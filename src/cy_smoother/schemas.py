@@ -35,7 +35,6 @@ from typing import Iterable
 
 from .catalog import find_family, unique_keys
 from .components import BlownComponent, FanoFamily, build_component
-from .exact_lattice import IntMatrix
 from .invariant_forms import CubicTensor
 from .smoothing import TORSION_NOTE, NormalCrossingModel, SmoothingReport
 from .surface import K3Model
@@ -97,7 +96,7 @@ def parse_k3(raw, location: str = "k3") -> K3Model:
     )
     pol = _int_list(raw["polarization"], location + ".polarization")
     try:
-        return K3Model(IntMatrix.from_rows(rows), tuple(classes), tuple(pol))
+        return K3Model(rows, tuple(classes), tuple(pol))
     except ValueError as exc:
         raise _located(str(exc), location) from exc
 
@@ -145,7 +144,7 @@ def degeneration_to_dict(model: NormalCrossingModel) -> dict:
     k3 = model.k3
     return {
         "k3": {
-            "gram": k3.gram.to_rows(),
+            "gram": list(map(list, k3.gram)),
             "classes": list(k3.class_names),
             "polarization": list(k3.polarization),
         },

@@ -31,11 +31,9 @@ Lifts.  An RG^2 generator is one stacked vector (l1 | l2) in H^2(Y1) +
 H^2(Y2).  Every step that reads the lifts (the RG^4 pairing rows, the
 cubic and c2 forms, the reported generators) splits them with
 ``_halves``, which length-checks each half once; the products between
-steps are plain dot products.  ``IntMatrix`` appears only as the argument
-of an ``exact_lattice`` call (``kernel_basis``, ``solve_exact``,
-``quotient``, ``rank``), whose results are plain lists of vectors; a
-quotient section is mapped back to the ambient lattice by dot products with
-the basis's coordinate rows, and the reported Gram is a tuple of rows.
+steps are plain dot products, a restriction map is its columns h, c_1,
+..., c_s, a quotient section is mapped back by dot products with the
+basis's coordinate rows, and the reported Gram is a tuple of rows.
 """
 
 from __future__ import annotations
@@ -47,7 +45,6 @@ from collections import namedtuple
 
 from . import components as comp
 from .exact_lattice import (
-    IntMatrix,
     echelon_rows,
     fiber_product,
     kernel_basis,
@@ -163,7 +160,7 @@ def _quotient_by(basis, relations, n_diag: int):
         if len(pivots) == len(A) and all(A[i][c] == 1 for i, c in enumerate(pivots)):
             (j,) = set(range(len(basis))).difference(pivots)
             return (sign_normalize_column(basis[j]),), -1
-    section = quotient(IntMatrix.from_columns(relations, rows=len(basis)))
+    section = quotient(relations, len(basis))
     coords = list(zip(*basis))
     return tuple(sign_normalize_column([_dot(r, c) for r in coords]) for c in section), -1
 
@@ -196,7 +193,7 @@ def check_smoothability(model: NormalCrossingModel) -> tuple[HypothesisVerdict, 
 
     # D_{Y1}|_D + D_{Y2}|_D, each side restricted by its own map, one row at a time
     rsum = [_dot(a, y1.D_class) + _dot(b, y2.D_class)
-            for a, b in zip(y1.restriction.to_rows(), y2.restriction.to_rows())]
+            for a, b in zip(zip(*y1.restriction), zip(*y2.restriction))]
     dss = all(x == 0 for x in rsum)
     v4 = HypothesisVerdict(
         "d_semistability",
@@ -251,9 +248,8 @@ def compute_rg2(model: NormalCrossingModel) -> RG2Result:
     y1, y2 = model.components
     diag, vert1, vert2 = fiber_product(y1.restriction, y2.restriction)
     basis = diag + vert1 + vert2
-    rows = y1.h2_rank + y2.h2_rank
     w = y1.D_class + tuple(-x for x in y2.D_class)
-    wc = solve_exact(IntMatrix.from_columns(basis, rows=rows), w)
+    wc = solve_exact(basis, w)
     if wc is None:
         raise InternalInconsistencyError(
             "(D, -D) is not a fiber-product class; d-semistability must be violated"
@@ -347,11 +343,10 @@ def compute_rg4_and_consur(model: NormalCrossingModel, rg2: RG2Result) -> RG4Res
     # lies in the rational span of the RG^2 generators and (D, -D), so the
     # pairing with the generators alone has the same saturated kernel, and
     # kernel_basis returns that lattice's canonical basis.  P's rows are the
-    # covectors u -> l.u of the lifts l, both halves side by side.
+    # covectors u -> l.u of the lifts l, both halves side by side, and the
+    # pairing's column j pairs every lift with scan_j.
     P = [comp._pairing(l1) + comp._pairing(l2) for l1, l2 in _halves(model, rg2.generators)]
-    radical = kernel_basis(
-        IntMatrix.from_rows([[_dot(p, u) for u in scan] for p in P], cols=len(scan))
-    )
+    radical = kernel_basis([[_dot(p, u) for p in P] for u in scan])
     gens, drop = _quotient_by(scan, radical, len(diag))
     if drop != -1:
         # output order: verticals first, then what is left of the diagonal block
@@ -454,7 +449,7 @@ def hodge_numbers(model: NormalCrossingModel) -> tuple[int, int, int]:
     y1, y2 = model.components
     # k: rank of the image of H^2(Y1) + H^2(Y2) -> Pic(D).  Both restriction
     # maps send H to h and e_i to the center c_i, so the image is spanned by these
-    k = matrix_rank(IntMatrix.from_rows([model.k3.polarization, *y1.centers, *y2.centers]))
+    k = matrix_rank([model.k3.polarization, *y1.centers, *y2.centers])
     h11 = y1.h2_rank + y2.h2_rank - k - 1
     h12 = 21 + y1.h12 + y2.h12 - k
     return h11, h12, 2 * (h11 - h12)

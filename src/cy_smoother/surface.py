@@ -11,29 +11,31 @@ from __future__ import annotations
 import operator
 from collections import namedtuple
 
-from .exact_lattice import IntMatrix
-
 PicardVector = tuple[int, ...]
 
 
 class K3Model(namedtuple("K3Model", "gram class_names polarization")):
     """Picard lattice of a polarized K3 surface.
 
-    gram is the intersection form on the declared generators (symmetric,
-    even diagonal, hyperbolic); polarization is the coordinate vector of
-    the ample class h, with h.h = 2n-2 > 0.
+    gram is the intersection form on the declared generators as a tuple of
+    int rows (symmetric, even diagonal, hyperbolic); polarization is the int
+    coordinate vector of the ample class h, with h.h = 2n-2 > 0.  Entries go
+    through ``operator.index``: bools and numpy integers become ``int``,
+    floats and strings raise ``TypeError``.
     """
 
     __slots__ = ()
 
-    def __new__(cls, gram: IntMatrix, class_names: tuple[str, ...], polarization: PicardVector):
-        self = super().__new__(cls, gram, class_names, polarization)
-        if gram.rows != gram.cols:
+    def __new__(cls, gram, class_names: tuple[str, ...], polarization: PicardVector):
+        rows = tuple(tuple(map(operator.index, row)) for row in gram)
+        h = tuple(map(operator.index, polarization))
+        self = super().__new__(cls, rows, class_names, h)
+        n = len(rows)
+        if any(len(row) != n for row in rows):
             raise ValueError("Gram matrix must be square")
-        n, rows = gram.rows, gram.to_rows()
         if len(class_names) != n:
             raise ValueError("need one class name per lattice generator")
-        if len(polarization) != n:
+        if len(h) != n:
             raise ValueError("polarization length does not match lattice rank")
         for i, row in enumerate(rows):
             if row[i] % 2 != 0:
@@ -42,8 +44,7 @@ class K3Model(namedtuple("K3Model", "gram class_names polarization")):
                 if row[j] != rows[j][i]:
                     raise ValueError("Gram matrix must be symmetric")
         # one Gram image of h gives h.h and every x.h below
-        h = tuple(map(operator.index, polarization))
-        hx = gram.mul_vector(h)
+        hx = gram_image(rows, h)
         h2 = sum(map(operator.mul, h, hx))
         if h2 <= 0:  # the form is even, so every square is even
             raise ValueError("polarization must have positive even square, got %d" % h2)
@@ -65,7 +66,7 @@ class K3Model(namedtuple("K3Model", "gram class_names polarization")):
 
     @property
     def rank(self) -> int:
-        return self.gram.rows
+        return len(self.gram)
 
     @property
     def degree(self) -> int:
@@ -75,7 +76,17 @@ class K3Model(namedtuple("K3Model", "gram class_names polarization")):
     @classmethod
     def quartic(cls) -> "K3Model":
         """The generic quartic surface: rank one, Gram [[4]]."""
-        return cls(IntMatrix.from_rows([[4]]), ("h",), (1,))
+        return cls(((4,),), ("h",), (1,))
+
+
+def gram_image(gram, v) -> list[int]:
+    """G v for the symmetric Gram G with the given rows: the sum of the rows at
+    v's nonzero coordinates, so a zero coordinate costs nothing."""
+    out = [0] * len(gram)
+    for row, x in zip(gram, v):
+        if x:
+            out = [a + x * e for a, e in zip(out, row)]
+    return out
 
 
 def _negative_definite(rows) -> bool:
@@ -103,12 +114,12 @@ def intersect(D: K3Model, a, b) -> int:
     """Evaluate the Gram form: a . b on Pic(D)."""
     a = tuple(map(operator.index, a))
     b = tuple(map(operator.index, b))
-    if len(a) != D.gram.rows or len(b) != D.gram.rows:
+    n = len(D.gram)
+    if len(a) != n or len(b) != n:
         raise ValueError(
-            "vector length mismatch: lattice rank %d, got %d and %d"
-            % (D.gram.rows, len(a), len(b))
+            "vector length mismatch: lattice rank %d, got %d and %d" % (n, len(a), len(b))
         )
-    gb = D.gram.mul_vector(b)
+    gb = gram_image(D.gram, b)
     return sum(x * y for x, y in zip(a, gb))
 
 

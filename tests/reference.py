@@ -50,6 +50,11 @@ def matmul(A, B):
     return [[sum(a * B[k][j] for k, a in enumerate(row)) for j in range(cols)] for row in A]
 
 
+def combination(vectors, coeffs, n):
+    """M c for the n-row matrix M whose columns are the vectors: the sum of c_j v_j."""
+    return [sum(c * v[i] for c, v in zip(coeffs, vectors)) for i in range(n)]
+
+
 def augment(A, B):
     """(A | B): the rows of A and B side by side."""
     return [list(a) + list(b) for a, b in zip(A, B)]

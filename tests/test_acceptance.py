@@ -167,18 +167,19 @@ def test_criterion_8_property_suites(rng, quartic):
     from test_exact_lattice import check_quotient, is_zero, random_matrix, times
 
     for _ in range(30):
-        M = random_matrix(rng, rng.randint(1, 5), rng.randint(1, 5), bound=6)
-        U, S, V = smith_normal_form(M)
-        assert times(U, M.to_rows(), V) == S
+        n, m = rng.randint(1, 5), rng.randint(1, 5)
+        M = random_matrix(rng, n, m, bound=6)
+        U, S, V = smith_normal_form(M, m)
+        assert times(U, M, V) == S
         assert abs(ref.det(U)) == 1 and abs(ref.det(V)) == 1
-        diag = (S[t][t] for t in range(min(M.rows, M.cols)))
-        assert tuple(d for d in diag if d) == ref.smith_invariants(M.to_rows())
-        basis = kernel_basis(M)
-        K = ref.from_columns(basis, M.cols)
-        assert is_zero(ref.matmul(M.to_rows(), K))
+        diag = (S[t][t] for t in range(min(n, m)))
+        assert tuple(d for d in diag if d) == ref.smith_invariants(M)
+        basis = kernel_basis(ref.from_columns(M, m))
+        K = ref.from_columns(basis, m)
+        assert is_zero(ref.matmul(M, K))
         assert ref.is_saturated_basis(K)
-        assert len(basis) == M.cols - ref.rank(M.to_rows())
-        check_quotient(M)
+        assert len(basis) == m - ref.rank(M)
+        check_quotient(ref.from_columns(M, m), n)
 
     # cubic tensor symmetry and lift-independence; e = 2(h11 - h12);
     # d-semistability implies vanishing c2 correction on random G^2 classes

@@ -13,7 +13,6 @@ from cy_smoother.catalog import (
     xi_examples,
 )
 from cy_smoother.components import build_component
-from cy_smoother.exact_lattice import IntMatrix
 from cy_smoother.invariant_forms import rr_dimension
 from cy_smoother.smoothing import NormalCrossingModel, _dot, analyze
 from cy_smoother.surface import K3Model
@@ -196,7 +195,7 @@ class TestCyInvariants:
         # quick example.
         pairs = search_pairs(catalog, require_rank_one=True)
         for v1, v2 in pairs + tuple(p[::-1] for p in pairs):
-            D = K3Model(IntMatrix.from_rows([[v1.delta]]), ("h",), (1,))
+            D = K3Model([[v1.delta]], ("h",), (1,))
             rep = analyze(NormalCrossingModel(
                 build_component(v1, D, []),
                 build_component(v2, D, [(v1.index + v2.index,)]),
@@ -228,6 +227,6 @@ def test_every_rank_one_base_has_chi_one(catalog):
         if not fam.rank_one:
             continue
         # a matching K3: h^2 = delta
-        D = K3Model(IntMatrix.from_rows([[fam.delta]]), ("h",), (1,))
+        D = K3Model([[fam.delta]], ("h",), (1,))
         y = build_component(fam, D, [])
         assert _dot(y.D_class, y.c2_covector) == 24

@@ -238,7 +238,9 @@ class TestSmooth:
         # the Gram is a list of lists: each row is an item, a blank line between rows
         (["smooth", "{examples}/pair1_a.json"], 0,
          ["consur_gram:\n  - 1\n  - 0\n\n  - 1\n  - 1"]),
-        (["move-top", "{examples}/pair1_a.json", "--from", "2"], 0, ["    - 5"]),
+        # the K3 Gram is a tuple of rows: written as a tuple it would print on one line
+        (["move-top", "{examples}/pair1_a.json", "--from", "2"], 0,
+         ["k3:\n  gram:\n    - 4", "    - 5"]),
         (["fano", "search", "--rank-one"], 0, ["count:          26"]),
         (["fano", "cy", "--v1", "X22", "--v2", "MM-12.3-15"], 0, ["h12:              68"]),
         # members must be a list: a tuple would print on one "members:" line

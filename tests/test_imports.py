@@ -87,10 +87,10 @@ def top_level_imports(source: str, in_package: bool = False) -> list[tuple[int, 
 
 def test_finds_a_top_level_import():
     source = ("from cy_smoother import smoothing, analyze\nfrom . import __version__, quotient\n"
-              "import cy_smoother\ncy_smoother.IntMatrix, cy_smoother.cli, cy_smoother.__file__\n")
-    assert top_level_imports(source) == [(1, "analyze"), (4, "IntMatrix")]
+              "import cy_smoother\ncy_smoother.K3Model, cy_smoother.cli, cy_smoother.__file__\n")
+    assert top_level_imports(source) == [(1, "analyze"), (4, "K3Model")]
     assert top_level_imports(source, in_package=True) == [
-        (1, "analyze"), (2, "quotient"), (4, "IntMatrix")]
+        (1, "analyze"), (2, "quotient"), (4, "K3Model")]
 
 
 @pytest.mark.parametrize(
@@ -110,9 +110,8 @@ def test_package_init_holds_only_its_docstring_and_version():
 
 
 def test_a_module_loads_only_what_it_imports():
-    # surface needs exact_lattice alone; an __init__ that imported the package would load all
+    # surface imports nothing from the package; an __init__ that imported it would load all
     code = "import sys, cy_smoother.surface; print(*[m for m in sys.modules if 'cy_smoother' in m])"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), timeout=60, check=True)
-    assert sorted(proc.stdout.split()) == [
-        "cy_smoother", "cy_smoother.exact_lattice", "cy_smoother.surface"]
+    assert sorted(proc.stdout.split()) == ["cy_smoother", "cy_smoother.surface"]

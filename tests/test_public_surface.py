@@ -1,5 +1,5 @@
 """The package's public surface: every function the benchmark tracer wraps
-still exists, and ``exact_lattice`` returns plain values.
+still exists, and ``exact_lattice`` takes and returns plain values.
 
 ``bench/spans.py``'s ``Tracer.install`` looks each TRACED function up with
 ``getattr``, so a deleted or renamed one would break only traced benchmark
@@ -12,7 +12,6 @@ import inspect
 from pathlib import Path
 
 from cy_smoother import exact_lattice
-from cy_smoother.exact_lattice import IntMatrix
 
 SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
 
@@ -38,43 +37,44 @@ def test_traced_functions_exist():
     assert missing == []
 
 
-M = IntMatrix.from_rows([[2, 4, 1], [6, 8, 3]])
-# one call of each public exact_lattice function; a new one must be added here
-CALLS = {
-    "echelon_rows": ([[2, 4], [6, 8]], [[1, 0], [0, 1]]),
-    "fiber_product": (M, M),
-    "hermite_row_form": (M,),
-    "intersect_column_lattices": (M, M),
-    "kernel_basis": (M,),
-    "quotient": (IntMatrix.from_columns([[2, 3, 5]]),),
-    "rank": (M,),
-    "sign_normalize_column": ((0, -1, 2),),
-    "smith_normal_form": (M,),
-    "solve_exact": (M, (1, 3)),
-}
+def calls(vec):
+    """One call of each public exact_lattice function, every vector and list of
+    vectors built by vec; a new function must be added here."""
+    rows = vec([vec([2, 4, 1]), vec([6, 8, 3])])
+    columns = vec([vec([2, 6]), vec([4, 8]), vec([1, 3])])
+    return {
+        # echelon_rows works in place, so its row lists stay lists
+        "echelon_rows": ([vec([2, 4]), vec([6, 8])], [vec([1, 0]), vec([0, 1])]),
+        "fiber_product": (columns, columns),
+        "hermite_row_form": (rows,),
+        "intersect_column_lattices": (columns, columns),
+        "kernel_basis": (columns,),
+        "quotient": (vec([vec([2, 3, 5])]), 3),
+        "rank": (rows,),
+        "sign_normalize_column": (vec([0, -1, 2]),),
+        "smith_normal_form": (rows, 3),
+        "solve_exact": (columns, vec([1, 3])),
+    }
 
 
-def int_matrices(value):
-    """Every IntMatrix in a value, looking inside lists, tuples and dicts."""
-    if isinstance(value, IntMatrix):
-        yield value
-    elif isinstance(value, (list, tuple)):
-        for item in value:
-            yield from int_matrices(item)
-    elif isinstance(value, dict):
-        for item in value.values():
-            yield from int_matrices(item)
+def plain(value) -> bool:
+    """True iff the value is an int or None, or a list or tuple of plain values."""
+    if value is None or type(value) is int:
+        return True
+    return type(value) in (list, tuple) and all(plain(item) for item in value)
 
 
-def test_int_matrix_in_plain_values_out():
-    # IntMatrix is the validated argument type of exact_lattice and nothing
-    # else: a result that wraps one makes its reader transpose it back
+def test_plain_values_in_plain_values_out():
+    # exact_lattice has no matrix type: it takes lists or tuples of vectors and
+    # returns lists, tuples and ints, which every caller reads as they are
     public = {
         name for name, f in inspect.getmembers(exact_lattice, inspect.isfunction)
         if not name.startswith("_") and f.__module__ == exact_lattice.__name__
     }
-    assert public == set(CALLS)
-    assert list(int_matrices([M, (1, {"k": [M]})])) == [M, M]
-    wrapped = [name for name, args in CALLS.items()
-               if list(int_matrices(getattr(exact_lattice, name)(*args)))]
-    assert wrapped == []
+    assert public == set(calls(list))
+    assert plain([1, (None, [2])]) and not plain([1, (True,)]) and not plain({"k": 1})
+    results = [{name: getattr(exact_lattice, name)(*args) for name, args in calls(vec).items()}
+               for vec in (list, tuple)]
+    for result in results:
+        assert [name for name, value in result.items() if not plain(value)] == []
+    assert results[0] == results[1]

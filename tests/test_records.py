@@ -18,7 +18,6 @@ from pathlib import Path
 import pytest
 
 from cy_smoother.components import P3, FanoFamily, build_component
-from cy_smoother.exact_lattice import IntMatrix
 from cy_smoother.invariant_forms import CubicTensor, CyInvariantTriple
 from cy_smoother.smoothing import (
     analyze,
@@ -77,7 +76,7 @@ def test_record_is_immutable_and_rebuilds_by_keyword(name):
 
 
 def test_equal_fields_compare_equal():
-    quartic = K3Model(IntMatrix.from_rows([[4]]), ("h",), (1,))
+    quartic = K3Model([[4]], ("h",), (1,))
     assert quartic == K3Model.quartic() and hash(quartic) == hash(K3Model.quartic())
     p3 = FanoFamily("P3", b2=1, index=4, minus_K_cubed=64, h12=0)
     assert p3 == P3 and hash(p3) == hash(P3)
@@ -89,7 +88,7 @@ def test_equal_fields_compare_equal():
 
 
 def _other_k3_component():
-    k3 = K3Model(IntMatrix.from_rows([[4, 1], [1, -2]]), ("h", "l"), (1, 0))
+    k3 = K3Model([[4, 1], [1, -2]], ("h", "l"), (1, 0))
     return build_component(P3, k3, [])
 
 

@@ -14,7 +14,6 @@ from cy_smoother.components import (
     triple_product,
 )
 from cy_smoother.exact_lattice import (
-    IntMatrix,
     echelon_rows,
     fiber_product,
     kernel_basis,
@@ -75,7 +74,7 @@ class TestHypotheses:
     def test_kahler_candidate_scale(self, ids, n):
         # The candidate pair is positive at n = 1 only when both indices are >= 2.
         catalog = load_catalog()
-        sextic = K3Model(IntMatrix.from_rows([[6]]), ("h",), (1,))
+        sextic = K3Model([[6]], ("h",), (1,))
         b1, b2 = (find_family(catalog, i) for i in ids)
         model = NormalCrossingModel(
             build_component(b1, sextic, []),
@@ -90,7 +89,7 @@ class TestHypotheses:
         )
 
     def test_mismatched_k3(self, quartic):
-        other = K3Model(IntMatrix.from_rows([[4, 1], [1, -2]]), ("h", "d"), (1, 0))
+        other = K3Model([[4, 1], [1, -2]], ("h", "d"), (1, 0))
         with pytest.raises(ValueError, match=r"^components reference different K3 models$"):
             NormalCrossingModel(
                 build_component(P3, quartic, []), build_component(P3, other, [(4, 0)])
@@ -119,14 +118,14 @@ class TestRG2:
         for centers1, centers2 in ([], [(8,)]), ([(5,)], [(3,)]), ([(2,)], [(5,), (1,)]):
             m = make_model(quartic, centers1, centers2)
             rg2 = compute_rg2(m)
-            k = ref.rank(ref.augment(m.y1.restriction.to_rows(), m.y2.restriction.to_rows()))
+            k = ref.rank([*m.y1.restriction, *m.y2.restriction])
             assert rg2.rank == m.y1.h2_rank + m.y2.h2_rank - k - 1
 
     def test_generic_fallback_without_unit_coordinate(self):
         # A lattice with no (-2)-class, so h is ample and every center with
         # c.c >= 0 is nef.  (D, -D) has G^2 coordinates (3, 4): no unit
         # coordinate to drop, so RG^2 comes from the generic quotient.
-        D = K3Model(IntMatrix.from_rows([[6, -1], [-1, -4]]), ("a", "b"), (-1, 1))
+        D = K3Model([[6, -1], [-1, -4]], ("a", "b"), (-1, 1))
         assert intersect(D, D.polarization, D.polarization) == 4
         centers1, centers2 = [(-1, 0)], [(-7, 8)]
         degrees = [(intersect(D, D.polarization, c), genus_from_square(intersect(D, c, c)))
@@ -137,7 +136,7 @@ class TestRG2:
         )
         rg2 = compute_rg2(model)
         assert rg2.dropped_index == -1
-        wc = solve_exact(IntMatrix.from_columns(rg2.g2_basis), rg2.degenerate)
+        wc = solve_exact(rg2.g2_basis, rg2.degenerate)
         assert wc == (3, 4)
         rep = analyze(model)
         assert rep.hypotheses_ok
@@ -159,7 +158,7 @@ class TestG4ClosedForm:
         for s in range(MAX_CENTERS + 1):
             row = [(r,) + (1,) * s]
             closed = smoothing._degree_row_kernel(r, s)
-            engine = kernel_basis(IntMatrix.from_rows(row))
+            engine = kernel_basis(ref.from_columns(row, s + 1))
             assert closed == [sign_normalize_column(k) for k in engine]
             if s <= 6:
                 K = ref.from_columns(closed, s + 1)
@@ -170,8 +169,9 @@ class TestG4ClosedForm:
     def test_fiber_product_against_engine(self, r1):
         for r2, s1, s2 in itertools.product(INDICES, range(5), range(5)):
             d1, d2 = (r1,) + (1,) * s1, (r2,) + (1,) * s2
+            columns1, columns2 = [(d,) for d in d1], [(d,) for d in d2]
             assert smoothing._g4_basis(r1, s1, r2, s2) == fiber_product(
-                IntMatrix.from_rows([d1]), IntMatrix.from_rows([d2])
+                columns1, columns2
             ), (d1, d2)
 
 
@@ -267,14 +267,13 @@ def general_rank_one(model, rg2):
     sign fix."""
     (lift,) = rg2.generators
     scan, q = rank_one_row(model, lift)
-    radical = kernel_basis(IntMatrix.from_rows([q], cols=len(scan)))
+    radical = kernel_basis([(e,) for e in q])
     n_diag = 1  # _g4_basis's diagonal block is one pair of preimages
     drop = smoothing._choose_drop(scan, radical[0], n_diag) if len(radical) == 1 else None
     if drop is not None:
         gens = [v for i, v in enumerate(scan) if i != drop]
     else:
-        B = IntMatrix.from_columns(scan)
-        gens = [B.mul_vector(c) for c in quotient(IntMatrix.from_columns(radical, rows=len(scan)))]
+        gens = [ref.combination(scan, c, len(scan[0])) for c in quotient(radical, len(scan))]
     if len(gens) != 1:
         raise InternalInconsistencyError("rank mismatch")
     cols, gv = [[stacked_pair(model, lift, gens[0])]], [list(gens[0])]
@@ -285,7 +284,7 @@ def general_rank_one(model, rg2):
 def counting_quotient(monkeypatch):
     """Count ``_quotient_by``'s calls of the Smith-form quotient."""
     calls = []
-    monkeypatch.setattr(smoothing, "quotient", lambda R: calls.append(R) or quotient(R))
+    monkeypatch.setattr(smoothing, "quotient", lambda R, n: calls.append(R) or quotient(R, n))
     return calls
 
 
@@ -341,13 +340,12 @@ class TestQuotientCorankOne:
             if not any(q):
                 continue
             # another basis of the saturated kernel of q, and a basis to map it to
-            R = kernel_basis(IntMatrix.from_rows([q], cols=m))
+            R = kernel_basis([(e,) for e in q])
             k = rng.randint(-2, 2)
             R[0] = tuple(a + k * b for a, b in zip(R[0], R[-1]))
             basis = [tuple(rng.randint(-3, 3) for _ in range(m + 1)) for _ in range(m)]
-            B = IntMatrix.from_columns(basis)
-            smith = quotient(IntMatrix.from_columns(R, rows=m))
-            expected = tuple(sign_normalize_column(B.mul_vector(c)) for c in smith)
+            smith = quotient(R, m)
+            expected = tuple(sign_normalize_column(ref.combination(basis, c, m + 1)) for c in smith)
             before = len(calls)
             assert smoothing._quotient_by(basis, R, 0) == (expected, -1)
             last = max(i for i, e in enumerate(q) if e)
@@ -534,9 +532,10 @@ class TestHodge:
     @pytest.mark.parametrize("make", RANDOM_MODELS)
     def test_random_models_against_reference(self, rng, make):
         # k is the rank of the joint restriction (R1 | R2), read by the reference
+        # from its transpose, whose rows are the columns of R1 and R2
         for _ in range(12):
             m = make(rng)
-            k = ref.rank(ref.augment(m.y1.restriction.to_rows(), m.y2.restriction.to_rows()))
+            k = ref.rank([*m.y1.restriction, *m.y2.restriction])
             h11, h12, euler = hodge_numbers(m)
             assert h11 == m.y1.h2_rank + m.y2.h2_rank - k - 1 == compute_rg2(m).rank
             assert (h12, euler) == (21 + m.y1.h12 + m.y2.h12 - k, 2 * (h11 - h12))
@@ -568,13 +567,13 @@ class TestMoveTop:
         rep, rep_s = analyze(model), analyze(swapped)
         assert rep.cubic_tensor != rep_s.cubic_tensor  # the lifted bases differ
         rg2 = compute_rg2(model)
-        span = IntMatrix.from_columns(list(rg2.generators) + [rg2.degenerate])
+        span = list(rg2.generators) + [rg2.degenerate]
         cols = []
         for on_y2, on_y1 in rep_s.picard_generators:
             coords = solve_exact(span, on_y1 + on_y2)
             assert coords is not None
             cols.append(coords[:-1])
-        M = IntMatrix.from_columns(cols).to_rows()
+        M = ref.from_columns(cols, len(cols[0]))
         assert rep.cubic_tensor.change_basis(M) == rep_s.cubic_tensor
         assert tuple(
             sum(M[i][j] * c for i, c in enumerate(rep.c2_covector)) for j in range(len(cols))
@@ -592,7 +591,7 @@ class TestMoveTop:
         Q = FanoFamily("Q", 1, 3, 54, 0)
         dP3 = FanoFamily("dP3", 1, 2, 24, 5)
         # Pic = <f1, f2>, f1.f2 = 3, h = f1 + f2: a degree-6 K3 without (-2)-roots
-        D = K3Model(IntMatrix.from_rows([[0, 3], [3, 0]]), ("f1", "f2"), (1, 1))
+        D = K3Model([[0, 3], [3, 0]], ("f1", "f2"), (1, 1))
         model = NormalCrossingModel(
             build_component(Q, D, [(2, 1), (1, 1)]),
             build_component(dP3, D, [(1, 2), (1, 1)]),
@@ -633,7 +632,7 @@ class TestAnalyze:
     def test_rank_two_k3_lattice(self):
         # joint restriction image of rank 2; the degree-4 radical has rank 2
         # as well, exercising the generic quotient path end to end
-        D = K3Model(IntMatrix.from_rows([[4, 0], [0, -2]]), ("h", "e"), (1, 0))
+        D = K3Model([[4, 0], [0, -2]], ("h", "e"), (1, 0))
         y1 = build_component(P3, D, [(3, 1), (1, -1)])
         y2 = build_component(P3, D, [(4, 0)])
         rep = analyze(NormalCrossingModel(y1, y2))
@@ -649,7 +648,7 @@ class TestAnalyze:
 
         Q = FanoFamily("Q", 1, 3, 54, 0)
         dP3 = FanoFamily("dP3", 1, 2, 24, 5)
-        D6 = K3Model(IntMatrix.from_rows([[6]]), ("h",), (1,))
+        D6 = K3Model([[6]], ("h",), (1,))
         model = NormalCrossingModel(
             build_component(Q, D6, []), build_component(dP3, D6, [(5,)])
         )
