@@ -391,8 +391,8 @@ def quotient(relations, n: int) -> list[list[int]]:
     # canonical representatives: reduce modulo the relation lattice.  Any
     # echelon basis will do: two vectors in [0, pivot) at every pivot that
     # differ by a relation are equal, so the upward reduction is not needed.
-    # Last first, as in smoothing._quotient_by: kernel_basis orders its classes
-    # by the column they end in, and the forward order spreads fill to every row
+    # Last first: kernel_basis orders its classes by the column they end in,
+    # and the forward order spreads fill to every row
     rel_basis = _echelon(relations[::-1])
     return [_reduce(c, rel_basis)[1] for c in inverse_cols[len(diag) :]]
 

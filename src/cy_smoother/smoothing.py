@@ -20,12 +20,10 @@ the H^4 side (degree rows against D in place of the restriction maps, the
 cup-product radical in place of (D, -D)) fixes the RG^4 generators up to
 a final triangularization of the pairing Gram.  There G^4's basis is a
 closed form of the two degree rows (r, 1, ..., 1), equal to what
-``fiber_product`` gives on them.  This reproduces the published generator
-tables for all worked examples and keeps golden output stable.  A
-quotient of corank one whose relations have unit echelon pivots is read
-off without a Smith form: it is the one basis class with no pivot
-(``_quotient_by``).  At h11 = 1 that is RG^4 whenever the last nonzero
-pairing of the generator against G^4's basis is +-gcd of them all.
+``fiber_product`` gives on them.  This reproduces the published RG^2
+generators and pairing Grams of all worked examples and keeps golden
+output stable.  At Picard rank one no RG^4 basis is taken: the Gram is
+[[gcd q]] for the generator's pairing row q against G^4's basis.
 
 Lifts.  An RG^2 generator is one stacked vector (l1 | l2) in H^2(Y1) +
 H^2(Y2).  Every step that reads the lifts (the RG^4 pairing rows, the
@@ -138,28 +136,12 @@ def _quotient_by(basis, relations, n_diag: int):
     a unit coordinate the element chosen by _choose_drop is removed.
     Otherwise each vector of the generic quotient's section is mapped back
     to the ambient lattice as that combination of the basis (index -1).
-
-    Corank one.  When the relations span a lattice of rank n - 1 whose
-    echelon basis has every pivot equal to 1, the quotient is free of rank
-    one and the section is +-e_j at the one column j without a pivot: a
-    section column reduced modulo that basis is 0 at every pivot, so it is
-    c e_j, and c = +-1 as it spans the quotient.  Its image, sign-normalized,
-    is basis[j], with no Smith form taken.
     """
     if len(relations) == 1:
         drop = _choose_drop(basis, relations[0], n_diag)
         if drop is not None:
             gens = tuple(v for i, v in enumerate(basis) if i != drop)
             return gens, drop
-    if len(relations) == len(basis) - 1:
-        # last first: kernel_basis lists its classes by the column they end
-        # in, and a unit pivot that ends last leaves its fill past the
-        # pivots of the rows it clears
-        A = [list(c) for c in reversed(relations)]
-        pivots = echelon_rows(A, [[] for _ in A])
-        if len(pivots) == len(A) and all(A[i][c] == 1 for i, c in enumerate(pivots)):
-            (j,) = set(range(len(basis))).difference(pivots)
-            return (sign_normalize_column(basis[j]),), -1
     section = quotient(relations, len(basis))
     coords = list(zip(*basis))
     return tuple(sign_normalize_column([_dot(r, c) for r in coords]) for c in section), -1
@@ -263,9 +245,10 @@ def compute_rg2(model: NormalCrossingModel) -> RG2Result:
 # ---------------------------------------------------------------------------
 
 
-class RG4Result(namedtuple("RG4Result", "generators gram unimodular")):
-    """generators: stacked (H^4(Y1) | H^4(Y2)); gram: the RG^2 x RG^4 pairing,
-    one tuple row per RG^2 generator; unimodular: whether it has determinant +-1."""
+class RG4Result(namedtuple("RG4Result", "gram unimodular")):
+    """gram: the RG^2 x RG^4 pairing, one tuple row per RG^2 generator, in an
+    RG^4 basis that makes it lower-triangular with positive pivots ([[gcd q]]
+    at Picard rank one); unimodular: whether it has determinant +-1."""
 
     __slots__ = ()
 
@@ -312,7 +295,7 @@ def _g4_basis(r1: int, s1: int, r2: int, s2: int):
 
 
 def compute_rg4_and_consur(model: NormalCrossingModel, rg2: RG2Result) -> RG4Result:
-    """RG^4 with the RG^2 x RG^4 pairing Gram and its unimodularity verdict.
+    """The RG^2 x RG^4 pairing Gram and its unimodularity verdict.
 
     On valid input the pairing is perfect: G^2 is saturated (it is a
     kernel), G^4 = (D, -D)^perp, and the radical of the pairing of G^2
@@ -321,15 +304,10 @@ def compute_rg4_and_consur(model: NormalCrossingModel, rg2: RG2Result) -> RG4Res
     of functionals on G^2 that kill (D, -D), that is Hom(RG^2, Z).
 
     Rank one.  With one RG^2 generator l, its pairing row q_j = l.scan_j
-    against the m classes scan_j of the G^4 basis has kernel the radical,
-    and Z^m / ker q is g Z with g = gcd(q): the Gram is [[g]] and q = 0 is
-    the rank mismatch.  Let j* be the last index with q_j != 0.  When
-    |q_j*| = g and m >= 3, ``_quotient_by``'s corank-one rule takes RG^4
-    without a Smith form: for every j != j* the radical holds a vector
-    whose first nonzero entry is a 1 at j (e_j when q_j = 0, otherwise
-    e_j - (q_j / q_j*) e_j*), and none starts at j*, so its echelon basis
-    has unit pivots at all j != j* and none at j*.  The generator is then
-    scan_j*, signed by the Gram fix below to pair positively.
+    against the m classes scan_j of the G^4 basis maps RG^4 = Z^m / ker q
+    onto g Z with g = gcd(q).  So every RG^4 generator pairs to +-g with l,
+    the Gram's sign fix below makes it [[g]] whatever basis a quotient
+    would pick, and no quotient is taken; q = 0 is the rank mismatch.
     """
     y1, y2 = model.components
     # G^4 = {(u1, u2) : u1.D = u2.D}, in closed form from the degree rows
@@ -346,27 +324,31 @@ def compute_rg4_and_consur(model: NormalCrossingModel, rg2: RG2Result) -> RG4Res
     # covectors u -> l.u of the lifts l, both halves side by side, and the
     # pairing's column j pairs every lift with scan_j.
     P = [comp._pairing(l1) + comp._pairing(l2) for l1, l2 in _halves(model, rg2.generators)]
-    radical = kernel_basis([[_dot(p, u) for p in P] for u in scan])
+    pairing = [[_dot(p, u) for p in P] for u in scan]
+    radical = kernel_basis(pairing)
+    rank4 = len(scan) - len(radical)
+    if rank4 != len(P):
+        # G^4 = (D, -D)^perp, so RG^2 and RG^4 pair nondegenerately
+        raise InternalInconsistencyError(
+            "rank mismatch: RG^2 has rank %d, RG^4 has rank %d" % (len(P), rank4)
+        )
+    if len(P) == 1:
+        g = math.gcd(*(q for (q,) in pairing))
+        return RG4Result(((g,),), g == 1)
     gens, drop = _quotient_by(scan, radical, len(diag))
     if drop != -1:
         # output order: verticals first, then what is left of the diagonal block
         split = len(diag) - (drop < len(diag))
         gens = gens[split:] + gens[:split]
-
-    if len(P) != len(gens):
-        # G^4 = (D, -D)^perp, so RG^2 and RG^4 pair nondegenerately
-        raise InternalInconsistencyError(
-            "rank mismatch: RG^2 has rank %d, RG^4 has rank %d" % (len(P), len(gens))
-        )
     # Column operations (changes of the RG^4 basis) bring the Gram to an
     # echelon form of its columns: lower-triangular with positive pivots.
     # It is unimodular iff there are h11 pivots, all equal to 1, and then it
     # is lower unitriangular, which reproduces the published display for the
     # worked examples.  Gram column j pairs every RG^2 generator with gens[j].
-    cols, gv = [[_dot(p, g) for p in P] for g in gens], [list(g) for g in gens]
-    pivots = echelon_rows(cols, gv)
+    cols = [[_dot(p, g) for p in P] for g in gens]
+    pivots = echelon_rows(cols, [[] for _ in cols])
     unimodular = len(pivots) == len(P) and all(c[i] == 1 for i, c in enumerate(cols))
-    return RG4Result(tuple(map(tuple, gv)), tuple(zip(*cols)), unimodular)
+    return RG4Result(tuple(zip(*cols)), unimodular)
 
 
 # ---------------------------------------------------------------------------

@@ -536,6 +536,58 @@ def test_known_wrong_report_exit_3(capsys, tmp_path, gram, y1, y2):
     assert code == 3
 
 
+def _smooth_exit_code(capsys, tmp_path, gram, classes, polarization, y1, y2):
+    """Exit code of ``smooth`` on a K3 lattice and two (base, centers) components."""
+    doc = tmp_path / "probe.json"
+    doc.write_text(json.dumps({
+        "k3": {"gram": gram, "classes": classes, "polarization": polarization},
+        "Y1": {"base": y1[0], "centers": y1[1]},
+        "Y2": {"base": y2[0], "centers": y2[1]},
+    }))
+    return run(capsys, "smooth", str(doc))[0]
+
+
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="ROADMAP item 14: no isotropic class of h-degree 1 or 2 is looked for, "
+           "though a smooth quartic holds no such curve",
+)
+@pytest.mark.parametrize(
+    "gram",
+    # these pass item 17: the Y1 centers (0, 1) and (8, -1) sum to 8h.
+    # x.x = 0 with h.x = 2, then h.x = 1: h11 = 1, h12 = 133 and 141
+    [[[4, 2], [2, 0]], [[4, 1], [1, 0]]],
+    ids=["hyperelliptic-quartic-kahler", "unigonal-quartic-kahler"],
+)
+def test_isotropic_low_degree_class_exit_3(capsys, tmp_path, gram):
+    code = _smooth_exit_code(capsys, tmp_path, gram, ["h", "x"], [1, 0],
+                             ("P3", [[0, 1], [8, -1]]), ("P3", []))
+    assert code == 3
+
+
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="ROADMAP item 17: kahler_matching passes every input, though no positive "
+           "center weights make the two Kahler classes agree on D",
+)
+@pytest.mark.parametrize(
+    "gram, classes, polarization, y1, y2",
+    [
+        # phi(a f1 + b f2) = b - a kills h, is >= 0 on the Y1 centers and
+        # <= 0 on the Y2 centers, and is not zero on all: h11 = 4, h12 = 53
+        ([[0, 3], [3, 0]], ["f1", "f2"], [1, 1],
+         ("X6", [[1, 1], [0, 1], [1, 1]]), ("Q", [[1, 1], [1, 0]])),
+        # t (8h - l) - t' l is a multiple of h only if t + t' = 0:
+        # h11 = 1, h12 = 139
+        ([[4, 1], [1, -2]], ["h", "l"], [1, 0], ("P3", [[8, -1]]), ("P3", [[0, 1]])),
+    ],
+    ids=["sextic-one-sided-weights", "quartic-line-opposite-side"],
+)
+def test_non_kahler_central_fiber_exit_3(capsys, tmp_path, gram, classes, polarization, y1, y2):
+    code = _smooth_exit_code(capsys, tmp_path, gram, classes, polarization, y1, y2)
+    assert code == 3
+
+
 class TestMoveTop:
     def test_pipeline(self, capsys, tmp_path):
         code, out, _ = run(capsys, "move-top", str(EXAMPLES / "pair1_a.json"),

@@ -175,14 +175,73 @@ class TestG4ClosedForm:
             ), (d1, d2)
 
 
+def g4_scan(model):
+    """The closed-form G^4 basis, stacked (Y1 | Y2)."""
+    y1, y2 = model.components
+    diag, vert1, vert2 = smoothing._g4_basis(
+        y1.base.index, len(y1.centers), y2.base.index, len(y2.centers)
+    )
+    return diag + vert1 + vert2
+
+
+def stacked_pair(model, lift, u):
+    """lift.u: an H^2 class against an H^4 class, both stacked (Y1 | Y2)."""
+    y1, y2 = model.components
+    n1 = y1.h2_rank
+    return pair_h2_h4(y1, lift[:n1], u[:n1]) + pair_h2_h4(y2, lift[n1:], u[n1:])
+
+
+def rank_one_row(model, lift):
+    """(scan, q): the G^4 basis and the lift's pairing row against it."""
+    scan = g4_scan(model)
+    return scan, [stacked_pair(model, lift, u) for u in scan]
+
+
+def gcd_rank_one(model, lift):
+    """The Gram [[g]] and its verdict, g the gcd of the lift's pairing row."""
+    g = math.gcd(*rank_one_row(model, lift)[1])
+    return RG4Result(((g,),), g == 1)
+
+
+def general_rank_one(model, rg2):
+    """The h11 >= 2 path of ``compute_rg4_and_consur`` on one generator,
+    rebuilt from its steps: the saturated radical of the pairing row, the
+    one-relation drop rule or the Smith-form ``quotient``, then the
+    echelon form of the Gram."""
+    (lift,) = rg2.generators
+    scan, q = rank_one_row(model, lift)
+    radical = kernel_basis([(e,) for e in q])
+    n_diag = 1  # _g4_basis's diagonal block is one pair of preimages
+    drop = smoothing._choose_drop(scan, radical[0], n_diag) if len(radical) == 1 else None
+    if drop is not None:
+        gens = [v for i, v in enumerate(scan) if i != drop]
+    else:
+        gens = [ref.combination(scan, c, len(scan[0])) for c in quotient(radical, len(scan))]
+    if len(gens) != 1:
+        raise InternalInconsistencyError("rank mismatch")
+    cols = [[stacked_pair(model, lift, gens[0])]]
+    echelon_rows(cols, [[]])
+    return RG4Result(((cols[0][0],),), cols == [[1]])
+
+
+def recording(monkeypatch, *names):
+    """Record each call of the named functions that ``smoothing`` imports as (name, args)."""
+    calls = []
+    for name in names:
+        def spy(*args, _name=name, _real=getattr(smoothing, name)):
+            calls.append((_name, args))
+            return _real(*args)
+
+        monkeypatch.setattr(smoothing, name, spy)
+    return calls
+
+
 class TestRG4Consur:
     def test_pair1_gram(self, pair1_a):
         rg2 = compute_rg2(pair1_a)
         rg4 = compute_rg4_and_consur(pair1_a, rg2)
         assert rg4.gram == ((1, 0), (1, 1))
         assert rg4.unimodular
-        # the published H^4 generators: (H1^2 - 4 M1, 0) and (M1, M1')
-        assert rg4.generators == ((1, -4, 0, 0), (0, 1, 0, 1))
 
     def test_quick_rank_one_pairing(self, quick_model):
         rg2 = compute_rg2(quick_model)
@@ -205,19 +264,17 @@ class TestRG4Consur:
     def test_display_on_random_models(self, rng, make):
         for _ in range(12):
             model = make(rng)
-            n1 = model.y1.h2_rank
             rg2 = compute_rg2(model)
             rg4 = compute_rg4_and_consur(model, rg2)
             G = rg4.gram
             assert len(G) == rg2.rank and all(len(row) == rg2.rank for row in G)
             assert all(G[i][j] == int(i == j) for i in range(rg2.rank) for j in range(i, rg2.rank))
             assert rg4.unimodular
-            # the generators went through the same column operations as the Gram
-            assert G == tuple(
-                tuple(pair_h2_h4(model.y1, g[:n1], u[:n1]) + pair_h2_h4(model.y2, g[n1:], u[n1:])
-                      for u in rg4.generators)
-                for g in rg2.generators
-            )
+            # RG^4 is G^4 modulo the radical, so the Gram's columns span the
+            # pairings of the RG^2 generators with every G^4 class
+            pairings = [[stacked_pair(model, g, u) for u in g4_scan(model)]
+                        for g in rg2.generators]
+            assert ref.same_lattice(G, pairings)
 
     @pytest.mark.parametrize("name", BUNDLED)
     def test_verdict_read_off_the_triangular_gram(self, name):
@@ -243,119 +300,48 @@ class TestRG4Consur:
             compute_rg4_and_consur(pair1_a, bad)
 
 
-def stacked_pair(model, lift, u):
-    """lift.u: an H^2 class against an H^4 class, both stacked (Y1 | Y2)."""
-    y1, y2 = model.components
-    n1 = y1.h2_rank
-    return pair_h2_h4(y1, lift[:n1], u[:n1]) + pair_h2_h4(y2, lift[n1:], u[n1:])
-
-
-def rank_one_row(model, lift):
-    """(scan, q): the closed-form G^4 basis and the lift's pairing row against it."""
-    y1, y2 = model.components
-    diag, vert1, vert2 = smoothing._g4_basis(
-        y1.base.index, len(y1.centers), y2.base.index, len(y2.centers)
-    )
-    scan = diag + vert1 + vert2
-    return scan, [stacked_pair(model, lift, u) for u in scan]
-
-
-def general_rank_one(model, rg2):
-    """``compute_rg4_and_consur``'s path at h11 = 1 without the corank-one rule,
-    rebuilt from its steps: the saturated radical of the pairing row, the
-    one-relation drop rule or the Smith-form ``quotient``, then the Gram's
-    sign fix."""
-    (lift,) = rg2.generators
-    scan, q = rank_one_row(model, lift)
-    radical = kernel_basis([(e,) for e in q])
-    n_diag = 1  # _g4_basis's diagonal block is one pair of preimages
-    drop = smoothing._choose_drop(scan, radical[0], n_diag) if len(radical) == 1 else None
-    if drop is not None:
-        gens = [v for i, v in enumerate(scan) if i != drop]
-    else:
-        gens = [ref.combination(scan, c, len(scan[0])) for c in quotient(radical, len(scan))]
-    if len(gens) != 1:
-        raise InternalInconsistencyError("rank mismatch")
-    cols, gv = [[stacked_pair(model, lift, gens[0])]], [list(gens[0])]
-    echelon_rows(cols, gv)
-    return RG4Result((tuple(gv[0]),), ((cols[0][0],),), cols == [[1]])
-
-
-def counting_quotient(monkeypatch):
-    """Count ``_quotient_by``'s calls of the Smith-form quotient."""
-    calls = []
-    monkeypatch.setattr(smoothing, "quotient", lambda R, n: calls.append(R) or quotient(R, n))
-    return calls
-
-
 class TestRG4RankOne:
-    """h11 = 1 (corank-one rule when the last nonzero pairing is +-gcd) against the Smith path."""
+    """h11 = 1: the Gram is [[gcd q]] for the generator's pairing row q."""
 
     def test_equals_general_path(self, rng, monkeypatch):
-        calls = counting_quotient(monkeypatch)
+        calls = recording(monkeypatch, "kernel_basis", "quotient", "echelon_rows")
         models = [random_quartic_lines_model(rng) for _ in range(200)]
         models.append(load_degeneration(EXAMPLES / "quick.json", load_catalog()))
-        fast = 0
+        gcds = set()
         for model in models:
             rg2 = compute_rg2(model)
             assert rg2.rank == 1
             for k, t in ((1, 0), (-1, 1), (2, -2), (3, 3)):
                 lift = tuple(k * a + t * w for a, w in zip(rg2.generators[0], rg2.degenerate))
                 varied = rg2._replace(generators=(lift,))
-                before = len(calls)
-                assert compute_rg4_and_consur(model, varied) == general_rank_one(model, varied)
-                fast += len(calls) == before  # no Smith form was taken
-        # a two-class scan takes the drop rule; with a line the scan has at
-        # least three classes, and the corank-one rule decides every case
-        with_lines = sum(len(m.y1.centers) + len(m.y2.centers) > 1 for m in models)
-        assert fast == 4 * len(models) and with_lines > 150
+                calls.clear()
+                rg4 = compute_rg4_and_consur(model, varied)
+                # the radical still feeds the rank check; no quotient, no echelon form
+                assert [name for name, _ in calls] == ["kernel_basis"]
+                assert rg4 == general_rank_one(model, varied) == gcd_rank_one(model, lift)
+                gcds.add(rg4.gram[0][0])
+        # (D, -D) pairs to zero with G^4, so the k-th multiple has gcd |k|
+        assert gcds == {1, 2, 3}
 
     @pytest.mark.parametrize(
-        "lift, q",
-        [((2, 0, 3, 0), [0, 2, 3]), ((2, 0, 3, -1), [1, 2, -1]), ((-3, 1, -4, 0), [-1, 1, -4]),
-         ((0, 0, 2, 0), [0, 0, 2]), ((4, -1, -4, 1), [0, 0, 0])],
+        "lift, q, g",
+        [((2, 0, 3, 0), [0, 2, 3], 1), ((2, 0, 3, -1), [1, 2, -1], 1),
+         ((-3, 1, -4, 0), [-1, 1, -4], 1), ((0, 0, 2, 0), [0, 0, 2], 2),
+         ((4, -1, -4, 1), [0, 0, 0], 0)],
         ids=["last-not-gcd", "last-is-minus-gcd", "only-first-is-gcd", "gcd-2", "zero"],
     )
-    def test_hand_built_pairing_rows(self, pair1_a, lift, q):
+    def test_hand_built_pairing_rows(self, pair1_a, lift, q, g):
         # pair1_a's scan has three classes; one lift stands in for RG^2
         assert rank_one_row(pair1_a, lift)[1] == q
         rg2 = compute_rg2(pair1_a)._replace(generators=(lift,))
-        if not any(q):
+        if not g:
             for rg4 in (compute_rg4_and_consur, general_rank_one):
                 with pytest.raises(InternalInconsistencyError, match="rank mismatch"):
                     rg4(pair1_a, rg2)
         else:
-            assert compute_rg4_and_consur(pair1_a, rg2) == general_rank_one(pair1_a, rg2)
-
-
-class TestQuotientCorankOne:
-    """``_quotient_by``'s corank-one rule against the Smith-form section."""
-
-    def test_equals_smith_section(self, rng, monkeypatch):
-        calls = counting_quotient(monkeypatch)
-        fired = 0
-        for _ in range(300):
-            m = rng.randint(3, 6)
-            q = [rng.choice((0, 0, 1, -1, 2, -3, 4)) for _ in range(m)]
-            if not any(q):
-                continue
-            # another basis of the saturated kernel of q, and a basis to map it to
-            R = kernel_basis([(e,) for e in q])
-            k = rng.randint(-2, 2)
-            R[0] = tuple(a + k * b for a, b in zip(R[0], R[-1]))
-            basis = [tuple(rng.randint(-3, 3) for _ in range(m + 1)) for _ in range(m)]
-            smith = quotient(R, m)
-            expected = tuple(sign_normalize_column(ref.combination(basis, c, m + 1)) for c in smith)
-            before = len(calls)
-            assert smoothing._quotient_by(basis, R, 0) == (expected, -1)
-            last = max(i for i, e in enumerate(q) if e)
-            assert (len(calls) == before) == (abs(q[last]) == math.gcd(*q))
-            fired += len(calls) == before
-            # an index-2 sublattice has a pivot 2: the rule passes, Smith finds the torsion
-            R[0] = tuple(2 * a for a in R[0])
-            with pytest.raises(ValueError, match="torsion"):
-                smoothing._quotient_by(basis, R, 0)
-        assert fired > 100
+            expected = RG4Result(((g,),), g == 1)
+            assert compute_rg4_and_consur(pair1_a, rg2) == general_rank_one(pair1_a, rg2) == expected
+            assert gcd_rank_one(pair1_a, lift) == expected
 
 
 class TestCubicAndC2:
@@ -629,17 +615,23 @@ class TestAnalyze:
         assert rep.picard_rank == -1
         assert rep.cubic_tensor is None
 
-    def test_rank_two_k3_lattice(self):
+    def test_rank_two_k3_lattice(self, monkeypatch):
         # joint restriction image of rank 2; the degree-4 radical has rank 2
-        # as well, exercising the generic quotient path end to end
-        D = K3Model([[4, 0], [0, -2]], ("h", "e"), (1, 0))
+        # as well, exercising the generic quotient path end to end.  h-perp
+        # is spanned by (1, -4) of square -36, so no root is orthogonal to h
+        # and h is ample; the isotropic classes have h-degree 3 and 6, and
+        # the Y1 centers sum to 4h, so equal weights glue on Y1.
+        D = K3Model([[4, 1], [1, -2]], ("h", "e"), (1, 0))
         y1 = build_component(P3, D, [(3, 1), (1, -1)])
         y2 = build_component(P3, D, [(4, 0)])
+        calls = recording(monkeypatch, "quotient")
         rep = analyze(NormalCrossingModel(y1, y2))
         assert rep.hypotheses_ok
-        assert rep.picard_rank == rep.h11 == 2
+        assert (rep.picard_rank, rep.h11, rep.h12) == (2, 2, 74)
         assert rep.euler == 2 * (rep.h11 - rep.h12)
         assert rep.consur_unimodular
+        # one Smith quotient, on the rank-2 radical of the RG^4 pairing
+        assert [len(args[0]) for _, args in calls] == [2]
 
     def test_non_p3_bases_meet_closed_form(self):
         # quadric x cubic del Pezzo along a degree-6 K3: the smoothing has
