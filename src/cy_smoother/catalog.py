@@ -186,9 +186,7 @@ def cy_invariants(v1: FanoFamily, v2: FanoFamily):
         values.append(q)
     rho3, rho_c2, h12 = values
     rank_one = min(v1.b2, v2.b2) == 1
-    if v1.b2 == 1 and v2.b2 == 1:
-        note = ""
-    elif v1.h12 == 0 or v2.h12 == 0:
+    if (v1.b2 == 1 and v2.b2 == 1) or v1.h12 == 0 or v2.h12 == 0:
         note = ""
     else:
         note = (

@@ -10,19 +10,20 @@ ints where input enters.
 One gcd row elimination, ``echelon_rows``, is behind every factorization
 and the RG^4 Gram display.  One echelon form with a unimodular transform
 per map (``_factor``) gives its saturated kernel, canonical solving and
-its image basis; ``fiber_product`` factors each of its two maps once, and
-a lattice intersection eliminates the stacked generators once.  Ranks
-read the echelon form alone.  The row-style Hermite normal form (HNF,
-``_hnf_rows``) is taken only where a canonical basis is read: kernels
-(``_canonical``), the result of an intersection and ``hermite_row_form``;
-the kernel of one row whose first nonzero entry divides the row is that
-HNF in closed form.  One Smith normal form elimination, ``_smith``,
-carries U^-1 along and is behind ``smith_normal_form`` and ``quotient``:
-a canonical section of the free quotient of Z^n by a relation lattice,
-read from U^-1's trailing columns.  A quotient with torsion raises; every
-result is modulo torsion, and both quotients the smoothing takes are by
-saturated lattices.  Canonical forms keep repeated runs (and golden
-tests) byte-identical.
+its image basis; ``fiber_product`` factors each of its two maps once and
+intersects their image bases with ``intersect_column_lattices``, which
+eliminates the stacked generators once.  Ranks read the echelon form
+alone.  The row-style Hermite normal form, ``hermite_row_form``, is taken
+only where a canonical basis is read: kernels (``_canonical``) and the
+result of an intersection; the kernel of one row whose first nonzero
+entry divides the row is that HNF in closed form.  One Smith normal form
+elimination, ``_smith``, carries U^-1 along and is behind
+``smith_normal_form`` and ``quotient``: a canonical section of the free
+quotient of Z^n by a relation lattice, read from U^-1's trailing
+columns.  A quotient with torsion raises; every result is modulo
+torsion, and both quotients the smoothing takes are by saturated
+lattices.  Canonical forms keep repeated runs (and golden tests)
+byte-identical.
 """
 
 from __future__ import annotations
@@ -200,15 +201,15 @@ def _echelon(vectors) -> list[list[int]]:
     return A[: len(echelon_rows(A, [[] for _ in A]))]
 
 
-def _hnf_rows(vectors) -> list[list[int]]:
-    """The nonzero rows of the row-style Hermite normal form of the given vectors.
+def hermite_row_form(rows) -> list[list[int]]:
+    """The nonzero rows of the row-style Hermite normal form of the given rows.
 
     Pivots are positive and strictly to the right as rows descend, and the
     entries above a pivot are reduced into [0, pivot).  The elimination
     below a pivot never reads the rows above it, so the upward reduction
     waits until the echelon form is complete.
     """
-    A = _rows(vectors)
+    A = _rows(rows)
     pivots = echelon_rows(A, [[] for _ in A])
     for prow, col in enumerate(pivots):
         d = A[prow][col]
@@ -217,11 +218,6 @@ def _hnf_rows(vectors) -> list[list[int]]:
             if q:
                 A[i] = [a - q * b for a, b in zip(A[i], A[prow])]
     return A[: len(pivots)]
-
-
-def hermite_row_form(rows) -> list[list[int]]:
-    """The row-style Hermite normal form of the given rows, zero rows dropped (``_hnf_rows``)."""
-    return _hnf_rows(rows)
 
 
 def rank(vectors) -> int:
@@ -255,7 +251,7 @@ def _canonical(vectors) -> list[list[int]]:
     reduced-echelon shape one writes when solving the defining equations
     by hand (free coordinates carry the identity block).
     """
-    return [h[::-1] for h in reversed(_hnf_rows(v[::-1] for v in vectors))]
+    return [h[::-1] for h in reversed(hermite_row_form(v[::-1] for v in vectors))]
 
 
 def _factor(A: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:
@@ -322,25 +318,21 @@ def solve_exact(columns, b: Sequence[int]) -> tuple[int, ...] | None:
     return _preimage(*_factor(_rows(columns, len(b))), b)
 
 
-def _intersect(U, V) -> list[list[int]]:
-    """HNF rows of span(U) n span(V), for lists of vectors in one Z^n.
+def intersect_column_lattices(U, V) -> list[list[int]]:
+    """Canonical basis of span(U) n span(V) for two lists of vectors in one Z^n: its HNF rows.
 
     An echelon form of the rows U + (-V), with U and zeros for V carried
     along as companion rows, turns each companion row past the rank into
     the common vector of a kernel relation.  These span the intersection,
     and its HNF depends only on that lattice.
     """
+    U = _rows(U)
+    V = _rows(V, len(U[0]) if U else None)
     if not U or not V:
         return []
     A = U + [[-e for e in v] for v in V]
     C = U + [[0] * len(U[0]) for _ in V]
-    return _hnf_rows(C[len(echelon_rows(A, C)) :])
-
-
-def intersect_column_lattices(U, V) -> list[list[int]]:
-    """Canonical basis of span(U) n span(V) for two lists of vectors, a list of vectors."""
-    U = _rows(U)
-    return _intersect(U, _rows(V, len(U[0]) if U else None))
+    return hermite_row_form(C[len(echelon_rows(A, C)) :])
 
 
 def fiber_product(A_columns, B_columns):
@@ -359,7 +351,7 @@ def fiber_product(A_columns, B_columns):
     (HA, TA), (HB, TB) = _factor(A), _factor(B)
     diag = [
         sign_normalize_column(_preimage(HA, TA, u) + _preimage(HB, TB, u))
-        for u in _intersect(HA, HB)
+        for u in intersect_column_lattices(HA, HB)
     ]
     vert1 = [sign_normalize_column(tuple(k) + zeros_b) for k in _canonical(TA[len(HA) :])]
     vert2 = [sign_normalize_column(zeros_a + tuple(k)) for k in _canonical(TB[len(HB) :])]

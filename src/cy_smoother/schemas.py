@@ -10,9 +10,9 @@ with component bases resolved against the Fano catalog (the base must
 have b2 = 1).  Cubic tensors are {"rank": 3, "entries": {"111": 2, ...}}
 with symmetric completion applied on load.  Each index key is written as
 its digits ("123") when every index is at most 9, and comma-separated
-("1,2,10") otherwise; the parser reads both forms at any rank.  All
-emitted JSON is deterministic: sorted keys, fixed indentation, trailing
-newline.
+("1,2,10") otherwise; the parser reads both forms at any rank, with ASCII
+digits and no signs, spaces or underscores.  All emitted JSON is
+deterministic: sorted keys, fixed indentation, trailing newline.
 
 Degeneration inputs are capped so that analysis time stays bounded on
 hostile input: at most MAX_CENTERS centers per component, a K3 lattice
@@ -85,9 +85,8 @@ def parse_k3(raw, location: str = "k3") -> K3Model:
     _expect(len(gram_rows) <= MAX_K3_RANK,
             "lattice rank %d exceeds the cap %d" % (len(gram_rows), MAX_K3_RANK),
             location + ".gram")
+    # K3Model rejects a Gram that is not square
     rows = [_int_list(r, "%s.gram[%d]" % (location, i)) for i, r in enumerate(gram_rows)]
-    n = len(rows)
-    _expect(all(len(r) == n for r in rows), "gram must be square", location + ".gram")
     classes = raw["classes"]
     _expect(
         isinstance(classes, list) and all(isinstance(c, str) for c in classes),
@@ -142,34 +141,26 @@ def load_degeneration(path, catalog: Iterable[FanoFamily]) -> NormalCrossingMode
 
 def degeneration_to_dict(model: NormalCrossingModel) -> dict:
     k3 = model.k3
-    return {
+    out = {
         "k3": {
             "gram": list(map(list, k3.gram)),
             "classes": list(k3.class_names),
             "polarization": list(k3.polarization),
         },
-        "Y1": {
-            "base": model.y1.base.id,
-            "centers": [list(c) for c in model.y1.centers],
-        },
-        "Y2": {
-            "base": model.y2.base.id,
-            "centers": [list(c) for c in model.y2.centers],
-        },
     }
+    for key, y in zip(("Y1", "Y2"), model.components):
+        out[key] = {"base": y.base.id, "centers": [list(c) for c in y.centers]}
+    return out
 
 
 def _parse_entry_key(key: str, location: str) -> tuple[int, ...]:
-    try:
-        if "," in key:
-            parts = tuple(int(p) for p in key.split(","))
-        else:
-            parts = tuple(int(ch) for ch in key)
-    except ValueError as exc:
-        raise _located("bad tensor index key %r" % key, location) from exc
+    parts = key.split(",") if "," in key else list(key)
+    # ASCII digits only: int() would also read "+1", " 1", "1_0" and non-Latin digits
+    if not all(p.isascii() and p.isdigit() for p in parts):
+        raise _located("bad tensor index key %r" % key, location)
     if len(parts) != 3:
         raise _located("tensor index %r does not have three entries" % key, location)
-    return parts
+    return tuple(map(int, parts))
 
 
 def parse_tensor(raw, location: str = "$") -> CubicTensor:
@@ -209,17 +200,9 @@ def tensor_to_dict(tensor: CubicTensor) -> dict:
 
 
 def report_to_dict(report: SmoothingReport) -> dict:
-    out = {
+    return {
         "torsion_note": TORSION_NOTE,
-        "hypotheses": [
-            {
-                "key": v.key,
-                "description": v.description,
-                "status": v.status,
-                "note": v.note,
-            }
-            for v in report.hypothesis_verdicts
-        ],
+        "hypotheses": [v._asdict() for v in report.hypothesis_verdicts],
         "hypotheses_ok": report.hypotheses_ok,
         "h11": report.h11,
         "h12": report.h12,
@@ -235,7 +218,6 @@ def report_to_dict(report: SmoothingReport) -> dict:
         "consur_unimodular": report.consur_unimodular,
         "consur_gram": None if report.consur_gram is None else list(map(list, report.consur_gram)),
     }
-    return out
 
 
 def dump_json(payload) -> str:

@@ -336,10 +336,9 @@ def compute_rg4_and_consur(model: NormalCrossingModel, rg2: RG2Result) -> RG4Res
         g = math.gcd(*(q for (q,) in pairing))
         return RG4Result(((g,),), g == 1)
     gens, drop = _quotient_by(scan, radical, len(diag))
-    if drop != -1:
-        # output order: verticals first, then what is left of the diagonal block
-        split = len(diag) - (drop < len(diag))
-        gens = gens[split:] + gens[:split]
+    if drop > 0:
+        # output order: verticals first, then G^4's one diagonal element (drop 0 removed it)
+        gens = gens[1:] + gens[:1]
     # Column operations (changes of the RG^4 basis) bring the Gram to an
     # echelon form of its columns: lower-triangular with positive pivots.
     # It is unimodular iff there are h11 pivots, all equal to 1, and then it
@@ -429,9 +428,8 @@ def _check_riemann_roch(tensor: CubicTensor, c2: tuple[int, ...]) -> None:
 def hodge_numbers(model: NormalCrossingModel) -> tuple[int, int, int]:
     """(h11, h12, euler) of the smoothing."""
     y1, y2 = model.components
-    # k: rank of the image of H^2(Y1) + H^2(Y2) -> Pic(D).  Both restriction
-    # maps send H to h and e_i to the center c_i, so the image is spanned by these
-    k = matrix_rank([model.k3.polarization, *y1.centers, *y2.centers])
+    # k: rank of the image of H^2(Y1) + H^2(Y2) -> Pic(D), spanned by both maps' columns
+    k = matrix_rank(y1.restriction + y2.restriction)
     h11 = y1.h2_rank + y2.h2_rank - k - 1
     h12 = 21 + y1.h12 + y2.h12 - k
     return h11, h12, 2 * (h11 - h12)

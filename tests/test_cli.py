@@ -462,6 +462,9 @@ HUGE = "9" * 5000
          "catalog row 2 is malformed: family 'A': a rank-one base needs index^3 | -K^3"),
         ("t.json", '\ufeff{"rank": 3, "entries": {"1a1": 1}}', CUBIC,
          "$.entries: bad tensor index key '1a1'"),
+        ("doc.json", json.dumps(dict(NOT_D_SEMISTABLE, k3={
+            "gram": [[4, 1], [1]], "classes": ["h", "e"], "polarization": [1, 0]})),
+         ["smooth", "{path}"], "k3: Gram matrix must be square"),
     ],
     ids=["unknown-base", "tensor-key-letter", "tensor-key-two-indices",
          "tensor-conflicting-symmetric", "tensor-unknown-field", "aronhold-rank",
@@ -473,7 +476,7 @@ HUGE = "9" * 5000
          "catalog-csv-blank-id", "catalog-csv-unknown-column", "catalog-json-unknown-key",
          "smooth-repeated-key", "catalog-json-repeated-key", "tensor-repeated-key",
          "catalog-csv-repeated-column", "tensor-index-spelt-two-ways", "catalog-csv-bom",
-         "tensor-bom"],
+         "tensor-bom", "ragged-gram"],
 )
 def test_bad_input_exit_2(capsys, tmp_path, name, text, argv, message):
     path = tmp_path / name
@@ -482,6 +485,21 @@ def test_bad_input_exit_2(capsys, tmp_path, name, text, argv, message):
     assert code == 2
     assert out == ""
     assert message.format(path=path) in err
+
+
+@pytest.mark.parametrize(
+    "key",
+    ["1_0,2,3", "+1,2,3", "1, 2, 3", "\u0661\u0662\u0663", "1,-2,3"],
+    ids=["underscore", "plus-sign", "spaces", "arabic-indic-digits", "minus-sign"],
+)
+def test_tensor_key_ascii_digits_only_exit_2(capsys, tmp_path, key):
+    # int() reads each of these: "1_0" as 10, "-2" as -2, the others as 1, 2, 3
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps({"rank": 3, "entries": {key: 1}}), encoding="utf-8")
+    code, out, err = run(capsys, "invariants", "cubic", "--file", str(path))
+    assert code == 2
+    assert out == ""
+    assert "$.entries: bad tensor index key %r" % key in err
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from cy_smoother import smoothing
+from cy_smoother import exact_lattice, smoothing
 from cy_smoother.catalog import find_family, load_catalog
 from cy_smoother.components import (
     P3,
@@ -607,6 +607,21 @@ class TestMoveTop:
             assert rep.consur_unimodular
 
 
+def rank_two_model():
+    """P3 u P3 on the K3 lattice [[4, 1], [1, -2]] with h = (1, 0).
+
+    The joint restriction image and the degree-4 radical have rank 2, so
+    the generic quotient path runs end to end.  h-perp is spanned by
+    (1, -4) of square -36, so no root is orthogonal to h and h is ample;
+    the isotropic classes have h-degree 3 and 6, and the Y1 centers sum to
+    4h, so equal weights glue on Y1.
+    """
+    D = K3Model([[4, 1], [1, -2]], ("h", "e"), (1, 0))
+    return NormalCrossingModel(
+        build_component(P3, D, [(3, 1), (1, -1)]), build_component(P3, D, [(4, 0)])
+    )
+
+
 class TestAnalyze:
     def test_failure_path_skips_lattice_work(self, quartic):
         rep = analyze(make_model(quartic, [], [(7,)]))
@@ -616,22 +631,30 @@ class TestAnalyze:
         assert rep.cubic_tensor is None
 
     def test_rank_two_k3_lattice(self, monkeypatch):
-        # joint restriction image of rank 2; the degree-4 radical has rank 2
-        # as well, exercising the generic quotient path end to end.  h-perp
-        # is spanned by (1, -4) of square -36, so no root is orthogonal to h
-        # and h is ample; the isotropic classes have h-degree 3 and 6, and
-        # the Y1 centers sum to 4h, so equal weights glue on Y1.
-        D = K3Model([[4, 1], [1, -2]], ("h", "e"), (1, 0))
-        y1 = build_component(P3, D, [(3, 1), (1, -1)])
-        y2 = build_component(P3, D, [(4, 0)])
         calls = recording(monkeypatch, "quotient")
-        rep = analyze(NormalCrossingModel(y1, y2))
+        rep = analyze(rank_two_model())
         assert rep.hypotheses_ok
         assert (rep.picard_rank, rep.h11, rep.h12) == (2, 2, 74)
         assert rep.euler == 2 * (rep.h11 - rep.h12)
         assert rep.consur_unimodular
         # one Smith quotient, on the rank-2 radical of the RG^4 pairing
         assert [len(args[0]) for _, args in calls] == [2]
+
+    @pytest.mark.parametrize("rank_two", [False, True], ids=["pair1_a", "rank-two-k3"])
+    def test_lattice_steps_run_the_public_functions(self, monkeypatch, rank_two):
+        # the kernels' HNF and the intersection of the restriction images go
+        # through the public names, looked up on the module at each call
+        calls = {"hermite_row_form": 0, "intersect_column_lattices": 0}
+        for name in calls:
+            def counting(*args, _name=name, _real=getattr(exact_lattice, name)):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(exact_lattice, name, counting)
+        model = rank_two_model() if rank_two else load_degeneration(
+            EXAMPLES / "pair1_a.json", load_catalog())
+        assert analyze(model).hypotheses_ok
+        assert all(calls.values()), calls
 
     def test_non_p3_bases_meet_closed_form(self):
         # quadric x cubic del Pezzo along a degree-6 K3: the smoothing has
