@@ -224,15 +224,15 @@ def general_rank_one(model, rg2):
     return RG4Result(((cols[0][0],),), cols == [[1]])
 
 
-def recording(monkeypatch, *names):
-    """Record each call of the named functions that ``smoothing`` imports as (name, args)."""
+def recording(monkeypatch, *names, module=smoothing):
+    """Record each call of the named attributes of ``module`` as (name, args)."""
     calls = []
     for name in names:
-        def spy(*args, _name=name, _real=getattr(smoothing, name)):
+        def spy(*args, _name=name, _real=getattr(module, name)):
             calls.append((_name, args))
             return _real(*args)
 
-        monkeypatch.setattr(smoothing, name, spy)
+        monkeypatch.setattr(module, name, spy)
     return calls
 
 
@@ -644,17 +644,12 @@ class TestAnalyze:
     def test_lattice_steps_run_the_public_functions(self, monkeypatch, rank_two):
         # the kernels' HNF and the intersection of the restriction images go
         # through the public names, looked up on the module at each call
-        calls = {"hermite_row_form": 0, "intersect_column_lattices": 0}
-        for name in calls:
-            def counting(*args, _name=name, _real=getattr(exact_lattice, name)):
-                calls[_name] += 1
-                return _real(*args)
-
-            monkeypatch.setattr(exact_lattice, name, counting)
+        names = {"hermite_row_form", "intersect_column_lattices"}
+        calls = recording(monkeypatch, *names, module=exact_lattice)
         model = rank_two_model() if rank_two else load_degeneration(
             EXAMPLES / "pair1_a.json", load_catalog())
         assert analyze(model).hypotheses_ok
-        assert all(calls.values()), calls
+        assert {name for name, _ in calls} == names
 
     def test_non_p3_bases_meet_closed_form(self):
         # quadric x cubic del Pezzo along a degree-6 K3: the smoothing has
